@@ -64,11 +64,13 @@ from .galois import (
     SubgroupSpec,
     cm_density_full,
     cm_density_subgroup,
+    coprime_verdicts,
     diag_witness,
     empirical_density,
     frobenius_congruence_check,
     in_Cm,
     k2_verdict,
+    torsion_roots,
 )
 from .intmath import (
     CongruenceCondition,

@@ -22,7 +22,14 @@ from typing import Optional
 
 import numpy as np
 
-from .intmath import is_prime, primes_upto, sqrt_mod, squarefree_part_known
+from .intmath import (
+    check_int64_modulus,
+    factorize,
+    is_prime,
+    primes_upto,
+    sqrt_mod,
+    squarefree_part_known,
+)
 from .polyrat import GF, INFINITY, Poly, QQ, RatMap, rational_roots
 
 Point = Optional[tuple[int, int]]  # None is the identity O
@@ -48,7 +55,8 @@ class Curve:
         if self.discriminant == 0:
             raise ValueError(f"singular curve {self.ainvs()}")
         # standard identity between the b-invariants
-        assert 4 * self.b8 == self.b2 * self.b6 - self.b4**2
+        if 4 * self.b8 != self.b2 * self.b6 - self.b4**2:
+            raise ArithmeticError(f"4*b8 != b2*b6 - b4^2 for {self.ainvs()}")
 
     def ainvs(self) -> tuple[Fraction, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
@@ -247,8 +255,10 @@ def count_points(curve: Curve, p: int) -> tuple[int, int]:
     """(|E(F_p)|, a_p) by the quadratic-character sum over the completed
     square: |E(F_p)| = p + 1 + sum_x chi(4x^3 + b2 x^2 + 2 b4 x + b6).
 
-    Vectorized; all intermediates stay below 2**63 for p < 2**31.
+    Vectorized; all intermediates stay below 2**63 for p < 2**31, which
+    is checked before anything is allocated.
     """
+    check_int64_modulus(p)
     curve._require_good(p)
     F = GF(p)
     b2, b4, b6 = F.coerce(curve.b2), F.coerce(2 * curve.b4), F.coerce(curve.b6)
@@ -389,28 +399,14 @@ def torsion_x_rational(curve: Curve, k: int) -> set[Fraction]:
     return roots
 
 
-def _factorize(n: int) -> dict[int, int]:
-    n = abs(n)
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _is_perfect_square(n: int) -> bool:
-    return n > 0 and all(e % 2 == 0 for e in _factorize(n).values())
+    return n > 0 and all(e % 2 == 0 for e in factorize(n).values())
 
 
 def _is_perfect_cube(n: int) -> bool:
     if n == 0:
         return False
-    return all(e % 3 == 0 for e in _factorize(n).values())
+    return all(e % 3 == 0 for e in factorize(n).values())
 
 
 def torsion_classify_Ed(d: int) -> str:
@@ -418,7 +414,7 @@ def torsion_classify_Ed(d: int) -> str:
     'C1', 'C2', 'C3', 'C6'."""
     if d == 0:
         raise ValueError("d must be nonzero")
-    if any(e >= 6 for e in _factorize(d).values()):
+    if any(e >= 6 for e in factorize(d).values()):
         raise ValueError(f"{d} is not sixth-power-free")
     if d == 1:
         return "C6"

@@ -15,8 +15,9 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .elliptic import (
     Curve,
@@ -28,7 +29,7 @@ from .elliptic import (
     quadratic_twist,
     torsion_x_rational,
 )
-from .intmath import CongruenceCondition, is_prime, kronecker, prime_stream
+from .intmath import CongruenceCondition, is_prime, kronecker, prime_divisors, prime_stream
 from .quadorder import find_prime_element, prime_above, quad_order, splitting_type
 
 # -- trace records -------------------------------------------------------------
@@ -58,9 +59,30 @@ def trace_record(curve: Curve, p: int, disc: Optional[int] = None) -> TraceRecor
     return TraceRecord(p, splitting, ap, (p + 1) ** 2 - ap * ap)
 
 
-def _scan_chunk(args) -> list[tuple[int, int]]:
-    curve, primes = args
-    return [(p, count_points(curve, p)[1]) for p in primes]
+def map_primes(fn: Callable[[list[int]], list], primes: Sequence[int], workers: int = 1) -> dict:
+    """{p: value} for every p in `primes`, where fn(chunk) returns the
+    values of a list of primes in order.
+
+    With workers > 1 and more than 8 primes, the primes are dealt
+    round-robin into workers * 4 chunks that run in a process pool, so fn
+    must pickle (a module-level function or a partial of one).  Results are
+    keyed by p, so the outcome is identical for any worker count."""
+    primes = list(primes)
+    if workers > 1 and len(primes) > 8:
+        nchunks = min(len(primes), workers * 4)
+        chunks = [primes[i::nchunks] for i in range(nchunks)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(fn, chunks))
+    else:
+        chunks, parts = [primes], [fn(primes)]
+    out = {}
+    for chunk, values in zip(chunks, parts):
+        out.update(zip(chunk, values))
+    return out
+
+
+def _trace_chunk(curve: Curve, primes: list[int]) -> list[int]:
+    return [count_points(curve, p)[1] for p in primes]
 
 
 def frobenius_scan(
@@ -81,14 +103,7 @@ def frobenius_scan(
         else:
             todo.append(p)
     if todo:
-        if workers > 1 and len(todo) > 8:
-            nchunks = min(len(todo), workers * 4)
-            chunks = [todo[i::nchunks] for i in range(nchunks)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_scan_chunk, [(curve, ch) for ch in chunks]):
-                    out.update(part)
-        else:
-            out.update(_scan_chunk((curve, todo)))
+        out.update(map_primes(partial(_trace_chunk, curve), todo, workers))
         if cache is not None:
             for p in todo:
                 cache.put(curve, p, out[p])
@@ -278,21 +293,6 @@ STRATEGY_TABLE: tuple[StrategyRow, ...] = (
 )
 
 
-def _prime_factors(k: int) -> list[int]:
-    out = []
-    n = k
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _congruence_recipe(D: int, k: int) -> Optional[list[CongruenceCondition]]:
     """The rational-prime congruence recipe for (D, k), or None when the
     row calls for element (Chebotarev) search; raises for inadmissible k."""
@@ -327,7 +327,7 @@ def _congruence_recipe(D: int, k: int) -> Optional[list[CongruenceCondition]]:
             raise ValueError("D=-11 admits no strategy when 6 | k")
         if k % 3 == 0:  # k odd with 3 | k
             conds = [CongruenceCondition(1, 3), CongruenceCondition(2, 11)]
-            for ell in _prime_factors(k):
+            for ell in prime_divisors(k):
                 if ell not in (3, 11):
                     conds.append(CongruenceCondition(1, ell))
             return conds
@@ -343,7 +343,7 @@ def _element_constraints(D: int, k: int):
     if D == -11:
         constraints.append((order.element(3), order.element(11)))
         skip = {11}
-        for ell in _prime_factors(k):
+        for ell in prime_divisors(k):
             if ell in skip or ell == 3:
                 continue
             lam = prime_above(D, ell)
@@ -359,7 +359,7 @@ def _element_constraints(D: int, k: int):
         constraints = [(w, quad_order(-3).element(2)), (one3, quad_order(-3).element(3))]
         from .eisenstein import lemma_ab_witness  # local import to avoid a cycle
 
-        for ell in _prime_factors(k):
+        for ell in prime_divisors(k):
             if ell == 2:
                 continue
             if ell == 7:
@@ -369,7 +369,7 @@ def _element_constraints(D: int, k: int):
             constraints.append((alpha, quad_order(-3).element(ell)))
         return constraints
     # generic route for the discs with trivial torsion and units {+-1}
-    for ell in _prime_factors(k):
+    for ell in prime_divisors(k):
         lam = prime_above(D, ell)
         a = _non_unit_residue(D, lam)
         constraints.append((a, lam))

@@ -228,14 +228,38 @@ def is_square(n: int) -> bool:
 
 def squarefree_part_known(n: int) -> bool:
     """True if n is squarefree (trial division; intended for desk-scale n)."""
+    return n != 0 and all(e == 1 for e in factorize(n).values())
+
+
+def factorize(n: int) -> dict[int, int]:
+    """The factorization {prime: exponent} of |n|, ascending, by trial
+    division (intended for desk-scale n); factorize(1) == {}."""
     n = abs(n)
     if n == 0:
-        return False
+        raise ValueError("0 has no prime factorization")
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if n % (d * d) == 0:
-            return False
         while n % d == 0:
+            out[d] = out.get(d, 0) + 1
             n //= d
-        d += 1
-    return True
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending."""
+    return list(factorize(n))
+
+
+def check_int64_modulus(p: int) -> None:
+    """Raise ValueError unless p < 2**31.
+
+    The numpy routes mod p hold residues in int64; below this limit a
+    product of two residues plus one more residue stays below 2**63.
+    Callers run the check before allocating anything.
+    """
+    if p >= 1 << 31:
+        raise ValueError(f"p = {p} is too large for int64 arithmetic mod p (need p < 2**31)")

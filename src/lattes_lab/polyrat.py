@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .intmath import is_prime
+from .intmath import check_int64_modulus, is_prime
 
 
 class _Infinity:
@@ -632,6 +632,7 @@ class RatMap:
         """Images of 0, 1, ..., p-1, INFINITY under the map."""
         F = self.field
         p = F.p
+        check_int64_modulus(p)
         num = np.array([int(c) for c in self.num.coeffs] or [0], dtype=np.int64)
         den = np.array([int(c) for c in self.den.coeffs] or [0], dtype=np.int64)
         xs = np.arange(p, dtype=np.int64)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from lattes_lab import elliptic
 from lattes_lab.elliptic import (
     CATALOG,
     CATALOG_BY_NAME,
@@ -24,7 +25,7 @@ from lattes_lab.elliptic import (
     torsion_classify_Ed,
     torsion_x_rational,
 )
-from lattes_lab.intmath import kronecker, primes_upto
+from lattes_lab.intmath import check_int64_modulus, kronecker, primes_upto
 from lattes_lab.polyrat import Poly, QQ, format_ratmap
 
 
@@ -160,6 +161,26 @@ def test_count_points_hasse_and_errors():
         count_points(c, 2)  # bad reduction and p < 5
     with pytest.raises(ValueError):
         count_points(CATALOG_BY_NAME["d7"].curve, 7)
+
+
+def test_count_points_runs_the_int64_guard_first(monkeypatch):
+    seen = []
+
+    def spy(p):
+        seen.append(p)
+        check_int64_modulus(p)
+
+    monkeypatch.setattr(elliptic, "check_int64_modulus", spy)
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        count_points(CATALOG_BY_NAME["d4"].curve, 2147483659)
+    assert seen == [2147483659]
+
+
+def test_b_invariant_identity_is_an_explicit_check(monkeypatch):
+    # a wrong b8 must be caught by a raise that survives python -O
+    monkeypatch.setattr(Curve, "b8", property(lambda c: c.a4**2 + 1))
+    with pytest.raises(ArithmeticError, match="b8"):
+        Curve(0, 0, 0, 1, 1)
 
 
 def test_twist_trace_relation():

@@ -4,19 +4,24 @@ from math import gcd
 
 import pytest
 
-from lattes_lab.elliptic import CATALOG, CATALOG_BY_NAME, torsion_x_rational
+from lattes_lab import galois
+from lattes_lab.elliptic import CATALOG, CATALOG_BY_NAME, count_points, torsion_x_rational
+from lattes_lab.exceptionality import frobenius_scan
 from lattes_lab.galois import (
     Mat2Zm,
     SubgroupSpec,
     cm_density_full,
     cm_density_subgroup,
+    coprime_verdicts,
     diag_witness,
     empirical_density,
     frobenius_congruence_check,
     gl2_elements,
     in_Cm,
     k2_verdict,
+    torsion_roots,
 )
+from lattes_lab.intmath import check_int64_modulus
 
 
 def test_mat2zm_basics():
@@ -118,6 +123,23 @@ def test_frobenius_congruence_bridge():
                 assert frobenius_congruence_check(entry.curve, p, ell)
     with pytest.raises(ValueError):
         frobenius_congruence_check(d4, 7, 7)
+    with pytest.raises(ValueError):
+        frobenius_congruence_check(d4, 7, 9)
+
+
+def test_frobenius_congruence_check_catches_a_wrong_trace(monkeypatch):
+    # A_p = (p+1)^2 - a_p^2 has the parity of a_p, so a trace off by one
+    # flips the ell = 2 side of the bridge at every prime
+    curve = CATALOG_BY_NAME["k2-s3"].curve
+    primes = curve.good_primes(300)
+    assert all(frobenius_congruence_check(curve, p, 2) for p in primes)
+
+    def off_by_one(c, p):
+        n, ap = count_points(c, p)
+        return n - 1, ap + 1
+
+    monkeypatch.setattr(galois, "count_points", off_by_one)
+    assert not any(frobenius_congruence_check(curve, p, 2) for p in primes)
 
 
 def test_k2_verdict():
@@ -141,3 +163,113 @@ def test_empirical_density_small():
     assert Fraction(1, 4) < d < Fraction(1, 2)  # split primes with odd trace
     with pytest.raises(ValueError):
         empirical_density(CATALOG_BY_NAME["d3"].curve, 2, 50)
+
+
+def test_root_test_matches_the_character_sum():
+    # ell | A_p from count_points against the psi_ell root test at every
+    # good p <= 2000, p != ell; coprime_verdicts covers p = ell as well
+    for entry in CATALOG:
+        good = entry.curve.good_primes(2000)
+        traces = frobenius_scan(entry.curve, good)
+        for ell in (2, 3, 5, 7):
+            divides = {p: ((p + 1) ** 2 - traces[p] ** 2) % ell == 0 for p in good}
+            others = [p for p in good if p != ell]
+            roots = torsion_roots(entry.curve, ell, others)
+            assert roots == [divides[p] for p in others], (entry.name, ell)
+            verdicts = coprime_verdicts(entry.curve, ell, good)
+            assert verdicts == [not divides[p] for p in good], (entry.name, ell)
+
+
+def test_root_test_for_larger_ell():
+    # psi_11 and psi_13 (degrees 60 and 84), which coprime_verdicts leaves
+    # to the character sum at these p
+    for name in ("noncm-e", "d4"):
+        curve = CATALOG_BY_NAME[name].curve
+        good = [p for p in curve.good_primes(400) if p > 13]
+        traces = frobenius_scan(curve, good)
+        for ell in (11, 13):
+            expected = [((p + 1) ** 2 - traces[p] ** 2) % ell == 0 for p in good]
+            assert True in expected and False in expected
+            assert torsion_roots(curve, ell, good) == expected, (name, ell)
+
+
+def test_coprime_verdicts_takes_the_cheaper_route(monkeypatch):
+    curve = CATALOG_BY_NAME["noncm-e"].curve
+    cases = {
+        10: (4000, 5000),  # both root tests are cheaper here
+        14: (17300, 17800),
+        22: (100, 3000),  # psi_11 is not: survivors of ell = 2 take a_p
+        202: (100, 3000),  # psi_101 (degree 5100) is never built
+        -6: (100, 3000),
+        0: (100, 1000),  # gcd(A_p, 0) = |A_p| needs a_p at every p
+    }
+    expected = {}
+    for k, (lo, hi) in cases.items():
+        good = [p for p in curve.good_primes(hi) if p >= lo]
+        traces = frobenius_scan(curve, good)
+        expected[k] = good, [gcd((p + 1) ** 2 - traces[p] ** 2, k) == 1 for p in good]
+    built, counted = [], []
+    real_poly, real_count = galois._torsion_poly, galois.count_points
+    monkeypatch.setattr(galois, "_torsion_poly", lambda c, ell: built.append(ell) or real_poly(c, ell))
+    monkeypatch.setattr(galois, "count_points", lambda c, p: counted.append(p) or real_count(c, p))
+    routes = {}
+    for k, (good, verdicts) in expected.items():
+        built.clear()
+        counted.clear()
+        assert coprime_verdicts(curve, k, good) == verdicts, k
+        routes[k] = set(built), len(counted), len(good)
+    assert routes[10] == ({2, 5}, 0, routes[10][2])
+    assert routes[14] == ({2, 7}, 0, routes[14][2])
+    for k in (22, 202):
+        assert routes[k][0] == {2} and 0 < routes[k][1] < routes[k][2] / 2
+    assert routes[-6][0] == {2, 3}
+    assert routes[0] == (set(), routes[0][2], routes[0][2])
+    assert empirical_density(curve, -6, 1000) == empirical_density(curve, 6, 1000)
+
+
+def test_empirical_density_matches_the_character_sum():
+    for name in ("d4", "d3", "d11", "noncm-e", "k2-s3", "k2-c3"):
+        curve = CATALOG_BY_NAME[name].curve
+        good = curve.good_primes(3000)
+        traces = frobenius_scan(curve, good)
+        for k in (2, 3, 6, 10, 14):
+            hits = sum(gcd((p + 1) ** 2 - traces[p] ** 2, k) == 1 for p in good)
+            assert empirical_density(curve, k, 3000) == Fraction(hits, len(good)), (name, k)
+
+
+def test_empirical_density_is_worker_independent():
+    for name, k in (("k2-c3", 2), ("noncm-f", 6), ("d19", 35)):
+        curve = CATALOG_BY_NAME[name].curve
+        assert empirical_density(curve, k, 3000, workers=1) == empirical_density(
+            curve, k, 3000, workers=2
+        )
+
+
+def test_coprime_verdicts_rejects_bad_input(monkeypatch):
+    d7 = CATALOG_BY_NAME["d7"].curve
+    assert coprime_verdicts(d7, 2, []) == []
+    assert coprime_verdicts(d7, 1, [5, 11]) == [True, True]
+    with pytest.raises(ValueError):
+        coprime_verdicts(d7, 2, [7])  # bad reduction
+    with pytest.raises(ValueError):
+        coprime_verdicts(d7, 2, [15])  # not prime
+    with pytest.raises(ValueError):
+        coprime_verdicts(d7, 2, [1009, 1001])  # not prime, on the root-test route
+    with pytest.raises(ValueError):
+        torsion_roots(d7, 9, [5])  # ell not prime
+    with pytest.raises(ValueError):
+        torsion_roots(d7, 41, [5])  # psi_41 (degree 840) exceeds one block
+    with pytest.raises(ValueError):
+        torsion_roots(d7, 5, [5])  # p = ell
+    seen = []
+
+    def spy(p):
+        seen.append(p)
+        check_int64_modulus(p)
+
+    monkeypatch.setattr(galois, "check_int64_modulus", spy)
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        coprime_verdicts(d7, 2, [5, 2147483659])
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        torsion_roots(d7, 2, [5, 2147483659])
+    assert seen == [2147483659, 2147483659]

@@ -1,14 +1,19 @@
 import random
+from math import isqrt
 
 import pytest
 
 from lattes_lab.intmath import (
     CongruenceCondition,
+    check_int64_modulus,
+    factorize,
     is_prime,
     kronecker,
     primes_in_congruence,
+    prime_divisors,
     primes_upto,
     sqrt_mod,
+    squarefree_part_known,
 )
 
 
@@ -145,3 +150,28 @@ def test_congruence_condition_normalizes():
     assert c.residue == 5
     with pytest.raises(ValueError):
         CongruenceCondition(1, 0)
+
+
+def test_factorize_against_products():
+    assert factorize(1) == {}
+    assert factorize(-360) == {2: 3, 3: 2, 5: 1}
+    assert factorize(2**6 * 7**2 * 10007) == {2: 6, 7: 2, 10007: 1}
+    with pytest.raises(ValueError):
+        factorize(0)
+    for n in range(1, 3000):
+        f = factorize(n)
+        assert list(f) == sorted(f) and all(trial_division_prime(q) for q in f)
+        prod = 1
+        for q, e in f.items():
+            prod *= q**e
+        assert prod == n
+        assert prime_divisors(n) == list(f)
+        assert squarefree_part_known(n) == all(n % (q * q) for q in range(2, isqrt(n) + 1))
+    assert not squarefree_part_known(0)
+
+
+def test_check_int64_modulus():
+    check_int64_modulus(2**31 - 1)
+    for p in (2**31, 2147483659):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            check_int64_modulus(p)

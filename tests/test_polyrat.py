@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from lattes_lab import polyrat
+from lattes_lab.intmath import check_int64_modulus
 from lattes_lab.polyrat import (
     GF,
     INFINITY,
@@ -214,3 +216,17 @@ def test_construction_audit_value_tables():
             m = _random_map(F, rng)
             assert m.den.leading == F.one
             assert poly_gcd(m.num, m.den).degree == 0
+
+
+def test_value_table_runs_the_int64_guard_first(monkeypatch):
+    seen = []
+
+    def spy(p):
+        seen.append(p)
+        check_int64_modulus(p)
+
+    monkeypatch.setattr(polyrat, "check_int64_modulus", spy)
+    F = GF(2147483659)
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        RatMap(Poly.x(F), Poly.one(F)).value_table()
+    assert seen == [2147483659]

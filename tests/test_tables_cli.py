@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from lattes_lab.cli import main
+from lattes_lab.elliptic import Curve
 from lattes_lab.tables import TABLE_IDS, check_all_tables, check_table
 
 
@@ -112,6 +113,13 @@ def test_cli_model_selection_by_D_and_u(capsys):
 def test_cli_density(capsys):
     assert run_cli("density", "[0,0,0,-264,1694]", "--k", "6", "--pmax", "500") == 0
     assert capsys.readouterr().out.strip().startswith("0 ")
+
+
+def test_cli_density_rejects_a_prime_beyond_int64(monkeypatch, capsys):
+    # good_primes is stubbed so that no sieve runs up to 2^31
+    monkeypatch.setattr(Curve, "good_primes", lambda self, pmax, pmin=5: [2147483659])
+    assert run_cli("density", "[0,0,0,1,1]", "--k", "2", "--pmax", "100") == 2
+    assert "2**31" in capsys.readouterr().err
 
 
 def test_cli_entry_point_subprocess():
