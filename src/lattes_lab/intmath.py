@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional
 
@@ -18,6 +19,19 @@ from typing import Iterable, Iterator, Optional
 # (covers the full 64-bit range).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_EXTRA_ROUNDS = 40
+
+# Smaller proven witness sets: the first j primes decide every n below the
+# bound (Pomerance, Selfridge and Wagstaff; Jaeschke).  Each bound is the
+# least strong pseudoprime to all j bases, so the sets are tight.
+_MR_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -40,12 +54,19 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
+def _mr_witnesses(n: int) -> tuple[int, ...]:
+    for bound, j in _MR_TIERS:
+        if n < bound:
+            return _MR_WITNESSES[:j]
+    return _MR_WITNESSES
+
+
 def is_prime(n: int) -> bool:
     """Primality of |n|.
 
-    Deterministic for |n| < 2**64 (fixed witness set); above that the test
-    is probabilistic with 40 extra pseudorandom rounds seeded by n, so
-    repeated calls agree.
+    Deterministic for |n| < 2**64 (a proven witness set, smallest for the
+    size of n); above that the test is probabilistic with 40 extra
+    pseudorandom rounds seeded by n, so repeated calls agree.
     """
     n = abs(n)
     if n < 2:
@@ -55,7 +76,7 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    for a in _MR_WITNESSES:
+    for a in _mr_witnesses(n):
         if not _strong_probable_prime(n, a):
             return False
     if n >= 1 << 64:
@@ -112,6 +133,11 @@ def sqrt_mod(a: int, p: int) -> Optional[int]:
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError("modulus must be an odd prime")
+    return _sqrt_mod_prime(a, p)
+
+
+def _sqrt_mod_prime(a: int, p: int) -> Optional[int]:
+    """sqrt_mod for a modulus the caller knows to be an odd prime."""
     a %= p
     if a == 0:
         return 0
@@ -212,18 +238,20 @@ def primes_in_congruence(conds: Iterable[CongruenceCondition], limit: int) -> li
 
 def primes_upto(limit: int) -> list[int]:
     """All primes <= limit by sieve of Eratosthenes."""
-    if limit < 2:
+    return primes_between(2, limit + 1)
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """All primes p with lo <= p < hi, ascending, by a segmented sieve of
+    Eratosthenes: memory is O(hi - lo + sqrt(hi)) whatever lo is."""
+    lo = max(lo, 2)
+    if hi <= lo:
         return []
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, limit + 1) if sieve[i]]
-
-
-def is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
+    seg = bytearray([1]) * (hi - lo)
+    for q in primes_between(2, isqrt(hi - 1) + 1):
+        start = max(q * q, -(-lo // q) * q) - lo
+        seg[start::q] = bytes(len(range(start, hi - lo, q)))
+    return list(compress(range(lo, hi), seg))
 
 
 def squarefree_part_known(n: int) -> bool:

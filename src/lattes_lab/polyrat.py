@@ -308,12 +308,6 @@ class Poly:
             return self
         return self.scale(F.inv(self.leading))
 
-    def reduce_mod(self, p: int) -> "Poly":
-        """Coefficientwise reduction of a QQ polynomial into GF(p)."""
-        if self.field is not QQ:
-            raise TypeError("reduce_mod applies to polynomials over QQ")
-        return Poly(GF(p), self.coeffs)
-
 
 def _qq_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
     # Integer fast path: division polynomials and Lattes numerators have
@@ -709,10 +703,12 @@ def rational_roots(f: Poly) -> set[Fraction]:
     """All rational roots of a nonzero polynomial over QQ.
 
     Roots are found by Hensel-lifting the roots of a squarefree reduction
-    modulo a well-chosen prime until candidates can be recovered exactly
-    (denominators divide the leading coefficient, numerators are bounded by
-    the Cauchy bound), then certified by exact evaluation.  This stays fast
-    when the constant term is far too large to enumerate divisors.
+    modulo a well-chosen prime until candidates can be recovered exactly by
+    rational reconstruction (denominators divide the leading coefficient,
+    numerators are bounded by the Cauchy bound), then certified by exact
+    evaluation.  This stays fast when the constant term is far too large
+    to enumerate divisors, and when the leading coefficient is too large
+    to try each denominator.
     """
     if f.field is not QQ:
         raise TypeError("rational_roots applies to polynomials over QQ")
@@ -744,26 +740,35 @@ def rational_roots(f: Poly) -> set[Fraction]:
     mod_roots = _roots_mod_p(cs, p)
     if not mod_roots:
         return roots
-    target = 2 * lead * bound
-    pe, e = p, 1
+    # a root u/v in lowest terms has 0 < v <= lead and |u| <= lead*bound;
+    # above 2*lead^2*bound the p-adic lift determines it uniquely
+    num_bound = lead * bound
+    target = 2 * lead * num_bound
+    pe = p
     while pe <= target:
         pe *= p
-        e += 1
     fprime = [i * c for i, c in enumerate(cs)][1:]
     for r in mod_roots:
         rl = _hensel_lift(cs, fprime, r, p, pe)
-        for v in range(1, lead + 1):
-            if lead % v:
-                continue
-            u = (v * rl) % pe
-            if u > pe // 2:
-                u -= pe
-            if int_gcd(u, v) != 1:
-                continue
-            cand = Fraction(u, v)
-            if _eval_int_poly(cs, cand) == 0:
-                roots.add(cand)
+        cand = _rational_reconstruction(rl, pe, num_bound, lead)
+        if cand is not None and _eval_int_poly(cs, cand) == 0:
+            roots.add(cand)
     return roots
+
+
+def _rational_reconstruction(r: int, m: int, num_bound: int, den_bound: int) -> Optional[Fraction]:
+    """The u/v with |u| <= num_bound, 0 < v <= den_bound, gcd(u, v) = 1 and
+    u = v*r (mod m), or None; unique when 2*num_bound*den_bound < m (von zur
+    Gathen and Gerhard, Modern Computer Algebra, 5.26)."""
+    r0, r1 = m, r % m
+    t0, t1 = 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > den_bound or int_gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
 
 
 def _eval_int_poly(cs: Sequence[int], x: Fraction) -> Fraction:

@@ -19,10 +19,10 @@ import functools
 import re
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .elliptic import Curve, count_points
-from .intmath import is_prime, kronecker
+from .intmath import _sqrt_mod_prime, is_prime, kronecker, primes_between
 
 CLASS_NUMBER_ONE_DISCS = (-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163)
 
@@ -200,10 +200,54 @@ def splitting_type(D: int, p: int) -> str:
     return {1: "split", -1: "inert", 0: "ramified"}[k]
 
 
+def _norm_solution_key(ab: tuple[int, int]) -> tuple:
+    return (abs(ab[1]), abs(ab[0]), ab[0] < 0, ab[1] < 0)
+
+
+def _split_prime_solutions(order: QuadOrder, p: int) -> list[tuple[int, int]]:
+    """All (a, b) with N(a + b*w) = p, for an odd prime p with (D/p) = 1,
+    in the order of norm_solutions.
+
+    Cornacchia's algorithm for 4p = t^2 + |D| s^2 (Cohen, A Course in
+    Computational Algebraic Number Theory, 1.5.3) gives one element z of
+    norm p.  It generates a prime above p, which does not divide the
+    conductor, and the order has class number one, so every element of
+    norm p is u*z or u*conj(z) for a unit u.
+    """
+    D, s, n = order.D, order.s, order.n
+    x = _sqrt_mod_prime(D, p)
+    if (x - D) % 2:
+        x = p - x
+    r0, r1 = 2 * p, x
+    limit = isqrt(4 * p)
+    while r1 > limit:
+        r0, r1 = r1, r0 % r1
+    b2, rem = divmod(4 * p - r1 * r1, -D)
+    b = isqrt(b2)
+    if rem or b * b != b2:
+        raise ArithmeticError(f"no element of norm {p} in the order of discriminant {D}")
+    # 4 N(a + b*w) = (2a + s*b)^2 + |D| b^2, so 2a + s*b = t
+    a = (r1 - s * b) // 2
+    # the units are the powers of w for D = -3 and -4 (with -1), else +-1
+    turns = {-3: 3, -4: 2}.get(D, 1)
+    sols = []
+    for x, y in ((a, b), (a + s * b, -b)):  # z and conj(z)
+        for _ in range(turns):
+            sols += [(x, y), (-x, -y)]
+            x, y = -n * y, x + s * y  # times w
+    return sorted(sols, key=_norm_solution_key)
+
+
 def norm_solutions(D: int, m: int) -> list[tuple[int, int]]:
-    """All (a, b) with N(a + b*w) = m, ordered by (|b|, |a|, a < 0, b < 0)."""
+    """All (a, b) with N(a + b*w) = m, ordered by (|b|, |a|, a < 0, b < 0).
+
+    An odd split prime m is solved by Cornacchia's algorithm; other m
+    (2, ramified, inert or composite) by enumerating |b| <= sqrt(4m/|D|).
+    """
     order = quad_order(D)
-    s, n = order.s, order.n
+    if m > 2 and m % 2 and kronecker(D, m) == 1 and is_prime(m):
+        return _split_prime_solutions(order, m)
+    s = order.s
     sols = []
     absD = -D
     bmax = isqrt(4 * m // absD)
@@ -221,8 +265,7 @@ def norm_solutions(D: int, m: int) -> list[tuple[int, int]]:
                 a = num // 2
                 if order.element(a, b).norm() == m:
                     sols.append((a, b))
-    sols = sorted(set(sols), key=lambda ab: (abs(ab[1]), abs(ab[0]), ab[0] < 0, ab[1] < 0))
-    return sols
+    return sorted(set(sols), key=_norm_solution_key)
 
 
 def prime_above(D: int, ell: int) -> QuadInt:
@@ -244,13 +287,22 @@ def prime_above(D: int, ell: int) -> QuadInt:
 
 def cornacchia(D: int, p: int) -> Optional[tuple[int, int]]:
     """A solution (t, s) of 4p = t^2 + |D| s^2 with s >= 1, or None when p
-    is inert.  The solution with smallest s is returned."""
+    is inert.  The solution with smallest s is returned.
+
+    For the class-number-one discriminants and odd p the smallest s is the
+    least |b| over the elements of norm p; other D and p = 2 try every s.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p % abs(D) == 0 or kronecker(D, p) == 0:
         raise ValueError(f"{p} ramifies in discriminant {D}")
     absD = -D
     target = 4 * p
+    if D in CLASS_NUMBER_ONE_DISCS and p > 2:
+        if kronecker(D, p) != 1:
+            return None
+        s = min(abs(b) for _, b in _split_prime_solutions(quad_order(D), p))
+        return isqrt(target - absD * s * s), s
     smax = isqrt(target // absD)
     for s in range(1, smax + 1):
         t2 = target - absD * s * s
@@ -258,6 +310,16 @@ def cornacchia(D: int, p: int) -> Optional[tuple[int, int]]:
         if t * t == t2:
             return t, s
     return None
+
+
+def _primes_by_doubling(limit: int) -> Iterator[int]:
+    """The primes <= limit, ascending, sieved in segments [lo, 2*lo), so a
+    caller that stops early pays only for the segments it reached."""
+    lo, hi = 2, 1024
+    while lo <= limit:
+        hi = min(hi, limit + 1)
+        yield from primes_between(lo, hi)
+        lo, hi = hi, 2 * hi
 
 
 def find_prime_element(
@@ -268,37 +330,40 @@ def find_prime_element(
 ) -> list[QuadInt]:
     """Up to `count` elements pi, ascending in norm, such that N(pi) is a
     split rational prime <= norm_bound and pi = target (mod modulus) for
-    every (target, modulus) constraint.
+    every (target, modulus) constraint.  Ties in norm are ordered as in
+    norm_solutions.
 
-    The search enumerates all coordinates within the norm bound, so the
-    result is exhaustive up to the bound and deterministic.
+    The search walks the split primes p <= norm_bound upward and keeps the
+    elements of norm p that meet the constraints, stopping after the first
+    p at which `count` elements are kept.  The result is the first `count`
+    of the exhaustive list up to the bound, and is deterministic.
     """
     order = quad_order(D)
-    constraints = list(constraints)
+    s, n = order.s, order.n
+    # z = target (mod m) iff N(m) divides both coordinates of
+    # (z - target)*conj(m) = z*conj(m) - target*conj(m)
+    tests = []
     for target, modulus in constraints:
         if modulus.is_zero:
             raise ValueError("zero modulus in constraint")
-    s, n = order.s, order.n
-    absD = -D
+        if target.order is not order or modulus.order is not order:
+            raise ValueError("mixed quadratic orders")
+        mc = modulus.conj()
+        tc = target * mc
+        tests.append((mc.a, mc.b, tc.a, tc.b, modulus.norm()))
     found = []
-    bmax = isqrt(4 * norm_bound // absD)
-    for b in range(-bmax, bmax + 1):
-        disc = 4 * norm_bound - absD * b * b
-        if disc < 0:
+    for p in _primes_by_doubling(norm_bound):
+        if kronecker(D, p) != 1:
             continue
-        half = isqrt(disc)
-        lo = (-s * b - half - 1) // 2
-        hi = (-s * b + half) // 2 + 1
-        for a in range(lo, hi + 1):
-            z = order.element(a, b)
-            nz = z.norm()
-            if nz > norm_bound or nz < 2:
-                continue
-            if not is_prime(nz) or kronecker(D, nz) != 1:
-                continue
-            if all(congruent(z, t, m) for t, m in constraints):
-                found.append(z)
-    found.sort(key=lambda z: (z.norm(), abs(z.b), abs(z.a), z.a < 0, z.b < 0))
+        sols = _split_prime_solutions(order, p) if p > 2 else norm_solutions(D, p)
+        for a, b in sols:
+            if all(
+                (a * c - n * b * d - ta) % nm == 0 and (a * d + b * c + s * b * d - tb) % nm == 0
+                for c, d, ta, tb, nm in tests
+            ):
+                found.append(order.element(a, b))
+        if 0 <= count <= len(found):
+            break
     return found[:count]
 
 

@@ -9,6 +9,7 @@ both drive these.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -86,7 +87,7 @@ def suite_perm_equivalence(pmax: int = 200, kmax: int = 10, workers: int = 1) ->
 
 
 def suite_lattes_oracle(
-    pmax: int = 100, kmax: int = 6, points: int = 20, seed: int = 20240811, workers: int = 1
+    pmax: int = 100, kmax: int = 6, points: int = 20, seed: int = 20240811
 ) -> SuiteResult:
     """x([k]P) = L_k(x(P)) for random points, plus the symbolic composition
     identities L_{mn} = L_m o L_n for mn <= 8."""
@@ -150,16 +151,10 @@ def _primary_split_primes(norm_bound: int):
     return out
 
 
-def suite_reciprocity(
-    seed: int = 20240811, pairs: int = 200, tower: int = 1000, workers: int = 1
-) -> SuiteResult:
+def suite_reciprocity(seed: int = 20240811, pairs: int = 200, tower: int = 1000) -> SuiteResult:
     """Cubic law on random primary pairs, sextic law on random E-primary
     pairs (norms <= 10^4), the symbol tower, the hard-coded lemma
-    witnesses, and the E_d point-count formula for norms <= 500.
-
-    Worker-free (fixed seed, no prime-range partitioning); the workers
-    argument exists for interface uniformity only.
-    """
+    witnesses, and the E_d point-count formula for norms <= 500."""
     res = SuiteResult("reciprocity")
     rng = random.Random(seed)
     split_primaries = _primary_split_primes(10000)
@@ -318,14 +313,23 @@ SUITES = {
     "noncm": suite_noncm,
     "torsion": suite_torsion_forward,
     "density": suite_density,
+    "lattes-oracle": suite_lattes_oracle,
+    "strategies": suite_strategies,
 }
+
+
+def _call_suite(fn, workers: int) -> SuiteResult:
+    # only the suites that scan prime ranges take a worker count
+    if "workers" in inspect.signature(fn).parameters:
+        return fn(workers=workers)
+    return fn()
 
 
 def run_suite(name: str, workers: int = 1) -> SuiteResult:
     if name == "all":
         combined = SuiteResult("all")
         for key, fn in SUITES.items():
-            sub = fn(workers=workers)
+            sub = _call_suite(fn, workers)
             combined.lines.append(f"[{key}] {'ok' if sub.ok else 'FAILED'}")
             combined.lines.extend("  " + line for line in sub.lines)
             if not sub.ok:
@@ -335,4 +339,4 @@ def run_suite(name: str, workers: int = 1) -> SuiteResult:
     fn = SUITES.get(name)
     if fn is None:
         raise KeyError(f"unknown suite {name!r}")
-    return fn(workers=workers)
+    return _call_suite(fn, workers)

@@ -360,3 +360,16 @@ def test_curve_text_format():
     with pytest.raises(ValueError):
         parse_curve("[1,2,3]")
     assert len(curve_hash(c)) == 12 and curve_hash(c) == curve_hash(parse_curve("[0,0,1,-38,90]"))
+
+
+def test_torsion_x_rational_with_a_huge_leading_coefficient():
+    # psi_5 of this model has leading coefficient 8612495045 after clearing
+    # denominators; trying every denominator up to it did not finish
+    import time
+
+    start = time.perf_counter()
+    assert torsion_x_rational(Curve(0, 0, 0, Fraction(1, 7), Fraction(1, 11)), 5) == set()
+    assert time.perf_counter() - start < 5.0
+    # y^2 = x^3 + 1 scaled by u = 7: x = -1/49, 0, 2/49 are 2-, 3- and 6-torsion
+    scaled = Curve(0, 0, 0, 0, Fraction(1, 7**6))
+    assert torsion_x_rational(scaled, 6) == {Fraction(-1, 49), Fraction(0), Fraction(2, 49)}

@@ -11,6 +11,7 @@ from lattes_lab.intmath import (
     kronecker,
     primes_in_congruence,
     prime_divisors,
+    primes_between,
     primes_upto,
     sqrt_mod,
     squarefree_part_known,
@@ -50,6 +51,67 @@ def test_is_prime_large_semiprime():
     p, q = 1000003, 1000033
     assert is_prime(p) and is_prime(q)
     assert not is_prime(p * q)
+
+
+def twelve_witness_prime(n: int) -> bool:
+    """The strong-pseudoprime test on the first 12 primes, proven for
+    n < 3.3 * 10^24: the reference for the smaller witness sets."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+TIER_BOUNDS = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383, 341550071728321)
+
+
+def test_is_prime_agrees_with_the_sieve_to_a_million():
+    sieve = set(primes_upto(10**6))
+    assert [n for n in range(10**6 + 1) if is_prime(n)] == sorted(sieve)
+
+
+def test_is_prime_at_the_witness_tier_bounds():
+    for bound in TIER_BOUNDS:
+        for n in range(bound - 2, bound + 3):
+            assert is_prime(n) == twelve_witness_prime(n), n
+
+
+def test_is_prime_rejects_the_strong_pseudoprimes_behind_the_tiers():
+    # each is a strong pseudoprime to every base of the tier below it
+    for n in TIER_BOUNDS + (3825123056546413051,):
+        assert not is_prime(n), n
+        assert not twelve_witness_prime(n), n
+
+
+def test_is_prime_on_random_40_bit_odd_numbers():
+    rng = random.Random(40)
+    for _ in range(20000):
+        n = rng.randrange(1 << 39, 1 << 40) | 1
+        assert is_prime(n) == twelve_witness_prime(n), n
+
+
+def test_primes_between_against_the_sieve():
+    primes = primes_upto(20000)
+    rng = random.Random(9)
+    windows = [(0, 2), (0, 3), (2, 3), (3, 3), (-5, 12), (1024, 2048), (19990, 20001)]
+    windows += [tuple(sorted(rng.sample(range(0, 20001), 2))) for _ in range(200)]
+    for lo, hi in windows:
+        assert primes_between(lo, hi) == [p for p in primes if lo <= p < hi], (lo, hi)
 
 
 def test_kronecker_examples():

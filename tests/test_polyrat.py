@@ -196,6 +196,19 @@ def test_rational_roots_huge_constant_term():
     assert {Fraction(-1), Fraction(3, 2), Fraction(-7), Fraction(10**25)} <= got
 
 
+def test_rational_roots_with_a_large_leading_coefficient():
+    # roots u/v whose v runs up to a leading coefficient near 10^12
+    rng = random.Random(21)
+    for _ in range(40):
+        want = set()
+        f = P(rng.randrange(1, 10**6), 0, 1)  # x^2 + c has no rational root
+        for _ in range(rng.randrange(1, 4)):
+            r = Fraction(rng.randrange(-(10**6), 10**6), rng.randrange(1, 10**4))
+            want.add(r)
+            f = f * P(-r.numerator, r.denominator)
+        assert rational_roots(f) == want
+
+
 def test_rational_roots_with_repeated_factors():
     f = P(-1, 1) ** 3 * P(2, 1)
     assert rational_roots(f) == {Fraction(1), Fraction(-2)}

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -163,6 +165,101 @@ def test_find_prime_element_examples():
 
     incompatible = [(O3.element(0), O3.element(2)), (O3.element(1), O3.element(2))]
     assert find_prime_element(-3, incompatible, 100, 5) == []
+
+
+def lattice_by_norm(D, bound):
+    """{m: [(a, b), ...]} for every element a + b*w of norm m <= bound, by
+    scanning the box |b| <= sqrt(4*bound/|D|), |2a + s*b| <= sqrt(4*bound)."""
+    order = quad_order(D)
+    out = {}
+    bmax = isqrt(4 * bound // -D)
+    amax = isqrt(4 * bound) + bmax + 1
+    for b in range(-bmax, bmax + 1):
+        for a in range(-amax, amax + 1):
+            m = order.element(a, b).norm()
+            if m <= bound:
+                out.setdefault(m, []).append((a, b))
+    return out
+
+
+def solution_key(ab):
+    return (abs(ab[1]), abs(ab[0]), ab[0] < 0, ab[1] < 0)
+
+
+def test_norm_solutions_against_lattice_scan():
+    # every m: split primes take Cornacchia, the rest the enumeration
+    for D in CLASS_NUMBER_ONE_DISCS:
+        lattice = lattice_by_norm(D, 3000)
+        for m in range(0, 3001):
+            want = sorted(lattice.get(m, []), key=solution_key)
+            assert norm_solutions(D, m) == want, (D, m)
+
+
+def test_norm_solutions_at_large_split_primes():
+    rng = random.Random(3)
+    for D in CLASS_NUMBER_ONE_DISCS:
+        order = quad_order(D)
+        units = len(order.units())
+        done = 0
+        while done < 20:
+            p = rng.randrange(10**12, 10**13)
+            if not is_prime(p) or kronecker(D, p) != 1:
+                continue
+            sols = norm_solutions(D, p)
+            assert len(set(sols)) == len(sols) == 2 * units, (D, p)
+            assert all(order.element(a, b).norm() == p for a, b in sols)
+            assert sols == sorted(sols, key=solution_key)
+            done += 1
+
+
+def test_find_prime_element_against_lattice_scan():
+    rng = random.Random(11)
+    for D in CLASS_NUMBER_ONE_DISCS:
+        order = quad_order(D)
+        lattice = lattice_by_norm(D, 5000)
+        for _ in range(12):
+            constraints = []
+            for _ in range(rng.randrange(0, 3)):
+                modulus = order.element(rng.randrange(-5, 6), rng.randrange(-5, 6))
+                if modulus.is_zero:
+                    modulus = order.element(2)
+                target = order.element(rng.randrange(-9, 10), rng.randrange(-9, 10))
+                constraints.append((target, modulus))
+            bound = rng.choice([2, 30, 700, 5000])
+            count = rng.choice([0, 1, 4, 25, 10**4])
+            want = []
+            for m in sorted(lattice):
+                if m < 2 or m > bound or not is_prime(m) or kronecker(D, m) != 1:
+                    continue
+                for a, b in sorted(lattice[m], key=solution_key):
+                    z = order.element(a, b)
+                    if all(
+                        ((z - t) * mu.conj()).a % mu.norm() == 0
+                        and ((z - t) * mu.conj()).b % mu.norm() == 0
+                        for t, mu in constraints
+                    ):
+                        want.append(z)
+            got = find_prime_element(D, constraints, bound, count)
+            assert got == want[:count], (D, constraints, bound, count)
+
+
+def test_find_prime_element_cost_follows_the_norm_reached():
+    # the norms found are near 3000; the bound of 10^8 must cost nothing
+    O = quad_order(-11)
+    constraints = [(O.element(3), O.element(11))]
+    start = time.perf_counter()
+    res = find_prime_element(-11, constraints, 10**8, 5)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        find_prime_element(-11, constraints, 10**8, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res == find_prime_element(-11, constraints, 5000, 5)
+    assert max(z.norm() for z in res) < 5000
+    assert elapsed < 1.0, elapsed
+    assert peak < 4 * 2**20, peak
 
 
 def test_nonunit_divisibility_lemma():

@@ -137,3 +137,30 @@ def test_cli_verify_tiny(capsys):
     assert run_cli("verify", "d11") == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_cli_verify_strategies(capsys):
+    assert run_cli("verify", "strategies") == 0
+    out = capsys.readouterr().out
+    assert out.count("first 50 primes sound") == 7
+    assert out.rstrip().endswith("suite strategies: PASS")
+
+
+def test_run_suite_passes_workers_only_where_taken(monkeypatch):
+    from lattes_lab import suites
+
+    seen = {}
+
+    def scans(pmax=10, workers=1):
+        seen["scans"] = workers
+        return suites.SuiteResult("scans")
+
+    def fixed(seed=1):
+        seen["fixed"] = seed
+        return suites.SuiteResult("fixed")
+
+    monkeypatch.setattr(suites, "SUITES", {"scans": scans, "fixed": fixed})
+    assert suites.run_suite("fixed", workers=3).ok
+    assert suites.run_suite("scans", workers=3).ok
+    assert suites.run_suite("all", workers=2).ok
+    assert seen == {"scans": 2, "fixed": 1}
