@@ -12,7 +12,7 @@ import sys
 from typing import Optional
 
 from .eisenstein import power_residue_symbol
-from .elliptic import catalog_entry_for, cm_model, lattes_map, parse_curve, torsion_x_rational
+from .elliptic import cm_disc_for, cm_model, lattes_map, parse_curve, torsion_x_rational
 from .exceptionality import (
     TraceCache,
     render_scan_csv,
@@ -126,10 +126,7 @@ def _cmd_scan(args) -> int:
         print("--pmax must be >= 5", file=sys.stderr)
         return 2
     cache = TraceCache(args.cache) if args.cache else None
-    disc = args.D
-    if disc is None:
-        entry = catalog_entry_for(curve)
-        disc = entry.cm_disc if entry else None
+    disc = cm_disc_for(curve, args.D)
     good = curve.good_primes(args.pmax)
     bad = curve.bad_primes_in(args.pmax)
     rows = scan(curve, args.k, good, disc=disc, workers=args.workers, cache=cache)

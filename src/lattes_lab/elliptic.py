@@ -222,7 +222,9 @@ def division_poly(curve: Curve, n: int) -> Poly:
     return curve.division_polys[n]
 
 
-@functools.lru_cache(maxsize=None)
+# a fixed bound: 128 holds every map one suite pass builds (at most the 12
+# catalog curves x k = 2..10)
+@functools.lru_cache(maxsize=128)
 def lattes_map(curve: Curve, k: int) -> RatMap:
     """The k-th Lattes map: the rational function with
     L_k(x(P)) = x([k]P), written purely in x.
@@ -487,10 +489,14 @@ CATALOG: tuple[CatalogEntry, ...] = _build_catalog()
 CATALOG_BY_NAME: dict[str, CatalogEntry] = {e.name: e for e in CATALOG}
 
 
-def catalog_entry_for(curve: Curve) -> Optional[CatalogEntry]:
+def cm_disc_for(curve: Curve, disc: Optional[int] = None) -> Optional[int]:
+    """disc when one is given, else the catalog's CM discriminant of the
+    curve (None for a non-CM or uncatalogued curve)."""
+    if disc is not None:
+        return disc
     for entry in CATALOG:
         if entry.curve.ainvs() == curve.ainvs():
-            return entry
+            return entry.cm_disc
     return None
 
 

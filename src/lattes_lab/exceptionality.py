@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .elliptic import (
     Curve,
-    catalog_entry_for,
+    cm_disc_for,
     count_points,
     curve_hash,
     lattes_map,
@@ -49,9 +49,7 @@ def trace_record(curve: Curve, p: int, disc: Optional[int] = None) -> TraceRecor
     """The trace record at a good prime.  The splitting symbol is filled in
     from the CM discriminant when one is known (catalog lookup or explicit
     disc); for non-CM curves it is left out rather than inferred."""
-    if disc is None:
-        entry = catalog_entry_for(curve)
-        disc = entry.cm_disc if entry else None
+    disc = cm_disc_for(curve, disc)
     _, ap = count_points(curve, p)
     splitting = None
     if disc is not None:
@@ -205,9 +203,7 @@ def scan(
     Primes of bad reduction are rejected outright - callers filter with
     Curve.good_primes so nothing is silently skipped.
     """
-    if disc is None:
-        entry = catalog_entry_for(curve)
-        disc = entry.cm_disc if entry else None
+    disc = cm_disc_for(curve, disc)
     primes = sorted(primes)
     for p in primes:
         curve._require_good(p)

@@ -218,12 +218,13 @@ def _root_test_is_cheaper(ell: int, p: int) -> bool:
 
 @functools.lru_cache(maxsize=64)
 def _torsion_poly(curve: Curve, ell: int) -> list[int]:
-    """psi_ell (q for ell = 2) with denominators cleared, constant first.
+    """psi_ell (q for ell = 2) scaled to integers with content 1, constant
+    first.
 
     Its roots are the x-coordinates of the points of order ell; the leading
-    coefficient is ell (4 for q) times the common denominator, a unit at
-    every good prime p != ell."""
-    return _int_clear(curve.psi2_squared if ell == 2 else division_poly(curve, ell))
+    coefficient divides ell (4 for q) times the common denominator, so it is
+    a unit at every good prime p != ell."""
+    return _int_clear(curve.psi2_squared if ell == 2 else division_poly(curve, ell))[0]
 
 
 def torsion_roots(curve: Curve, ell: int, primes: Iterable[int]) -> list[bool]:

@@ -3,16 +3,19 @@
 Two coefficient fields are supported: the rationals (fractions.Fraction)
 and prime fields GF(p) (ints in [0, p)).  A polynomial is a coefficient
 tuple, constant term first, with no trailing zeros; the zero polynomial is
-the empty tuple.  A rational map is kept in canonical form: numerator and
-denominator coprime with the denominator monic, so equal maps have equal
-representations and projective evaluation is total.
+the empty tuple.  A rational map is kept in canonical form, numerator and
+denominator coprime, so equal maps have equal representations and
+projective evaluation is total: over QQ the pair is the content-1 integer
+pair (integer coefficients with joint content 1 and a positive leading
+denominator coefficient), which is also the printed form and the model that
+reduction mod p reduces; over GF(p) the denominator is monic.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm as int_lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -404,14 +407,21 @@ def _fp_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _int_clear(f: Poly) -> list[int]:
-    lcm = 1
-    for c in f.coeffs:
-        lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-    return [int(c * lcm) for c in f.coeffs]
+def _int_clear(*polys: Poly) -> list[list[int]]:
+    """The coefficient lists of the polynomials over QQ scaled by one
+    rational factor to integers with joint content 1 and a positive leading
+    coefficient in the last one, which must be nonzero."""
+    lcm = int_lcm(*(c.denominator for f in polys for c in f.coeffs))
+    ints = [[c.numerator * (lcm // c.denominator) for c in f.coeffs] for f in polys]
+    content = _int_content(c for cs in ints for c in cs)
+    if ints[-1][-1] < 0:
+        content = -content
+    if content != 1:
+        ints = [[c // content for c in cs] for cs in ints]
+    return ints
 
 
-def _int_content(cs: Sequence[int]) -> int:
+def _int_content(cs: Iterable[int]) -> int:
     g = 0
     for c in cs:
         g = int_gcd(g, c)
@@ -437,7 +447,7 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _qq_gcd(f: Poly, g: Poly) -> Poly:
-    a, b = _int_clear(f), _int_clear(g)
+    [a], [b] = _int_clear(f), _int_clear(g)
     if len(a) < len(b):
         a, b = b, a
     while b:
@@ -451,55 +461,39 @@ def _qq_gcd(f: Poly, g: Poly) -> Poly:
 _PROBE_PRIMES = (2147483647, 2147483629, 2147483587, 2147483563, 2147483549)
 
 
-def _coprime_certificate(f: Poly, g: Poly) -> Optional[bool]:
-    """True if a single good reduction certifies gcd(f, g) = 1 over QQ.
+def _coprime_certificate(f: Sequence[int], g: Sequence[int]) -> bool:
+    """True if a single good reduction certifies that the nonzero integer
+    polynomials f and g are coprime over QQ.
 
     gcd degree can only grow under reduction (when the leading coefficients
     survive), so a coprime image certifies coprimality; an inconclusive
-    probe returns None.
+    probe returns False.
     """
     for p in _PROBE_PRIMES:
-        ok = True
-        fa, ga = [], []
-        for c in f.coeffs:
-            if c.denominator % p == 0:
-                ok = False
-                break
-            fa.append(c.numerator * pow(c.denominator, -1, p) % p)
-        if ok:
-            for c in g.coeffs:
-                if c.denominator % p == 0:
-                    ok = False
-                    break
-                ga.append(c.numerator * pow(c.denominator, -1, p) % p)
-        if not ok or not fa or not ga or fa[-1] == 0 or ga[-1] == 0:
-            continue
-        a, _ = _fp_gcd(fa, ga, p)
-        if len(a) == 1:
-            return True
-        return None
-    return None
+        if f[-1] % p and g[-1] % p:
+            a, _ = _fp_gcd([c % p for c in f], [c % p for c in g], p)
+            return len(a) == 1
+    return False
 
 
 # -- rational maps ----------------------------------------------------------
 
 
 class RatMap:
-    """A rational function num/den in canonical form: gcd(num, den) = 1 and
-    den monic.  The canonical form makes equality tests and value tables
+    """A rational function num/den in canonical form: gcd(num, den) = 1,
+    and over QQ the content-1 integer pair (integer coefficients, joint
+    content 1, positive leading denominator coefficient), over GF(p) a
+    monic den.  The canonical form makes equality tests and value tables
     reproducible and projective evaluation total."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly, *, _canonical=False):
+    def __init__(self, num: Poly, den: Poly):
         if num.field is not den.field:
             raise TypeError("numerator and denominator over different fields")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        if not _canonical:
-            num, den = _canonicalize(num, den)
-        self.num = num
-        self.den = den
+        self.num, self.den = _canonicalize(num, den)
 
     @property
     def field(self):
@@ -563,40 +557,20 @@ class RatMap:
                 den_out = den_out + (powers_n[i] * powers_d[deg - i]).scale(c)
         return RatMap(num_out, den_out)
 
-    def integer_pair(self) -> tuple[list[int], list[int]]:
-        """The unique integer-coefficient model of the map with joint
-        content 1 and positive leading denominator coefficient."""
-        if self.field is not QQ:
-            raise TypeError("integer_pair applies to maps over QQ")
-        lcm = 1
-        for c in list(self.num.coeffs) + list(self.den.coeffs):
-            lcm = lcm * c.denominator // int_gcd(lcm, c.denominator)
-        ni = [int(c * lcm) for c in self.num.coeffs]
-        di = [int(c * lcm) for c in self.den.coeffs]
-        content = _int_content(ni + di)
-        if content > 1:
-            ni = [c // content for c in ni]
-            di = [c // content for c in di]
-        if di and di[-1] < 0:
-            ni = [-c for c in ni]
-            di = [-c for c in di]
-        return ni, di
-
     def reduce_mod_p(self, p: int) -> "RatMap":
-        """Reduce a map over QQ modulo p, then cancel any common factor so
-        the image is canonical over GF(p).
+        """Reduce a map over QQ modulo p coefficient by coefficient, then
+        cancel any common factor so the image is canonical over GF(p).
 
-        The reduction goes through the content-1 integer model of the map,
-        so a monic-denominator scaling cannot spoil a map that is perfectly
-        p-integral.  A denominator that vanishes identically mod p (e.g.
-        x/5 at p = 5) is an error.
+        The canonical pair over QQ is the content-1 integer pair, so a map
+        that is perfectly p-integral reduces without any rescaling.  A
+        denominator that vanishes identically mod p (e.g. x/5 at p = 5) is
+        an error.
         """
         if self.field is not QQ:
             raise TypeError("reduce_mod_p applies to maps over QQ")
-        ni, di = self.integer_pair()
         F = GF(p)
-        num = Poly(F, ni)
-        den = Poly(F, di)
+        num = Poly(F, [c.numerator for c in self.num.coeffs])
+        den = Poly(F, [c.numerator for c in self.den.coeffs])
         if den.is_zero:
             raise ZeroDivisionError(f"denominator vanishes identically mod {p}")
         return RatMap(num, den)
@@ -645,11 +619,15 @@ def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     F = num.field
     if num.is_zero:
         return Poly.zero(F), Poly.one(F)
-    if F is QQ and _coprime_certificate(num, den):
-        g = None
-    else:
-        g = poly_gcd(num, den)
-    if g is not None and g.degree > 0:
+    if F is QQ:
+        ni, di = _int_clear(num, den)
+        if not _coprime_certificate(ni, di):
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                ni, di = _int_clear(num // g, den // g)
+        return Poly(QQ, ni), Poly(QQ, di)
+    g = poly_gcd(num, den)
+    if g.degree > 0:
         num = num // g
         den = den // g
     lead_inv = F.inv(den.leading)
@@ -680,18 +658,10 @@ def _modinv_many(vals: np.ndarray, p: int) -> np.ndarray:
 
 
 def format_ratmap(f: RatMap, var: str = "x") -> str:
-    """Integer-cleared display form '(num)/(den)' with descending powers.
-
-    Over QQ the pair is scaled so all coefficients are integers with joint
-    content 1 and a positive leading denominator coefficient; this is the
-    scaling that prints e.g. '(x^4 - 16*x)/(4*x^3 + 8)'.
-    """
+    """The canonical pair as '(num)/(den)' with descending powers, e.g.
+    '(x^4 - 16x)/(4x^3 + 8)' over QQ; just 'num' when den is 1."""
     num, den = f.num, f.den
-    if f.field is QQ:
-        ni, di = f.integer_pair()
-        num = Poly(QQ, ni)
-        den = Poly(QQ, di)
-    if den.degree == 0 and not den.is_zero and den.coeffs[0] == f.field.one:
+    if den.degree == 0 and den.coeffs[0] == f.field.one:
         return format_poly(num, var)
     return f"({format_poly(num, var)})/({format_poly(den, var)})"
 
@@ -715,7 +685,7 @@ def rational_roots(f: Poly) -> set[Fraction]:
     if f.is_zero:
         raise ValueError("rational_roots of the zero polynomial")
     roots: set[Fraction] = set()
-    cs = _int_clear(f)
+    [cs] = _int_clear(f)
     # strip powers of x
     k = 0
     while cs[k] == 0:
@@ -725,9 +695,6 @@ def rational_roots(f: Poly) -> set[Fraction]:
         cs = cs[k:]
     if len(cs) == 1:
         return roots
-    content = _int_content(cs)
-    if content > 1:
-        cs = [c // content for c in cs]
     lead = abs(cs[-1])
     # Cauchy bound on |root|
     bound = 1 + max(abs(c) for c in cs[:-1]) // abs(cs[-1]) + 1

@@ -368,13 +368,18 @@ def find_prime_element(
 
 
 def deuring_consistency(curve: Curve, D: int, p: int) -> bool:
-    """Check the CM trace constraint at p: inert primes force a_p = 0 and
-    split primes force 4p - a_p^2 = |D| s^2 for some s >= 1."""
+    """Check the CM trace constraint (cm_trace_consistent) on the trace of
+    the curve at a prime p not dividing D."""
     if p % abs(D) == 0:
         raise ValueError(f"{p} divides the discriminant {D}")
     _, ap = count_points(curve, p)
-    kind = splitting_type(D, p)
-    if kind == "inert":
+    return cm_trace_consistent(D, p, ap)
+
+
+def cm_trace_consistent(D: int, p: int, ap: int) -> bool:
+    """The CM trace constraint of Deuring's theorem: an inert prime p
+    forces a_p = 0 and any other 4p - a_p^2 = |D| s^2 for some s >= 1."""
+    if splitting_type(D, p) == "inert":
         return ap == 0
     rem = 4 * p - ap * ap
     if rem % (-D) != 0:

@@ -40,7 +40,7 @@ from .exceptionality import (
 )
 from .galois import Mat2Zm, SubgroupSpec, cm_density_full, cm_density_subgroup, empirical_density
 from .intmath import primes_upto
-from .quadorder import norm_solutions, splitting_type
+from .quadorder import cm_trace_consistent, norm_solutions
 
 
 @dataclass
@@ -116,8 +116,6 @@ def suite_deuring(pmax: int = 10000, workers: int = 1) -> SuiteResult:
     """CM trace constraints for every CM catalog curve up to pmax: inert
     primes give a_p = 0, split primes solve 4p - a_p^2 = |D| s^2, and the
     Hasse bound holds everywhere."""
-    from math import isqrt
-
     res = SuiteResult("deuring")
     for entry in CATALOG:
         if entry.cm_disc is None:
@@ -129,13 +127,10 @@ def suite_deuring(pmax: int = 10000, workers: int = 1) -> SuiteResult:
         for p in good:
             ap = traces[p]
             res.check(ap * ap <= 4 * p, f"{entry.name}: Hasse fails at {p}")
-            kind = splitting_type(D, p)
-            if kind == "inert":
-                res.check(ap == 0, f"{entry.name}: inert p={p} has a_p={ap}")
-            elif kind == "split":
-                rem = 4 * p - ap * ap
-                ok = rem % (-D) == 0 and isqrt(rem // -D) ** 2 == rem // -D and rem // -D >= 1
-                res.check(ok, f"{entry.name}: split p={p}, a_p={ap} unrepresented")
+            res.check(
+                cm_trace_consistent(D, p, ap),
+                f"{entry.name}: p={p}, a_p={ap} breaks the CM trace constraint",
+            )
             if not res.ok:
                 return res
         res.log(f"{entry.name} (D={D}): {len(good)} primes consistent")

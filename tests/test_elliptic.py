@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from lattes_lab.elliptic import (
     torsion_x_rational,
 )
 from lattes_lab.intmath import check_int64_modulus, kronecker, primes_upto
-from lattes_lab.polyrat import Poly, QQ, format_ratmap
+from lattes_lab.polyrat import GF, Poly, QQ, RatMap, format_ratmap, poly_gcd
 
 
 def test_invariants():
@@ -108,6 +109,50 @@ def test_lattes_degrees():
             L = lattes_map(entry.curve, k)
             assert L.num.degree == k * k
             assert L.den.degree <= k * k - 1
+
+
+def test_lattes_maps_are_content_one_integer_pairs():
+    # the stored pair is the one reduce_mod_p reduces; poly_gcd checks the
+    # coprimality that the probe certificate claims by another route
+    for entry in CATALOG:
+        for k in range(1, 7):
+            L = lattes_map(entry.curve, k)
+            cs = L.num.coeffs + L.den.coeffs
+            assert all(c.denominator == 1 for c in cs)
+            assert math.gcd(*(c.numerator for c in cs)) == 1
+            assert L.den.leading > 0
+            assert poly_gcd(L.num, L.den).degree == 0
+
+
+def _valuation(c: Fraction, p: int) -> int:
+    v, n, d = 0, c.numerator, c.denominator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return v
+
+
+def _reference_reduction(L, p):
+    """L mod p by scaling the pair over QQ to a monic denominator, then by
+    the power of p that leaves every coefficient p-integral and one of them
+    a p-unit, coercing each coefficient through GF(p) and cancelling."""
+    lead = L.den.leading
+    num, den = L.num.scale(1 / lead), L.den.scale(1 / lead)
+    s = Fraction(p) ** -min(_valuation(c, p) for c in num.coeffs + den.coeffs if c)
+    F = GF(p)
+    return RatMap(Poly(F, num.scale(s).coeffs), Poly(F, den.scale(s).coeffs))
+
+
+def test_reduce_mod_p_matches_the_monic_reference():
+    seen_p_divides_k = 0
+    for entry in CATALOG:
+        for k in range(1, 9):
+            L = lattes_map(entry.curve, k)
+            for p in entry.curve.good_primes(200):
+                assert L.reduce_mod_p(p) == _reference_reduction(L, p), (entry.name, k, p)
+                seen_p_divides_k += k % p == 0
+    assert seen_p_divides_k > 0
 
 
 def test_lattes_composition():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -73,9 +74,34 @@ def test_ratmap_canonical_form():
     # (x^2 - 1)/(x - 1) cancels to x + 1
     f = RatMap(P(-1, 0, 1), P(-1, 1))
     assert f.num == P(1, 1) and f.den == P(1)
-    # denominator forced monic
+    # over QQ: integer coefficients, joint content 1, positive leading
+    # denominator coefficient
     g = RatMap(P(0, 2), P(4))
-    assert g.den == P(1) and g.num == P(0, Fraction(1, 2))
+    assert g.num == P(0, 1) and g.den == P(2)
+    h = RatMap(P(0, Fraction(1, 3)), P(Fraction(-1, 2)))
+    assert h.num == P(0, -2) and h.den == P(3)
+
+
+def test_ratmap_canonical_form_is_unique():
+    # scaling both sides by one rational c, or multiplying in a common
+    # factor, must not change the canonical pair
+    rng = random.Random(14)
+
+    def rand_poly(maxlen):
+        n = rng.randrange(1, maxlen)
+        return P(*[Fraction(rng.randrange(-30, 31), rng.randrange(1, 12)) for _ in range(n)])
+
+    for _ in range(300):
+        num, den, common = rand_poly(6), rand_poly(6), rand_poly(4)
+        if num.is_zero or den.is_zero or common.is_zero:
+            continue
+        c = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 10**6), rng.randrange(1, 10**6))
+        want = RatMap(num, den)
+        assert RatMap(num.scale(c), den.scale(c)) == want
+        assert RatMap(num * common, den * common) == want
+        cs = want.num.coeffs + want.den.coeffs
+        assert all(v.denominator == 1 for v in cs)
+        assert math.gcd(*(v.numerator for v in cs)) == 1 and want.den.leading > 0
 
 
 def test_eval_proj():

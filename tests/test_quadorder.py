@@ -9,6 +9,7 @@ from lattes_lab.elliptic import CATALOG_BY_NAME, count_points
 from lattes_lab.intmath import is_prime, kronecker, primes_upto
 from lattes_lab.quadorder import (
     CLASS_NUMBER_ONE_DISCS,
+    cm_trace_consistent,
     congruent,
     cornacchia,
     deuring_consistency,
@@ -316,6 +317,14 @@ def test_deuring_consistency_examples():
     assert deuring_consistency(CATALOG_BY_NAME["d11"].curve, -11, 23)
     with pytest.raises(ValueError):
         deuring_consistency(c4, -4, 2)
+
+
+def test_cm_trace_consistent_examples():
+    assert cm_trace_consistent(-4, 7, 0)  # inert
+    assert not cm_trace_consistent(-4, 7, 2)
+    assert cm_trace_consistent(-4, 5, 2) and cm_trace_consistent(-4, 5, -4)  # 16 = 4*2^2, 4 = 4*1^2
+    assert not cm_trace_consistent(-4, 5, 1) and not cm_trace_consistent(-4, 5, 0)  # 19, 20 = 4*5
+    assert cm_trace_consistent(-11, 23, -9) and not cm_trace_consistent(-11, 23, 3)  # 11 = 11*1^2, 83
 
 
 def test_text_round_trip():
