@@ -2,7 +2,8 @@
 
 Subcommands: map, table, scan, verify, density, symbol, torsion, strategy.
 Exit codes: 0 on success/match, 1 on a verification failure or table
-mismatch, 2 on usage errors (bad flags, unparseable curve or element).
+mismatch, 2 on usage errors (bad flags, unparseable curve or element, and
+--workers or --pmax beyond WORKERS_MAX or PMAX_MAX).
 """
 
 from __future__ import annotations
@@ -27,6 +28,29 @@ from .suites import SUITES, run_suite
 from .tables import TABLE_IDS, check_table
 
 
+# Upper bounds on the flags that size a run: the sieve and the per-prime
+# arrays take O(pmax) memory, and --workers N starts N processes at once.
+PMAX_MAX = 10**7
+WORKERS_MAX = 64
+
+
+def _int_in(lo: Optional[int], hi: int):
+    """An argparse type for an integer in lo..hi (no lower bound if lo is
+    None); anything else is a usage error, exit 2, before a handler runs."""
+
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if (lo is not None and v < lo) or v > hi:
+            span = f"<= {hi}" if lo is None else f"in {lo}..{hi}"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {v}")
+        return v
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lattes-lab",
@@ -48,25 +72,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="regenerate a bundled reference table and diff it")
     p.add_argument("table_id", help=f"one of: {', '.join(TABLE_IDS)}")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1)
 
     p = sub.add_parser("scan", help="permutation-behavior scan over good primes")
     add_curve_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pmax", type=int, required=True)
+    p.add_argument("--pmax", type=_int_in(5, PMAX_MAX), required=True)
     p.add_argument("--format", choices=("md", "csv"), default="md")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1)
     p.add_argument("--cache", default=None, help="flat-file a_p cache path")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=tuple(SUITES) + ("all",))
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1)
 
     p = sub.add_parser("density", help="empirical density of permutation primes")
     add_curve_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--pmax", type=_int_in(None, PMAX_MAX), required=True)
+    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1)
 
     p = sub.add_parser("symbol", help="evaluate a power residue symbol in Z[w]")
     p.add_argument("--D", type=int, default=-3, help="order discriminant (must be -3)")
@@ -122,13 +146,9 @@ def _cmd_table(args) -> int:
 
 def _cmd_scan(args) -> int:
     curve = _resolve_curve(args)
-    if args.pmax < 5:
-        print("--pmax must be >= 5", file=sys.stderr)
-        return 2
     cache = TraceCache(args.cache) if args.cache else None
     disc = cm_disc_for(curve, args.D)
-    good = curve.good_primes(args.pmax)
-    bad = curve.bad_primes_in(args.pmax)
+    good, bad = curve.primes_by_reduction(args.pmax)
     rows = scan(curve, args.k, good, disc=disc, workers=args.workers, cache=cache)
     if cache is not None:
         cache.save()

@@ -18,6 +18,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm as int_lcm
 from typing import Optional
 
 import numpy as np
@@ -114,21 +115,32 @@ class Curve:
 
     # -- reduction ----------------------------------------------------------
 
+    @functools.cached_property
+    def _bad_modulus(self) -> int:
+        # a prime has bad reduction on this model exactly when it divides
+        # the discriminant's numerator or an a-invariant's denominator
+        return self.discriminant.numerator * int_lcm(*(a.denominator for a in self.ainvs()))
+
     def has_good_reduction(self, p: int) -> bool:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if any(a.denominator % p == 0 for a in self.ainvs()):
-            return False
-        d = self.discriminant
-        return d.numerator % p != 0
+        return self._bad_modulus % p != 0
+
+    def primes_by_reduction(self, pmax: int, pmin: int = 5) -> tuple[list[int], list[int]]:
+        """The primes pmin <= p <= pmax of good and of bad reduction, from
+        one sieve pass; the sieve's primes are not tested again."""
+        bad_modulus = self._bad_modulus
+        good, bad = [], []
+        for p in primes_upto(pmax):
+            if p >= pmin:
+                (good if bad_modulus % p else bad).append(p)
+        return good, bad
 
     def good_primes(self, pmax: int, pmin: int = 5) -> list[int]:
-        return [p for p in primes_upto(pmax) if p >= pmin and self.has_good_reduction(p)]
+        return self.primes_by_reduction(pmax, pmin)[0]
 
     def bad_primes_in(self, pmax: int, pmin: int = 5) -> list[int]:
-        return [
-            p for p in primes_upto(pmax) if p >= pmin and not self.has_good_reduction(p)
-        ]
+        return self.primes_by_reduction(pmax, pmin)[1]
 
     def _require_good(self, p: int):
         if p < 5:

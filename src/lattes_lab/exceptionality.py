@@ -498,8 +498,9 @@ def verify_d11_obstruction(curve: Curve, pmax: int, workers: int = 1) -> Obstruc
     """For every good prime 5 <= p <= pmax away from 11: inert primes must
     give 2 | A_p and split primes 3 | A_p, which forces gcd(A_p, k) > 1
     whenever 6 | k.  Reports any violation (expected: none)."""
-    good = [p for p in curve.good_primes(pmax) if p != 11]
-    skipped = tuple(sorted(set(curve.bad_primes_in(pmax)) | ({11} if 11 <= pmax else set())))
+    good, bad = curve.primes_by_reduction(pmax)
+    good = [p for p in good if p != 11]
+    skipped = tuple(sorted(set(bad) | ({11} if 11 <= pmax else set())))
     traces = frobenius_scan(curve, good, workers=workers)
     violations = []
     for p in good:
@@ -526,8 +527,8 @@ def verify_noncm_counterexample(
     for k in (2, 3, 6):
         if torsion_x_rational(curve, k):
             raise ArithmeticError(f"family {family}, u={u}: unexpected rational torsion x")
-    good = curve.good_primes(pmax)
-    skipped = tuple(curve.bad_primes_in(pmax))
+    good, skipped = curve.primes_by_reduction(pmax)
+    skipped = tuple(skipped)
     traces = frobenius_scan(curve, good, workers=workers)
     violations = []
     for p in good:
@@ -588,8 +589,8 @@ def exceptionality_report(
     if k < 1:
         raise ValueError("k must be >= 1")
     torsion = torsion_x_rational(curve, k) if k >= 2 else set()
-    good = curve.good_primes(pmax)
-    bad = tuple(curve.bad_primes_in(pmax))
+    good, bad = curve.primes_by_reduction(pmax)
+    bad = tuple(bad)
     rows = scan(curve, k, good, workers=workers)
     witnesses = tuple(r.p for r in rows if r.permutes)
     obstruction = None

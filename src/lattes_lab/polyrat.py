@@ -3,12 +3,23 @@
 Two coefficient fields are supported: the rationals (fractions.Fraction)
 and prime fields GF(p) (ints in [0, p)).  A polynomial is a coefficient
 tuple, constant term first, with no trailing zeros; the zero polynomial is
-the empty tuple.  A rational map is kept in canonical form, numerator and
+the empty tuple.  A rational map is read in canonical form, numerator and
 denominator coprime, so equal maps have equal representations and
 projective evaluation is total: over QQ the pair is the content-1 integer
 pair (integer coefficients with joint content 1 and a positive leading
 denominator coefficient), which is also the printed form and the model that
 reduction mod p reduces; over GF(p) the denominator is monic.
+
+Cancellation is eager everywhere except after reduction mod p.  There the
+coefficient-wise reduced pair is kept and its gcd is taken only when the
+result can depend on it: when num or den is read (degree, equality, hash,
+composition, printing), or when an evaluation meets 0/0.  Evaluating the
+uncancelled pair is exact otherwise: a common factor with no F_p-root
+changes no affine value, and it raises both degrees equally, so the value
+at infinity stays too.  At good p the reduced Lattes pair is already
+coprime (phi_k and psi_k^2 share no root on a nonsingular curve;
+Washington, Elliptic Curves, Lemma 3.5), so the brute-force check there
+never runs the gcd.
 """
 
 from __future__ import annotations
@@ -484,20 +495,41 @@ class RatMap:
     and over QQ the content-1 integer pair (integer coefficients, joint
     content 1, positive leading denominator coefficient), over GF(p) a
     monic den.  The canonical form makes equality tests and value tables
-    reproducible and projective evaluation total."""
+    reproducible and projective evaluation total.
 
-    __slots__ = ("num", "den")
+    The constructor cancels at once.  A map made by reduce_mod_p keeps the
+    reduced pair with its cancellation pending: num and den cancel on first
+    read, and evaluation (eval_proj, value_table, is_bijection) uses the
+    pair as it is, cancelling only if it meets 0/0 at a shared F_p-root."""
+
+    __slots__ = ("_num", "_den", "_coprime")
 
     def __init__(self, num: Poly, den: Poly):
         if num.field is not den.field:
             raise TypeError("numerator and denominator over different fields")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        self.num, self.den = _canonicalize(num, den)
+        self._num, self._den = _canonicalize(num, den)
+        self._coprime = True
+
+    def _cancel(self):
+        if not self._coprime:
+            self._num, self._den = _canonicalize(self._num, self._den)
+            self._coprime = True
+
+    @property
+    def num(self) -> Poly:
+        self._cancel()
+        return self._num
+
+    @property
+    def den(self) -> Poly:
+        self._cancel()
+        return self._den
 
     @property
     def field(self):
-        return self.num.field
+        return self._num.field
 
     @property
     def degree(self) -> int:
@@ -522,18 +554,22 @@ class RatMap:
     def eval_proj(self, x):
         """Evaluate at a point of P^1: a field element or INFINITY."""
         F = self.field
+        num, den = self._num, self._den
         if x is INFINITY:
-            dn, dd = self.num.degree, self.den.degree
+            dn, dd = num.degree, den.degree
             if dn > dd:
                 return INFINITY
             if dn < dd:
                 return F.zero
-            return F.mul(self.num.leading, F.inv(self.den.leading))
-        nv = self.num(x)
-        dv = self.den(x)
+            return F.mul(num.leading, F.inv(den.leading))
+        nv = num(x)
+        dv = den(x)
         if dv == F.zero:
             if nv == F.zero:
-                raise ArithmeticError("0/0 during projective evaluation: map not canonical")
+                if self._coprime:
+                    raise ArithmeticError("0/0 during projective evaluation: map not canonical")
+                self._cancel()
+                return self.eval_proj(x)
             return INFINITY
         return F.mul(nv, F.inv(dv))
 
@@ -558,8 +594,9 @@ class RatMap:
         return RatMap(num_out, den_out)
 
     def reduce_mod_p(self, p: int) -> "RatMap":
-        """Reduce a map over QQ modulo p coefficient by coefficient, then
-        cancel any common factor so the image is canonical over GF(p).
+        """Reduce a map over QQ modulo p coefficient by coefficient.  Any
+        common factor the reduction creates is cancelled when the image's
+        num or den is first read, or when its evaluation meets 0/0.
 
         The canonical pair over QQ is the content-1 integer pair, so a map
         that is perfectly p-integral reduces without any rescaling.  A
@@ -573,7 +610,11 @@ class RatMap:
         den = Poly(F, [c.numerator for c in self.den.coeffs])
         if den.is_zero:
             raise ZeroDivisionError(f"denominator vanishes identically mod {p}")
-        return RatMap(num, den)
+        if num.is_zero:
+            return RatMap(num, den)
+        reduced = object.__new__(RatMap)
+        reduced._num, reduced._den, reduced._coprime = num, den, False
+        return reduced
 
     def is_bijection(self):
         """Whether the map permutes P^1(F_p), with a certificate.
@@ -598,19 +639,15 @@ class RatMap:
 
     def value_table(self) -> list:
         """Images of 0, 1, ..., p-1, INFINITY under the map."""
-        F = self.field
-        p = F.p
+        p = self.field.p
         check_int64_modulus(p)
-        num = np.array([int(c) for c in self.num.coeffs] or [0], dtype=np.int64)
-        den = np.array([int(c) for c in self.den.coeffs] or [0], dtype=np.int64)
-        xs = np.arange(p, dtype=np.int64)
-        nv = _horner_many(num, xs, p)
-        dv = _horner_many(den, xs, p)
-        inv = _modinv_many(np.where(dv == 0, 1, dv), p)
-        vals = (nv * inv) % p
-        out = []
-        for i in range(p):
-            out.append(INFINITY if dv[i] == 0 else int(vals[i]))
+        nv, dv = _horner_pair(self._num, self._den, p)
+        if not self._coprime and np.any((nv == 0) & (dv == 0)):
+            self._cancel()
+            nv, dv = _horner_pair(self._num, self._den, p)
+        poles = dv == 0
+        vals = nv * _modinv_many(np.where(poles, 1, dv), p) % p
+        out = [INFINITY if pole else v for v, pole in zip(vals.tolist(), poles.tolist())]
         out.append(self.eval_proj(INFINITY))
         return out
 
@@ -637,11 +674,21 @@ def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, den
 
 
-def _horner_many(coeffs: np.ndarray, xs: np.ndarray, p: int) -> np.ndarray:
-    acc = np.full_like(xs, int(coeffs[-1]) % p)
-    for c in coeffs[-2::-1]:
-        acc = (acc * xs + int(c) % p) % p
-    return acc
+def _horner_pair(num: Poly, den: Poly, p: int) -> tuple[np.ndarray, np.ndarray]:
+    # num and den over GF(p) at x = 0..p-1, as the two rows of one Horner
+    # pass; cs[j] is the column of x^j coefficients, the shorter polynomial
+    # padded with leading zeros
+    cs = np.zeros((max(len(num.coeffs), len(den.coeffs)), 2, 1), dtype=np.int64)
+    cs[: len(num.coeffs), 0, 0] = num.coeffs
+    cs[: len(den.coeffs), 1, 0] = den.coeffs
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.empty((2, p), dtype=np.int64)
+    acc[:] = cs[-1]
+    for c in cs[-2::-1]:
+        acc *= xs
+        acc += c
+        acc %= p
+    return acc[0], acc[1]
 
 
 def _modinv_many(vals: np.ndarray, p: int) -> np.ndarray:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lattes_lab import elliptic
+from lattes_lab import elliptic, polyrat
 from lattes_lab.elliptic import (
     CATALOG,
     CATALOG_BY_NAME,
@@ -145,14 +145,54 @@ def _reference_reduction(L, p):
 
 
 def test_reduce_mod_p_matches_the_monic_reference():
+    # the reduced map keeps its gcd pending: its table and verdict, taken
+    # before any canonical read, must match the eagerly cancelled reference
     seen_p_divides_k = 0
     for entry in CATALOG:
         for k in range(1, 9):
             L = lattes_map(entry.curve, k)
             for p in entry.curve.good_primes(200):
-                assert L.reduce_mod_p(p) == _reference_reduction(L, p), (entry.name, k, p)
+                want = _reference_reduction(L, p)
+                where = (entry.name, k, p)
+                assert L.reduce_mod_p(p).is_bijection() == want.is_bijection(), where
+                red = L.reduce_mod_p(p)
+                assert red.value_table() == want.value_table(), where
+                assert red.degree == want.degree, where
+                assert format_ratmap(red) == format_ratmap(want), where
+                assert red == want, where
                 seen_p_divides_k += k % p == 0
     assert seen_p_divides_k > 0
+
+
+def test_brute_force_at_good_primes_runs_no_gcd(monkeypatch):
+    # phi_k and psi_k^2 share no root on a nonsingular reduction, so the
+    # reduce-and-brute-force loop never needs to cancel at a good prime
+    maps = [(lattes_map(e.curve, k), e.curve.good_primes(200)[:30]) for e in CATALOG for k in range(2, 13)]
+    calls = []
+    fp_gcd = polyrat._fp_gcd
+    monkeypatch.setattr(polyrat, "_fp_gcd", lambda a, b, p: calls.append(p) or fp_gcd(a, b, p))
+    for L, good in maps:
+        for p in good:
+            L.reduce_mod_p(p).is_bijection()
+    assert calls == []
+
+
+def test_primes_by_reduction_matches_the_has_good_reduction_filter():
+    # one sieve pass, split by a predicate that skips the primality test;
+    # checked against has_good_reduction and against the definition
+    primes = [p for p in primes_upto(10**4) if p >= 5]
+    fractional = Curve(0, 0, 0, Fraction(1, 7), Fraction(-3, 11))
+    for curve in [e.curve for e in CATALOG] + [fractional]:
+        good, bad = curve.primes_by_reduction(10**4)
+        assert good == [p for p in primes if curve.has_good_reduction(p)]
+        assert bad == [
+            p for p in primes
+            if any(a.denominator % p == 0 for a in curve.ainvs()) or curve.discriminant.numerator % p == 0
+        ]
+        assert curve.good_primes(10**4) == good and curve.bad_primes_in(10**4) == bad
+    assert {7, 11} <= set(fractional.bad_primes_in(100))
+    with pytest.raises(ValueError, match="not prime"):
+        fractional.has_good_reduction(9)
 
 
 def test_lattes_composition():

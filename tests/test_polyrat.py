@@ -153,6 +153,7 @@ def test_is_bijection_matches_multiset_oracle():
             expected = len(set(keyed)) == p + 1
             got, cert = m.is_bijection()
             assert got == expected
+            assert m.value_table() == values
             if not got:
                 x1, x2 = cert
                 assert m.eval_proj(x1) == m.eval_proj(x2) and x1 != x2
@@ -168,6 +169,40 @@ def test_reduce_mod_p():
     f = RatMap(P(-1, 0, 1), P(6, 1))  # (x^2-1)/(x+6): x+6 = x-1 mod 7
     red = f.reduce_mod_p(7)
     assert red.num == Poly(GF(7), [1, 1]) and red.den == Poly(GF(7), [1])
+    # a numerator that vanishes mod p gives the eager zero map
+    zero = RatMap(P(7, 0, 14), P(1, 1)).reduce_mod_p(7)
+    assert zero == RatMap(Poly.zero(GF(7)), Poly.one(GF(7)))
+    assert zero.value_table() == [0] * 8
+
+
+def test_reduced_maps_cancel_at_a_shared_root():
+    # (x^2-1)/(x+6) mod 7 is (x-1)(x+1)/(x-1): the shared F_7-root 1 reads
+    # 0/0, and each evaluation must cancel there and agree with the eager map
+    F = GF(7)
+    f = RatMap(P(-1, 0, 1), P(6, 1))
+    eager = RatMap(Poly(F, [-1, 0, 1]), Poly(F, [6, 1]))
+    assert eager == RatMap(Poly(F, [1, 1]), Poly.one(F))
+    assert f.reduce_mod_p(7).value_table() == eager.value_table() == [1, 2, 3, 4, 5, 6, 0, INFINITY]
+    assert f.reduce_mod_p(7).is_bijection() == eager.is_bijection()
+    assert f.reduce_mod_p(7).eval_proj(1) == eager.eval_proj(1) == 2
+
+
+def test_reduced_maps_evaluate_before_cancelling(monkeypatch):
+    # (x^2+8)/(x^2+1) is coprime over QQ, but mod 7 both sides are x^2+1,
+    # which has no F_7-root: the table needs no gcd and is the constant 1,
+    # and a canonical read cancels to the constant map
+    calls = []
+    fp_gcd = polyrat._fp_gcd
+    monkeypatch.setattr(polyrat, "_fp_gcd", lambda a, b, p: calls.append(p) or fp_gcd(a, b, p))
+    F = GF(7)
+    red = RatMap(P(8, 0, 1), P(1, 0, 1)).reduce_mod_p(7)
+    one = RatMap(Poly.one(F), Poly.one(F))
+    calls.clear()
+    assert red.value_table() == one.value_table() == [1] * 8
+    assert red.is_bijection()[0] is False
+    assert calls == []
+    assert red == one
+    assert calls == [7]
 
 
 def divisor_root_oracle(f: Poly) -> set:

@@ -3,7 +3,8 @@ import sys
 
 import pytest
 
-from lattes_lab.cli import main
+from lattes_lab import cli, elliptic, exceptionality
+from lattes_lab.cli import PMAX_MAX, WORKERS_MAX, main
 from lattes_lab.elliptic import Curve
 from lattes_lab.tables import TABLE_IDS, check_all_tables, check_table
 
@@ -120,6 +121,54 @@ def test_cli_density_rejects_a_prime_beyond_int64(monkeypatch, capsys):
     monkeypatch.setattr(Curve, "good_primes", lambda self, pmax, pmin=5: [2147483659])
     assert run_cli("density", "[0,0,0,1,1]", "--k", "2", "--pmax", "100") == 2
     assert "2**31" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "[0,0,0,1,0]", "--k", "3", "--pmax", "50", "--workers", "0"],
+        ["scan", "[0,0,0,1,0]", "--k", "3", "--pmax", "50", "--workers", "-3"],
+        ["scan", "[0,0,0,1,0]", "--k", "3", "--pmax", "50", "--workers", str(WORKERS_MAX + 1)],
+        ["scan", "[0,0,0,1,0]", "--k", "3", "--pmax", str(PMAX_MAX + 1)],
+        ["scan", "[0,0,0,1,0]", "--k", "3", "--pmax", "4"],
+        ["density", "[0,0,0,1,0]", "--k", "2", "--pmax", "500", "--workers", "0"],
+        ["density", "[0,0,0,1,0]", "--k", "2", "--pmax", str(PMAX_MAX + 1)],
+        ["verify", "d11", "--workers", str(WORKERS_MAX + 1)],
+        ["table", "d4-perm-k3", "--workers", "0"],
+    ],
+)
+def test_cli_rejects_unbounded_sizes_before_any_work(monkeypatch, capsys, argv):
+    def reached(*args, **kwargs):
+        raise AssertionError("a sieve, pool or suite ran before the bounds check")
+
+    monkeypatch.setattr(exceptionality, "ProcessPoolExecutor", reached)
+    monkeypatch.setattr(elliptic, "primes_upto", reached)
+    monkeypatch.setattr(Curve, "good_primes", reached)
+    monkeypatch.setattr(cli, "run_suite", reached)
+    monkeypatch.setattr(cli, "check_table", reached)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    flag = argv[-2]
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+def test_cli_bounds_admit_their_ends():
+    # parsed only: no pool is started at the largest worker count
+    parser = cli._build_parser()
+    args = parser.parse_args(["scan", "[0,0,0,1,0]", "--k", "3", "--pmax", str(PMAX_MAX), "--workers", str(WORKERS_MAX)])
+    assert (args.pmax, args.workers) == (PMAX_MAX, WORKERS_MAX)
+    args = parser.parse_args(["verify", "d11", "--workers", "1"])
+    assert args.workers == 1
+
+
+def test_cli_scan_sieves_once(monkeypatch, capsys):
+    calls = []
+    sieve = elliptic.primes_upto
+    monkeypatch.setattr(elliptic, "primes_upto", lambda n: calls.append(n) or sieve(n))
+    assert run_cli("scan", "[0,0,0,-264,1694]", "--k", "6", "--pmax", "50", "--format", "csv") == 0
+    assert calls == [50]
+    assert "excluded primes (bad reduction): [11]" in capsys.readouterr().err
 
 
 def test_cli_entry_point_subprocess():
