@@ -126,21 +126,21 @@ class Curve:
             raise ValueError(f"{p} is not prime")
         return self._bad_modulus % p != 0
 
-    def primes_by_reduction(self, pmax: int, pmin: int = 5) -> tuple[list[int], list[int]]:
-        """The primes pmin <= p <= pmax of good and of bad reduction, from
-        one sieve pass; the sieve's primes are not tested again."""
+    def primes_by_reduction(self, pmax: int) -> tuple[list[int], list[int]]:
+        """The primes 5 <= p <= pmax of good and of bad reduction, from one
+        sieve pass; the sieve's primes are not tested again."""
         bad_modulus = self._bad_modulus
         good, bad = [], []
         for p in primes_upto(pmax):
-            if p >= pmin:
+            if p >= 5:
                 (good if bad_modulus % p else bad).append(p)
         return good, bad
 
-    def good_primes(self, pmax: int, pmin: int = 5) -> list[int]:
-        return self.primes_by_reduction(pmax, pmin)[0]
+    def good_primes(self, pmax: int) -> list[int]:
+        return self.primes_by_reduction(pmax)[0]
 
-    def bad_primes_in(self, pmax: int, pmin: int = 5) -> list[int]:
-        return self.primes_by_reduction(pmax, pmin)[1]
+    def bad_primes_in(self, pmax: int) -> list[int]:
+        return self.primes_by_reduction(pmax)[1]
 
     def _require_good(self, p: int):
         if p < 5:

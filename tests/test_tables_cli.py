@@ -118,7 +118,7 @@ def test_cli_density(capsys):
 
 def test_cli_density_rejects_a_prime_beyond_int64(monkeypatch, capsys):
     # good_primes is stubbed so that no sieve runs up to 2^31
-    monkeypatch.setattr(Curve, "good_primes", lambda self, pmax, pmin=5: [2147483659])
+    monkeypatch.setattr(Curve, "good_primes", lambda self, pmax: [2147483659])
     assert run_cli("density", "[0,0,0,1,1]", "--k", "2", "--pmax", "100") == 2
     assert "2**31" in capsys.readouterr().err
 
