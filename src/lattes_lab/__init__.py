@@ -32,6 +32,7 @@ from .elliptic import (
     count_points,
     division_poly,
     format_curve,
+    frobenius_trace,
     lattes_map,
     negate_point,
     noncm_family,

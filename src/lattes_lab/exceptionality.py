@@ -12,6 +12,7 @@ flat-file cache ("curvehash,p,ap" lines) makes repeated scans cheap.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,15 +22,25 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .elliptic import (
     Curve,
+    _frobenius_trace,
     cm_disc_for,
     count_points,
     curve_hash,
+    frobenius_trace,
     lattes_map,
     noncm_family,
     quadratic_twist,
     torsion_x_rational,
 )
-from .intmath import CongruenceCondition, is_prime, kronecker, prime_divisors, prime_stream
+from .intmath import (
+    CongruenceCondition,
+    check_int64_modulus,
+    is_prime,
+    kronecker,
+    prime_divisors,
+    prime_stream,
+    primes_between,
+)
 from .quadorder import find_prime_element, prime_above, quad_order, splitting_type
 
 # -- trace records -------------------------------------------------------------
@@ -50,7 +61,7 @@ def trace_record(curve: Curve, p: int, disc: Optional[int] = None) -> TraceRecor
     from the CM discriminant when one is known (catalog lookup or explicit
     disc); for non-CM curves it is left out rather than inferred."""
     disc = cm_disc_for(curve, disc)
-    _, ap = count_points(curve, p)
+    ap = frobenius_trace(curve, p)
     splitting = None
     if disc is not None:
         splitting = splitting_type(disc, p)
@@ -80,7 +91,7 @@ def map_primes(fn: Callable[[list[int]], list], primes: Sequence[int], workers: 
 
 
 def _trace_chunk(curve: Curve, primes: list[int]) -> list[int]:
-    return [count_points(curve, p)[1] for p in primes]
+    return [_frobenius_trace(curve, p) for p in primes]
 
 
 def frobenius_scan(
@@ -89,10 +100,17 @@ def frobenius_scan(
     workers: int = 1,
     cache: Optional["TraceCache"] = None,
 ) -> dict[int, int]:
-    """a_p for every prime in `primes`, computed with up to `workers`
-    processes.  Results are keyed by p, so the outcome is identical for
-    any worker count and chunking."""
+    """a_p for every prime in `primes` by `frobenius_trace`, computed with
+    up to `workers` processes.  Every p is checked here, cached or not,
+    before any work (ValueError for p >= 2**31, p < 5, a composite p or
+    bad reduction).
+    Results are keyed by p, so the outcome is identical for any worker
+    count and chunking."""
     primes = sorted(primes)
+    if primes:
+        check_int64_modulus(primes[-1])
+    for p in primes:
+        curve._require_good(p)
     out: dict[int, int] = {}
     todo = []
     for p in primes:
@@ -109,22 +127,56 @@ def frobenius_scan(
 
 
 class TraceCache:
-    """Flat-file a_p cache with human-inspectable lines 'curvehash,p,ap'."""
+    """Flat-file a_p cache with human-inspectable lines 'curvehash,p,ap'.
+
+    Loading checks every row: three integer fields, 5 <= p < 2**31 prime
+    and a_p^2 <= 4p, else ValueError naming the line.  Good reduction needs
+    the curve, so `get` checks it.  `save` writes a temporary file in the
+    same directory and renames it over the old one, so a reader never sees
+    a half-written cache."""
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
         self._data: dict[tuple[str, int], int] = {}
         if path and os.path.exists(path):
-            with open(path) as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line or line.startswith("#"):
-                        continue
+            self._load(path)
+
+    def _load(self, path: str):
+        data: dict[tuple[str, int], int] = {}
+        first_line: dict[int, int] = {}  # p -> the first line that holds it
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                try:
                     h, p, ap = line.split(",")
-                    self._data[(h, int(p))] = int(ap)
+                    p, ap = int(p), int(ap)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: expected 'curvehash,p,ap', got {line!r}"
+                    ) from None
+                if not 5 <= p < 1 << 31:
+                    raise ValueError(f"{path}:{lineno}: p = {p} is outside 5..2**31")
+                if ap * ap > 4 * p:
+                    raise ValueError(
+                        f"{path}:{lineno}: a_p = {ap} breaks the Hasse bound at p = {p}"
+                    )
+                data[(h, p)] = ap
+                first_line.setdefault(p, lineno)
+        composite = _non_primes(set(first_line))
+        if composite:
+            p = min(composite, key=first_line.__getitem__)
+            raise ValueError(f"{path}:{first_line[p]}: {p} is not prime")
+        self._data = data
 
     def get(self, curve: Curve, p: int) -> Optional[int]:
-        return self._data.get((curve_hash(curve), p))
+        ap = self._data.get((curve_hash(curve), p))
+        if ap is not None and curve._bad_modulus % p == 0:
+            raise ValueError(
+                f"{self.path}: cached a_p at {p}, a prime of bad reduction for {curve}"
+            )
+        return ap
 
     def put(self, curve: Curve, p: int, ap: int):
         self._data[(curve_hash(curve), p)] = ap
@@ -132,9 +184,33 @@ class TraceCache:
     def save(self):
         if not self.path:
             return
-        with open(self.path, "w") as fh:
-            for (h, p), ap in sorted(self._data.items()):
-                fh.write(f"{h},{p},{ap}\n")
+        tmp = f"{self.path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w") as fh:
+                fh.writelines(f"{h},{p},{ap}\n" for (h, p), ap in sorted(self._data.items()))
+            os.replace(tmp, self.path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+
+
+# a cache's rows are sieved in windows of this width, so a row far beyond
+# the others costs one more window and no more memory
+_SIEVE_WINDOW = 1 << 20
+
+
+def _non_primes(ns: set[int]) -> set[int]:
+    """The members of ns that are not prime, by one segmented sieve per
+    window of width 2**20 that holds a member, from its least member to its
+    largest."""
+    ordered = sorted(ns)
+    out = set(ns)
+    i = 0
+    while i < len(ordered):
+        j = bisect_right(ordered, ordered[i] | (_SIEVE_WINDOW - 1))
+        out.difference_update(primes_between(ordered[i], ordered[j - 1] + 1))
+        i = j
+    return out
 
 
 # -- permutation verdicts -------------------------------------------------------
@@ -200,13 +276,11 @@ def scan(
     """One row per good prime: (p, (D/p), a_p, gcd(A_p, k), verdict).
 
     Verdicts come from the gcd criterion; rows with p | k are annotated.
-    Primes of bad reduction are rejected outright - callers filter with
-    Curve.good_primes so nothing is silently skipped.
+    Primes of bad reduction are rejected outright (by frobenius_scan) -
+    callers filter with Curve.good_primes so nothing is silently skipped.
     """
     disc = cm_disc_for(curve, disc)
     primes = sorted(primes)
-    for p in primes:
-        curve._require_good(p)
     traces = frobenius_scan(curve, primes, workers=workers, cache=cache)
     rows = []
     for p in primes:

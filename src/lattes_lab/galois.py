@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .elliptic import Curve, count_points, division_poly, rational_roots
+from .elliptic import Curve, _frobenius_trace, count_points, division_poly, rational_roots
 from .exceptionality import map_primes
 from .intmath import check_int64_modulus, is_prime, prime_divisors
 from .polyrat import _fp_gcd, _int_clear
@@ -323,12 +323,8 @@ def _square_mod(r: np.ndarray, xpow: np.ndarray, pc: np.ndarray) -> np.ndarray:
 def _coprime_chunk(curve: Curve, k: int, primes: list[int]) -> list[bool]:
     ells = prime_divisors(k) if k else []
     # the root test removes the primes where some ell | A_p; a survivor
-    # for which the character sum is cheaper for some ell, or k = 0, whose
-    # gcd |A_p| the root test cannot decide, is settled from a_p.
-    # count_points checks its own p, so only root-tested p are checked here
-    for p in primes:
-        if any(_root_test_is_cheaper(ell, p) for ell in ells):
-            curve._require_good(p)
+    # for which the cost rule prefers a_p for some ell, or k = 0, whose
+    # gcd |A_p| the root test cannot decide, is settled from a_p
     alive = list(primes)
     for ell in ells:
         cheap = [p for p in alive if _root_test_is_cheaper(ell, p)]
@@ -339,7 +335,7 @@ def _coprime_chunk(curve: Curve, k: int, primes: list[int]) -> list[bool]:
         if k and all(_root_test_is_cheaper(ell, p) for ell in ells):
             verdicts[p] = True
         else:
-            _, ap = count_points(curve, p)
+            ap = _frobenius_trace(curve, p)
             verdicts[p] = gcd((p + 1) ** 2 - ap * ap, k) == 1
     return [verdicts[p] for p in primes]
 
@@ -352,14 +348,24 @@ def coprime_verdicts(
     A_p = (p+1)^2 - a_p^2 = |E(F_p)| * |E^d(F_p)|, and each prime ell | k
     is decided by whichever is cheaper at p: the root test of
     `torsion_roots`, O(d^2 log p) for psi_ell of degree d, which never
-    needs a_p, or the O(p) character sum, which decides every ell at once.
-    Primes p | k, prime factors ell > 37 and k = 0 always take the
-    character sum; the sign of k does not matter.  Output is identical for
-    any worker count."""
+    needs a_p, or a_p from `frobenius_trace`, which decides every ell at
+    once.  The cost rule still weighs the root test against the O(p)
+    character sum, which `frobenius_trace` takes below p = 2000 only.
+    Primes p | k, prime factors ell > 37 and k = 0 always take a_p; the
+    sign of k does not matter.  Every p is checked once, before any work
+    (ValueError for p >= 2**31, p < 5, a composite p or bad reduction).
+    Output is identical for any worker count."""
     primes = list(primes)
     if not primes:
         return []
     check_int64_modulus(max(primes))
+    for p in primes:
+        curve._require_good(p)
+    return _coprime_verdicts(curve, k, primes, workers)
+
+
+def _coprime_verdicts(curve: Curve, k: int, primes: list[int], workers: int) -> list[bool]:
+    """coprime_verdicts for primes the caller has checked."""
     verdicts = map_primes(partial(_coprime_chunk, curve, k), primes, workers)
     return [verdicts[p] for p in primes]
 
@@ -371,5 +377,7 @@ def empirical_density(
     L_k permutes P^1(F_p); bad primes are excluded from both sides."""
     if pmax < 100:
         raise ValueError("pmax must be >= 100")
+    # sieve primes of good reduction: only the int64 limit is left to check
     good = curve.good_primes(pmax)
-    return Fraction(sum(coprime_verdicts(curve, k, good, workers=workers)), len(good))
+    check_int64_modulus(max(good, default=0))
+    return Fraction(sum(_coprime_verdicts(curve, k, good, workers)), len(good))

@@ -458,3 +458,122 @@ def test_torsion_x_rational_with_a_huge_leading_coefficient():
     # y^2 = x^3 + 1 scaled by u = 7: x = -1/49, 0, 2/49 are 2-, 3- and 6-torsion
     scaled = Curve(0, 0, 0, 0, Fraction(1, 7**6))
     assert torsion_x_rational(scaled, 6) == {Fraction(-1, 49), Fraction(0), Fraction(2, 49)}
+
+
+# -- a_p by Shanks-Mestre against the character sum ---------------------------
+
+
+def _bsgs(curve, p):
+    F = GF(p)
+    return elliptic._shanks_mestre(F.coerce(-27 * curve.c4), F.coerce(-54 * curve.c6), p)
+
+
+def test_shanks_mestre_matches_the_character_sum_on_the_catalog():
+    for entry in CATALOG:
+        for p in entry.curve.good_primes(5000):
+            if p >= 230:
+                assert _bsgs(entry.curve, p) == count_points(entry.curve, p)[1], (entry.name, p)
+
+
+def test_shanks_mestre_matches_the_character_sum_near_1e5_and_1e6():
+    # 21 seeded primes per scale, seven for each curve
+    rng = random.Random(20260)
+    curves = [Curve(0, 0, 0, 1, 1), Curve(0, 0, 0, 1, 0), Curve(0, 0, 0, -1, 0)]
+    for lo in (10**5, 10**6 - 2 * 10**4):
+        window = [p for p in elliptic.primes_upto(lo + 2 * 10**4) if p >= lo]
+        for i, p in enumerate(rng.sample(window, 21)):
+            c = curves[i % 3]
+            assert _bsgs(c, p) == count_points(c, p)[1], (c, p)
+
+
+def test_shanks_mestre_settles_full_two_torsion_through_the_twist(monkeypatch):
+    # E(F_p) contains Z/2 x Z/2, so its exponent often leaves several group
+    # orders in the Hasse interval; the twist's points must settle those
+    calls, settled_by_both = [], []
+    real = elliptic._traces_fitting
+
+    def spy(p, T, on_curve, on_twist):
+        fits = real(p, T, on_curve, on_twist)
+        calls.append(len(fits))
+        if len(fits) == 1 and len(calls) > 1 and on_curve > 1 and on_twist > 1:
+            settled_by_both.append(p)
+        return fits
+
+    monkeypatch.setattr(elliptic, "_traces_fitting", spy)
+    ambiguous = 0
+    for c in (Curve(0, 0, 0, -1, 0), Curve(0, 0, 0, -4, 0), Curve(0, 0, 0, -25, 0)):
+        for p in c.good_primes(4000):
+            if p < 230:
+                continue
+            calls.clear()
+            assert _bsgs(c, p) == count_points(c, p)[1], (c, p)
+            ambiguous += calls[0] > 1
+    assert ambiguous > 100 and len(settled_by_both) > 100
+
+
+def _brute_order(P, a, p):
+    n, R = 1, P
+    while R is not None:
+        R = elliptic._ec_add(R, P, a, p)
+        n += 1
+    return n
+
+
+def test_hasse_multiples_finds_every_multiple_of_the_order():
+    # every affine point at small p, where orders below the baby-step range,
+    # several multiples per interval and points of order 2s (two hits in
+    # one giant step, met at p = 43 and 53) are the rule
+    grid = [(a, b) for a in range(-4, 5) for b in range(-4, 5)]
+    cases = [(grid, p) for p in (5, 7, 11, 13, 43, 53)]
+    cases += [([(-1, 0), (1, 1), (0, 2), (-4, 0), (3, 5)], p) for p in (97, 101, 211)]
+    for curves, p in cases:
+        T = math.isqrt(4 * p)
+        for a, b in curves:
+            if (4 * a**3 + 27 * b * b) % p == 0:
+                continue
+            for x in range(p):
+                for y in range(p):
+                    if (y * y - x**3 - a * x - b) % p:
+                        continue
+                    n = _brute_order((x, y), a % p, p)
+                    expected = [m for m in range(p + 1 - T, p + 2 + T) if m % n == 0]
+                    assert elliptic._hasse_multiples((x, y), a % p, p) == expected, (a, b, p, x, y)
+
+
+def test_shanks_mestre_gives_up_after_its_draws(monkeypatch):
+    # a route that never settles must raise after the cap, not loop
+    drawn = []
+    monkeypatch.setattr(elliptic, "_traces_fitting", lambda p, T, e, t: drawn.append(p) or [0, 2])
+    with pytest.raises(ArithmeticError, match="after 64 points"):
+        _bsgs(Curve(0, 0, 0, 1, 1), 10007)
+    assert 0 < len(drawn) <= 64
+    monkeypatch.undo()
+    # and a prime the first point does not settle fails under a cap of one
+    c = Curve(0, 0, 0, -1, 0)
+    monkeypatch.setattr(elliptic, "_BSGS_DRAWS", 1)
+    with pytest.raises(ArithmeticError):
+        for p in c.good_primes(3000):
+            if p > 230:
+                _bsgs(c, p)
+
+
+def test_frobenius_trace_routes_and_checks(monkeypatch):
+    c = CATALOG_BY_NAME["noncm-e"].curve
+    assert elliptic._BSGS_FROM >= 230
+    below, above = 1999, 2003  # either side of the crossover
+    for p in (5, below, above, 20011):
+        assert elliptic.frobenius_trace(c, p) == count_points(c, p)[1]
+    summed = []
+    real = elliptic.count_points
+    monkeypatch.setattr(elliptic, "count_points", lambda c, p: summed.append(p) or real(c, p))
+    elliptic.frobenius_trace(c, below)
+    elliptic.frobenius_trace(c, above)
+    assert summed == [below] and below < elliptic._BSGS_FROM <= above
+    for bad in (2, 3, 2001, 2147483659):  # p < 5, composite, beyond int64
+        with pytest.raises(ValueError):
+            elliptic.frobenius_trace(c, bad)
+    with pytest.raises(ValueError):
+        elliptic.frobenius_trace(CATALOG_BY_NAME["d7"].curve, 7)
+    monkeypatch.setattr(elliptic, "_shanks_mestre", lambda a, b, p: 2 * math.isqrt(p) + 2)
+    with pytest.raises(RuntimeError, match="Hasse"):
+        elliptic.frobenius_trace(c, above)

@@ -2,7 +2,14 @@ import os
 
 import pytest
 
-from lattes_lab.elliptic import CATALOG_BY_NAME, count_points, noncm_family
+from lattes_lab import elliptic
+from lattes_lab.elliptic import (
+    CATALOG_BY_NAME,
+    count_points,
+    curve_hash,
+    frobenius_trace,
+    noncm_family,
+)
 from lattes_lab.exceptionality import (
     STRATEGY_TABLE,
     TraceCache,
@@ -19,6 +26,7 @@ from lattes_lab.exceptionality import (
     verify_d11_obstruction,
     verify_noncm_counterexample,
 )
+from lattes_lab.galois import coprime_verdicts
 from lattes_lab.intmath import primes_upto
 
 D4 = CATALOG_BY_NAME["d4"].curve
@@ -236,3 +244,71 @@ def test_worker_determinism():
     rows1 = scan(D4, 3, good, workers=1)
     rows8 = scan(D4, 3, good, workers=8)
     assert rows1 == rows8
+    # both trace routes: the character sum below the crossover, Shanks-Mestre above
+    wide = D4.good_primes(6000)
+    assert frobenius_scan(D4, wide, workers=2) == frobenius_scan(D4, wide, workers=1)
+
+
+@pytest.mark.parametrize(
+    "row, error",
+    [
+        ("5,2", "expected 'curvehash,p,ap'"),  # truncated
+        ("abc,13,x", "expected 'curvehash,p,ap'"),
+        ("abc,101,21", "Hasse"),  # 21^2 > 4 * 101
+        ("abc,91,3", "91 is not prime"),
+        ("abc,3,1", "outside"),
+    ],
+)
+def test_cache_rejects_a_bad_row_by_its_line(tmp_path, row, error):
+    path = tmp_path / "traces.txt"
+    path.write_text(f"# a_p of d4\n{curve_hash(D4)},5,2\n{row}\n")
+    with pytest.raises(ValueError, match=f"traces.txt:3: .*{error}"):
+        TraceCache(str(path))
+
+
+def test_cache_rejects_a_trace_at_a_bad_prime(tmp_path):
+    path = tmp_path / "traces.txt"
+    path.write_text(f"{curve_hash(D11)},11,0\n{curve_hash(D11)},13,4\n")
+    cache = TraceCache(str(path))
+    assert cache.get(D11, 13) == 4
+    with pytest.raises(ValueError, match="bad reduction"):
+        cache.get(D11, 11)
+
+
+def test_cache_save_replaces_the_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "traces.txt"
+    cache = TraceCache(str(path))
+    cache.put(D4, 5, 2)
+    cache.save()
+    before = path.read_text()
+    cache.put(D4, 13, -6)
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    # a save that fails leaves the old file and no temporary file behind
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError):
+        cache.save()
+    assert path.read_text() == before and os.listdir(tmp_path) == ["traces.txt"]
+    monkeypatch.undo()
+    cache.save()
+    assert TraceCache(str(path)).get(D4, 13) == -6 and os.listdir(tmp_path) == ["traces.txt"]
+
+
+def test_each_prime_is_checked_once(monkeypatch):
+    # below the crossover the character sum is reached through count_points,
+    # which checks p again (a one-witness Miller-Rabin test there)
+    checked = []
+    real = elliptic.is_prime
+    monkeypatch.setattr(elliptic, "is_prime", lambda n: checked.append(n) or real(n))
+    primes = D4.good_primes(3000)
+    twice = sorted(primes + [p for p in primes if p < elliptic._BSGS_FROM])
+    scan(D4, 6, primes)
+    assert sorted(checked) == twice
+    checked.clear()
+    coprime_verdicts(D4, 0, primes)
+    assert sorted(checked) == twice
+    checked.clear()
+    frobenius_trace(D4, 2003)
+    assert checked == [2003]

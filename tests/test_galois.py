@@ -6,7 +6,6 @@ import pytest
 
 from lattes_lab import galois
 from lattes_lab.elliptic import CATALOG, CATALOG_BY_NAME, count_points, torsion_x_rational
-from lattes_lab.exceptionality import frobenius_scan
 from lattes_lab.galois import (
     Mat2Zm,
     SubgroupSpec,
@@ -170,7 +169,7 @@ def test_root_test_matches_the_character_sum():
     # good p <= 2000, p != ell; coprime_verdicts covers p = ell as well
     for entry in CATALOG:
         good = entry.curve.good_primes(2000)
-        traces = frobenius_scan(entry.curve, good)
+        traces = {p: count_points(entry.curve, p)[1] for p in good}
         for ell in (2, 3, 5, 7):
             divides = {p: ((p + 1) ** 2 - traces[p] ** 2) % ell == 0 for p in good}
             others = [p for p in good if p != ell]
@@ -186,7 +185,7 @@ def test_root_test_for_larger_ell():
     for name in ("noncm-e", "d4"):
         curve = CATALOG_BY_NAME[name].curve
         good = [p for p in curve.good_primes(400) if p > 13]
-        traces = frobenius_scan(curve, good)
+        traces = {p: count_points(curve, p)[1] for p in good}
         for ell in (11, 13):
             expected = [((p + 1) ** 2 - traces[p] ** 2) % ell == 0 for p in good]
             assert True in expected and False in expected
@@ -206,12 +205,12 @@ def test_coprime_verdicts_takes_the_cheaper_route(monkeypatch):
     expected = {}
     for k, (lo, hi) in cases.items():
         good = [p for p in curve.good_primes(hi) if p >= lo]
-        traces = frobenius_scan(curve, good)
+        traces = {p: count_points(curve, p)[1] for p in good}
         expected[k] = good, [gcd((p + 1) ** 2 - traces[p] ** 2, k) == 1 for p in good]
     built, counted = [], []
-    real_poly, real_count = galois._torsion_poly, galois.count_points
+    real_poly, real_trace = galois._torsion_poly, galois._frobenius_trace
     monkeypatch.setattr(galois, "_torsion_poly", lambda c, ell: built.append(ell) or real_poly(c, ell))
-    monkeypatch.setattr(galois, "count_points", lambda c, p: counted.append(p) or real_count(c, p))
+    monkeypatch.setattr(galois, "_frobenius_trace", lambda c, p: counted.append(p) or real_trace(c, p))
     routes = {}
     for k, (good, verdicts) in expected.items():
         built.clear()
@@ -231,7 +230,7 @@ def test_empirical_density_matches_the_character_sum():
     for name in ("d4", "d3", "d11", "noncm-e", "k2-s3", "k2-c3"):
         curve = CATALOG_BY_NAME[name].curve
         good = curve.good_primes(3000)
-        traces = frobenius_scan(curve, good)
+        traces = {p: count_points(curve, p)[1] for p in good}
         for k in (2, 3, 6, 10, 14):
             hits = sum(gcd((p + 1) ** 2 - traces[p] ** 2, k) == 1 for p in good)
             assert empirical_density(curve, k, 3000) == Fraction(hits, len(good)), (name, k)
