@@ -110,6 +110,10 @@ class Curve:
     def division_polys(self) -> "DivisionPolynomials":
         return DivisionPolynomials(self)
 
+    @functools.cached_property
+    def _cache_key(self) -> str:
+        return hashlib.sha256(format_curve(self).encode()).hexdigest()[:12]
+
     def __repr__(self):
         return f"Curve{tuple(str(a) for a in self.ainvs())}"
 
@@ -170,7 +174,7 @@ def format_curve(curve: Curve) -> str:
 
 def curve_hash(curve: Curve) -> str:
     """Stable short hash of the coefficient vector, used as a cache key."""
-    return hashlib.sha256(format_curve(curve).encode()).hexdigest()[:12]
+    return curve._cache_key
 
 
 # -- division polynomials ----------------------------------------------------

@@ -3,8 +3,8 @@ matrices A in GL_2(Z/m) with det(I-A)*det(I+A) invertible, exact densities
 by enumeration, subgroup-restricted densities, the diagonal witness that
 makes C_m nonempty, the bridge between the trace and torsion views of
 ell | A_p, the complete k = 2 verdict from the 2-division cubic, and
-empirical density scans over prime ranges, decided at each prime by the
-cheaper of the torsion root test and point counting.
+empirical density scans over prime ranges, decided by the torsion root
+test for ell = 2, 3, 5 and by a_p for every other ell.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd, log2
+from math import gcd
 from typing import Iterable, Optional
 
 import numpy as np
@@ -194,26 +194,14 @@ _BLOCK_ELEMS = 1 << 20
 # the largest degree d whose d x 2d square fits in one block; psi_37
 # (d = 684) is the last psi_ell below it
 _MAX_ROOT_DEGREE = 724
-# the root test for ell at p is taken where _ROOT_COST * d^2 * log2(p) < p.
-# Measured on a 2-CPU Xeon VM (numpy 2.4), the root test overtakes the
-# character sum near p = 1500 for ell = 5 (d = 12), p = 1.5 * 10^4 for
-# ell = 7 (d = 24) and p = 10^5 for ell = 11 (d = 60), where the rule's
-# two sides meet; for ell = 2, 3 it is faster at every p, and the rule
-# gives that up below p = 127 resp. 257, less than 0.1 ms per prime
-_ROOT_COST = 2
+# the ell that coprime_verdicts decides by the root test, at every p != ell
+# (its docstring gives the per-prime costs behind the choice)
+_ROOT_TEST_ELLS = (2, 3, 5)
 
 
 def _torsion_degree(ell: int) -> int:
     """The degree of psi_ell (of q for ell = 2)."""
     return 3 if ell == 2 else (ell * ell - 1) // 2
-
-
-def _root_test_is_cheaper(ell: int, p: int) -> bool:
-    """Whether the root test decides ell | A_p at p faster than the
-    character sum.  Never at p = ell, where psi_ell loses its leading
-    term: there d > p already."""
-    d = _torsion_degree(ell)
-    return d <= _MAX_ROOT_DEGREE and _ROOT_COST * d * d * log2(p) < p
 
 
 @functools.lru_cache(maxsize=64)
@@ -322,17 +310,19 @@ def _square_mod(r: np.ndarray, xpow: np.ndarray, pc: np.ndarray) -> np.ndarray:
 
 def _coprime_chunk(curve: Curve, k: int, primes: list[int]) -> list[bool]:
     ells = prime_divisors(k) if k else []
+    rooted = [ell for ell in ells if ell in _ROOT_TEST_ELLS]
     # the root test removes the primes where some ell | A_p; a survivor
-    # for which the cost rule prefers a_p for some ell, or k = 0, whose
-    # gcd |A_p| the root test cannot decide, is settled from a_p
+    # takes a_p if some ell | k had no root test there (ell >= 7, or p = ell),
+    # or if k = 0, whose gcd |A_p| the root test cannot decide
     alive = list(primes)
-    for ell in ells:
-        cheap = [p for p in alive if _root_test_is_cheaper(ell, p)]
-        hit = {p for p, root in zip(cheap, _root_test(curve, ell, cheap)) if root}
+    for ell in rooted:
+        tested = [p for p in alive if p != ell]
+        hit = {p for p, root in zip(tested, _root_test(curve, ell, tested)) if root}
         alive = [p for p in alive if p not in hit]
+    decided = k and len(rooted) == len(ells)
     verdicts = dict.fromkeys(primes, False)
     for p in alive:
-        if k and all(_root_test_is_cheaper(ell, p) for ell in ells):
+        if decided and p not in rooted:
             verdicts[p] = True
         else:
             ap = _frobenius_trace(curve, p)
@@ -345,13 +335,16 @@ def coprime_verdicts(
 ) -> list[bool]:
     """gcd(A_p, k) == 1 for each good prime p in `primes`, in order.
 
-    A_p = (p+1)^2 - a_p^2 = |E(F_p)| * |E^d(F_p)|, and each prime ell | k
-    is decided by whichever is cheaper at p: the root test of
-    `torsion_roots`, O(d^2 log p) for psi_ell of degree d, which never
-    needs a_p, or a_p from `frobenius_trace`, which decides every ell at
-    once.  The cost rule still weighs the root test against the O(p)
-    character sum, which `frobenius_trace` takes below p = 2000 only.
-    Primes p | k, prime factors ell > 37 and k = 0 always take a_p; the
+    A_p = (p+1)^2 - a_p^2 = |E(F_p)| * |E^d(F_p)|.  Each prime ell | k in
+    (2, 3, 5) is decided at every p != ell by the root test of
+    `torsion_roots`, which never needs a_p: O(d^2 log p) for psi_ell of
+    degree d = 3, 4, 12, measured at 15-27, 19-38 and 116-151 us per prime
+    from p = 500 to 10^6 (2-CPU Xeon VM, numpy 2.4).  a_p from
+    `frobenius_trace` decides every other ell at once, at 85 us by the
+    character sum below p = 2000 and 140-300 us by Shanks-Mestre above,
+    where the root test already takes 285-493 us for psi_7 and 2.4-4.1 ms
+    for psi_11.  So a prime that survives the root tests takes a_p if k
+    has a prime factor ell >= 7, if p = 5 divides k, or if k = 0; the
     sign of k does not matter.  Every p is checked once, before any work
     (ValueError for p >= 2**31, p < 5, a composite p or bad reduction).
     Output is identical for any worker count."""

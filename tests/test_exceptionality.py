@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -5,8 +6,10 @@ import pytest
 from lattes_lab import elliptic
 from lattes_lab.elliptic import (
     CATALOG_BY_NAME,
+    Curve,
     count_points,
     curve_hash,
+    format_curve,
     frobenius_trace,
     noncm_family,
 )
@@ -234,6 +237,25 @@ def test_cache_round_trip(tmp_path):
     warm_cache = TraceCache(path)
     warm = frobenius_scan(D4, good, cache=warm_cache)
     assert warm == cold
+
+
+def test_cached_scan_hashes_the_curve_once(tmp_path, monkeypatch):
+    hashed = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda data: hashed.append(data) or real(data))
+    curve = Curve(*D4.ainvs())  # a fresh Curve, whose key is not yet computed
+    good = curve.good_primes(2100)
+    cache = TraceCache(str(tmp_path / "traces.txt"))
+    traces = frobenius_scan(curve, good, cache=cache)
+    assert hashed == [format_curve(D4).encode()]
+    assert frobenius_scan(curve, good, cache=cache) == traces and len(hashed) == 1
+    cache.save()
+    monkeypatch.undo()
+    # the file keeps its rows: the first 12 hex digits of the coefficient
+    # vector's sha256, p and a_p
+    key = hashlib.sha256(format_curve(D4).encode()).hexdigest()[:12]
+    rows = "".join(f"{key},{p},{traces[p]}\n" for p in sorted(good))
+    assert (tmp_path / "traces.txt").read_text() == rows
 
 
 def test_worker_determinism():

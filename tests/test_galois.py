@@ -180,8 +180,8 @@ def test_root_test_matches_the_character_sum():
 
 
 def test_root_test_for_larger_ell():
-    # psi_11 and psi_13 (degrees 60 and 84), which coprime_verdicts leaves
-    # to the character sum at these p
+    # psi_11 and psi_13 (degrees 60 and 84), which coprime_verdicts never
+    # builds: it takes a_p for every ell >= 7
     for name in ("noncm-e", "d4"):
         curve = CATALOG_BY_NAME[name].curve
         good = [p for p in curve.good_primes(400) if p > 13]
@@ -192,21 +192,23 @@ def test_root_test_for_larger_ell():
             assert torsion_roots(curve, ell, good) == expected, (name, ell)
 
 
-def test_coprime_verdicts_takes_the_cheaper_route(monkeypatch):
+def test_coprime_verdicts_root_tests_ell_2_3_5_only(monkeypatch):
     curve = CATALOG_BY_NAME["noncm-e"].curve
     cases = {
-        10: (4000, 5000),  # both root tests are cheaper here
-        14: (17300, 17800),
-        22: (100, 3000),  # psi_11 is not: survivors of ell = 2 take a_p
-        202: (100, 3000),  # psi_101 (degree 5100) is never built
+        10: (100, 3000),  # root tests for 2 and 5 decide every p
         -6: (100, 3000),
+        14: (100, 3000),  # psi_7, psi_11, psi_101 (degree 5100) are never
+        22: (1900, 3000),  # built: survivors of ell = 2 take a_p
+        202: (100, 3000),
         0: (100, 1000),  # gcd(A_p, 0) = |A_p| needs a_p at every p
+        5: (5, 400),  # psi_5 loses its leading term at p = 5
     }
-    expected = {}
+    expected, odd = {}, {}
     for k, (lo, hi) in cases.items():
         good = [p for p in curve.good_primes(hi) if p >= lo]
         traces = {p: count_points(curve, p)[1] for p in good}
         expected[k] = good, [gcd((p + 1) ** 2 - traces[p] ** 2, k) == 1 for p in good]
+        odd[k] = [p for p in good if (p + 1 - traces[p]) % 2]
     built, counted = [], []
     real_poly, real_trace = galois._torsion_poly, galois._frobenius_trace
     monkeypatch.setattr(galois, "_torsion_poly", lambda c, ell: built.append(ell) or real_poly(c, ell))
@@ -216,13 +218,14 @@ def test_coprime_verdicts_takes_the_cheaper_route(monkeypatch):
         built.clear()
         counted.clear()
         assert coprime_verdicts(curve, k, good) == verdicts, k
-        routes[k] = set(built), len(counted), len(good)
-    assert routes[10] == ({2, 5}, 0, routes[10][2])
-    assert routes[14] == ({2, 7}, 0, routes[14][2])
-    for k in (22, 202):
-        assert routes[k][0] == {2} and 0 < routes[k][1] < routes[k][2] / 2
-    assert routes[-6][0] == {2, 3}
-    assert routes[0] == (set(), routes[0][2], routes[0][2])
+        routes[k] = set(built), list(counted)
+    assert routes[10] == ({2, 5}, [])
+    assert routes[-6] == ({2, 3}, [])
+    for k in (14, 22, 202):
+        assert routes[k] == ({2}, odd[k]), k
+        assert 0 < len(odd[k]) < len(expected[k][0]) / 2
+    assert routes[0] == (set(), expected[0][0])
+    assert expected[5][0][0] == 5 and routes[5] == ({5}, [5])
     assert empirical_density(curve, -6, 1000) == empirical_density(curve, 6, 1000)
 
 
