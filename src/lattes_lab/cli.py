@@ -3,7 +3,8 @@
 Subcommands: map, table, scan, verify, density, symbol, torsion, strategy.
 Exit codes: 0 on success/match, 1 on a verification failure or table
 mismatch, 2 on usage errors (bad flags, unparseable curve or element, and
---workers or --pmax beyond WORKERS_MAX or PMAX_MAX).
+--workers, --pmax, or the --k of map and torsion beyond WORKERS_MAX,
+PMAX_MAX or K_MAX).
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ from .tables import TABLE_IDS, check_table
 # to 10^6), so WORKERS_MAX workers stay below 5 GiB.
 PMAX_MAX = 10**6
 WORKERS_MAX = 64
+# map and torsion build psi_k, of degree about k^2/2, over QQ: on a 2-CPU
+# host L_50 takes 1-13 s (catalog d4, d19, [0,0,0,1/7,-3/11]) and L_64 on
+# d19 32 s, so K_MAX keeps one call well under half a minute
+K_MAX = 50
 
 
 def _int_in(lo: Optional[int], hi: int):
@@ -71,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("map", help="print L_k for a curve as a rational function")
     add_curve_args(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_in(1, K_MAX), required=True)
 
     p = sub.add_parser("table", help="regenerate a bundled reference table and diff it")
     p.add_argument("table_id", help=f"one of: {', '.join(TABLE_IDS)}")
@@ -103,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("torsion", help="rational x-coordinates of k-torsion points")
     add_curve_args(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_in(2, K_MAX), required=True)
 
     p = sub.add_parser("strategy", help="strategy primes for a CM discriminant")
     p.add_argument("--D", type=int, required=True)

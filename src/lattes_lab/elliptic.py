@@ -257,12 +257,13 @@ def lattes_map(curve: Curve, k: int) -> RatMap:
     ps = curve.division_polys
     q = curve.psi2_squared
     pk, lo, hi = ps[k], ps[k - 1], ps[k + 1]
+    pk2 = pk * pk
     if k % 2:
-        num = x * pk * pk - q * lo * hi
-        den = pk * pk
+        den = pk2
+        num = x * den - q * lo * hi
     else:
-        num = x * q * pk * pk - lo * hi
-        den = q * pk * pk
+        den = q * pk2
+        num = x * den - lo * hi
     return RatMap(num, den)
 
 

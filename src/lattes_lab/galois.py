@@ -309,8 +309,13 @@ def _square_mod(r: np.ndarray, xpow: np.ndarray, pc: np.ndarray) -> np.ndarray:
 
 
 def _coprime_chunk(curve: Curve, k: int, primes: list[int]) -> list[bool]:
-    ells = prime_divisors(k) if k else []
-    rooted = [ell for ell in ells if ell in _ROOT_TEST_ELLS]
+    # k is never factored: stripping the root-tested ell leaves 1 exactly
+    # when k has no other prime factor
+    rooted = [ell for ell in _ROOT_TEST_ELLS if k and k % ell == 0]
+    rest = abs(k)
+    for ell in rooted:
+        while rest % ell == 0:
+            rest //= ell
     # the root test removes the primes where some ell | A_p; a survivor
     # takes a_p if some ell | k had no root test there (ell >= 7, or p = ell),
     # or if k = 0, whose gcd |A_p| the root test cannot decide
@@ -319,7 +324,7 @@ def _coprime_chunk(curve: Curve, k: int, primes: list[int]) -> list[bool]:
         tested = [p for p in alive if p != ell]
         hit = {p for p, root in zip(tested, _root_test(curve, ell, tested)) if root}
         alive = [p for p in alive if p not in hit]
-    decided = k and len(rooted) == len(ells)
+    decided = rest == 1
     verdicts = dict.fromkeys(primes, False)
     for p in alive:
         if decided and p not in rooted:

@@ -20,6 +20,11 @@ at infinity stays too.  At good p the reduced Lattes pair is already
 coprime (phi_k and psi_k^2 share no root on a nonsingular curve;
 Washington, Elliptic Curves, Lemma 3.5), so the brute-force check there
 never runs the gcd.
+
+The kernels work on whole ints or int64 rows: a long product over Q is one
+big-int product by Kronecker substitution after clearing denominators, a
+long Euclid over GF(p) eliminates by slices of int64 rows, and value
+tables are one Horner pass over all of F_p with exponents folded below p.
 """
 
 from __future__ import annotations
@@ -166,10 +171,6 @@ class Poly:
     def x(field) -> "Poly":
         return Poly(field, (field.zero, field.one), _trusted=True)
 
-    @staticmethod
-    def const(field, c) -> "Poly":
-        return Poly(field, (c,))
-
     # -- structure ---------------------------------------------------------
 
     @property
@@ -232,11 +233,7 @@ class Poly:
             out = _qq_mul(a, b)
         else:
             p = F.p
-            out = [0] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        out[i + j] = (out[i + j] + ai * bj) % p
+            out = [c % p for c in _int_mul(a, b)]
         while out and out[-1] == F.zero:
             out.pop()
         return Poly(F, out, _trusted=True)
@@ -306,14 +303,6 @@ class Poly:
         F = self.field
         return Poly(F, [F.mul(F.coerce(i), c) for i, c in enumerate(self.coeffs)][1:])
 
-    def compose(self, other: "Poly") -> "Poly":
-        """self(other(x)) by Horner's rule on polynomials."""
-        F = self.field
-        acc = Poly.zero(F)
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly.const(F, c)
-        return acc
-
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
@@ -323,25 +312,49 @@ class Poly:
         return self.scale(F.inv(self.leading))
 
 
-def _qq_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    # Integer fast path: division polynomials and Lattes numerators have
-    # integral coefficients almost always, and plain int products are much
-    # cheaper than Fraction products.
-    if all(c.denominator == 1 for c in a) and all(c.denominator == 1 for c in b):
-        ai = [c.numerator for c in a]
-        bi = [c.numerator for c in b]
-        out = [0] * (len(ai) + len(bi) - 1)
-        for i, x in enumerate(ai):
-            if x:
-                for j, y in enumerate(bi):
-                    out[i + j] += x * y
+def _qq_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    # clear each factor's denominators, multiply over Z, divide once
+    da = int_lcm(*(c.denominator for c in a))
+    db = int_lcm(*(c.denominator for c in b))
+    out = _int_mul([c.numerator if da == 1 else c.numerator * (da // c.denominator) for c in a],
+                   [c.numerator if db == 1 else c.numerator * (db // c.denominator) for c in b])
+    d = da * db
+    if d == 1:
         return [Fraction(c) for c in out]
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return list(out)
+    return [Fraction(c, d) for c in out]
+
+
+# below this many coefficients in the shorter factor, the schoolbook double
+# loop beats packing (measured crossover 12-16 on 30- to 1000-bit inputs)
+_KRONECKER_MIN = 16
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    # the product of two nonempty integer coefficient lists; long factors by
+    # Kronecker substitution: a(2^(8w)) * b(2^(8w)) as one big-int product,
+    # each coefficient in w bytes plus the bias 2^(8w-1), where every input
+    # and output coefficient is below 2^(8w-1) in absolute value
+    n, m = len(a), len(b)
+    if min(n, m) < _KRONECKER_MIN:
+        out = [0] * (n + m - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return out
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(n, m).bit_length())
+    w = bits // 8 + 1
+    half = 1 << (8 * w - 1)
+    slot = b"\0" * (w - 1) + b"\x80"  # half in one slot, little-endian
+
+    def pack(cs):
+        return (int.from_bytes(b"".join((c + half).to_bytes(w, "little") for c in cs), "little")
+                - int.from_bytes(slot * len(cs), "little"))
+
+    r = n + m - 1
+    buf = (pack(a) * pack(b) + int.from_bytes(slot * r, "little")).to_bytes(r * w, "little")
+    return [int.from_bytes(buf[i : i + w], "little") - half for i in range(0, r * w, w)]
 
 
 def format_poly(f: Poly, var: str = "x") -> str:
@@ -396,11 +409,38 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return Poly(F, a).monic()
 
 
+# the divisor length from which _fp_gcd runs its Euclid steps on int64 rows
+# (measured crossover 16-24 coefficients); shorter divisors stay on lists,
+# where numpy's per-call overhead would dominate: the root test's psi_ell for
+# ell <= 5 has at most 13 coefficients
+_ROW_EUCLID_MIN = 24
+
+
 def _fp_gcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    # Euclid over GF(p) on coefficient lists: (last nonzero remainder, [])
+    if len(b) >= _ROW_EUCLID_MIN and p < 1 << 31:
+        a, b = _fp_gcd_rows(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
     while b:
         a = _fp_mod(a, b, p)
         a, b = b, a
     return a, b
+
+
+def _fp_gcd_rows(a: np.ndarray, b: np.ndarray, p: int) -> tuple[list[int], list[int]]:
+    # Euclid on int64 rows while the divisor is long: each elimination step
+    # is one slice update, and q * b[j] < 2^62 for p < 2^31
+    while len(b) >= _ROW_EUCLID_MIN:
+        db = len(b) - 1
+        inv = pow(int(b[-1]), -1, p)
+        for i in range(len(a) - 1, db - 1, -1):
+            c = int(a[i])
+            if c:
+                seg = a[i - db : i + 1]
+                seg -= c * inv % p * b
+                seg %= p
+        nz = np.flatnonzero(a[:db])
+        a, b = b, a[: nz[-1] + 1 if len(nz) else 0]
+    return a.tolist(), b.tolist()
 
 
 def _fp_mod(a: list[int], b: list[int], p: int) -> list[int]:
@@ -606,8 +646,7 @@ class RatMap:
         if self.field is not QQ:
             raise TypeError("reduce_mod_p applies to maps over QQ")
         F = GF(p)
-        num = Poly(F, [c.numerator for c in self.num.coeffs])
-        den = Poly(F, [c.numerator for c in self.den.coeffs])
+        num, den = (Poly(F, _reduce_ints(f.coeffs, p), _trusted=True) for f in (self.num, self.den))
         if den.is_zero:
             raise ZeroDivisionError(f"denominator vanishes identically mod {p}")
         if num.is_zero:
@@ -652,6 +691,14 @@ class RatMap:
         return out
 
 
+def _reduce_ints(cs: Sequence[Fraction], p: int) -> list[int]:
+    # integral coefficients mod p, trailing zeros stripped
+    out = [c.numerator % p for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     F = num.field
     if num.is_zero:
@@ -674,21 +721,35 @@ def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     return num, den
 
 
-def _horner_pair(num: Poly, den: Poly, p: int) -> tuple[np.ndarray, np.ndarray]:
+def _horner_pair(num: Poly, den: Poly, p: int) -> np.ndarray:
     # num and den over GF(p) at x = 0..p-1, as the two rows of one Horner
-    # pass; cs[j] is the column of x^j coefficients, the shorter polynomial
-    # padded with leading zeros
-    cs = np.zeros((max(len(num.coeffs), len(den.coeffs)), 2, 1), dtype=np.int64)
-    cs[: len(num.coeffs), 0, 0] = num.coeffs
-    cs[: len(den.coeffs), 1, 0] = den.coeffs
+    # pass; cs[j] holds the x^j coefficients, the shorter polynomial padded
+    # with leading zeros
+    cs = np.zeros((max(len(num.coeffs), len(den.coeffs)), 2), dtype=np.int64)
+    cs[: len(num.coeffs), 0] = num.coeffs
+    cs[: len(den.coeffs), 1] = den.coeffs
+    return _horner_rows(cs, p)
+
+
+def _horner_rows(cs: np.ndarray, p: int) -> np.ndarray:
+    # row i: sum_j cs[j, i] x^j at x = 0..p-1, for int64 cs in [0, p) and
+    # p < 2^31.  On F_p, x^j = x^((j-1) mod (p-1) + 1) for j >= 1, so
+    # exponents from p on are folded below p first: at most p Horner steps.
+    # The fold changes degrees: a value at infinity must not come from it.
+    if len(cs) > p:
+        folded = cs[:p].copy()
+        for j in range(p, len(cs), p - 1):  # x^j..x^(j+p-2) are x^1..x^(p-1)
+            block = cs[j : j + p - 1]
+            folded[1 : 1 + len(block)] += block
+        cs = folded % p
     xs = np.arange(p, dtype=np.int64)
-    acc = np.empty((2, p), dtype=np.int64)
-    acc[:] = cs[-1]
-    for c in cs[-2::-1]:
+    acc = np.empty((cs.shape[1], p), dtype=np.int64)
+    acc[:] = cs[-1][:, None]
+    for c in cs[-2::-1, :, None]:
         acc *= xs
         acc += c
         acc %= p
-    return acc[0], acc[1]
+    return acc
 
 
 def _modinv_many(vals: np.ndarray, p: int) -> np.ndarray:
@@ -765,7 +826,7 @@ def rational_roots(f: Poly) -> set[Fraction]:
     for r in mod_roots:
         rl = _hensel_lift(cs, fprime, r, p, pe)
         cand = _rational_reconstruction(rl, pe, num_bound, lead)
-        if cand is not None and _eval_int_poly(cs, cand) == 0:
+        if cand is not None and _is_root(cs, cand):
             roots.add(cand)
     return roots
 
@@ -785,11 +846,22 @@ def _rational_reconstruction(r: int, m: int, num_bound: int, den_bound: int) -> 
     return Fraction(r1, t1)
 
 
-def _eval_int_poly(cs: Sequence[int], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _is_root(cs: Sequence[int], x: Fraction) -> bool:
+    # a root mod a prime q not dividing v rejects most candidates cheaply;
+    # then v^n f(u/v) = sum c_i u^i v^(n-i) exactly, by Horner on ints
+    u, v = x.numerator, x.denominator
+    q = _PROBE_PRIMES[0]
+    if v % q:
+        xq, acc = u * pow(v, -1, q) % q, 0
+        for c in reversed(cs):
+            acc = (acc * xq + c) % q
+        if acc:
+            return False
+    acc, vpow = 0, 1
     for c in reversed(cs):
-        acc = acc * x + c
-    return acc
+        acc = acc * u + c * vpow
+        vpow *= v
+    return acc == 0
 
 
 def _squarefree_prime(cs: Sequence[int], tries: int = 60) -> Optional[int]:
@@ -812,15 +884,9 @@ def _squarefree_prime(cs: Sequence[int], tries: int = 60) -> Optional[int]:
 
 
 def _roots_mod_p(cs: Sequence[int], p: int) -> list[int]:
-    out = []
-    red = [c % p for c in cs]
-    for x in range(p):
-        acc = 0
-        for c in reversed(red):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            out.append(x)
-    return out
+    # the x in 0..p-1 with f(x) = 0 mod p, from one Horner pass over all x
+    red = np.array([[c % p] for c in cs], dtype=np.int64)
+    return np.flatnonzero(_horner_rows(red, p)[0] == 0).tolist()
 
 
 def _hensel_lift(cs: Sequence[int], der: Sequence[int], r: int, p: int, pe: int) -> int:

@@ -4,8 +4,8 @@ from math import gcd
 
 import pytest
 
-from lattes_lab import galois
-from lattes_lab.elliptic import CATALOG, CATALOG_BY_NAME, count_points, torsion_x_rational
+from lattes_lab import cli, galois, intmath
+from lattes_lab.elliptic import CATALOG, CATALOG_BY_NAME, Curve, count_points, torsion_x_rational
 from lattes_lab.galois import (
     Mat2Zm,
     SubgroupSpec,
@@ -237,6 +237,26 @@ def test_empirical_density_matches_the_character_sum():
         for k in (2, 3, 6, 10, 14):
             hits = sum(gcd((p + 1) ** 2 - traces[p] ** 2, k) == 1 for p in good)
             assert empirical_density(curve, k, 3000) == Fraction(hits, len(good)), (name, k)
+
+
+def test_density_never_factors_k(monkeypatch, capsys):
+    # k = 1000000007 * 1000000009: trial division would run up to 10^9, but
+    # the verdict route only strips 2, 3 and 5 from k
+    k = 1000000016000000063
+    curve = Curve(0, 0, 0, 1, 1)
+    good = curve.good_primes(3000)
+    big_a = [(p + 1) ** 2 - count_points(curve, p)[1] ** 2 for p in good]
+
+    def factorize(n):
+        raise AssertionError(f"{n} was factored")
+
+    monkeypatch.setattr(intmath, "factorize", factorize)
+    for m in (k, -k, 2 * k, 30 * k, 7 * k, 1, 0):
+        assert coprime_verdicts(curve, m, good) == [gcd(a, m) == 1 for a in big_a], m
+    small = [a for a, p in zip(big_a, good) if p <= 100]
+    hits = sum(gcd(a, k) == 1 for a in small)
+    assert cli.main(["density", "[0,0,0,1,1]", "--k", str(k), "--pmax", "100"]) == 0
+    assert capsys.readouterr().out == f"{Fraction(hits, len(small))} ({hits / len(small):.6f})\n"
 
 
 def test_empirical_density_is_worker_independent():

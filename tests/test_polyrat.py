@@ -247,6 +247,16 @@ def test_rational_roots_against_divisor_oracle():
         assert rational_roots(f) == divisor_root_oracle(f)
 
 
+def test_root_certificate_is_exact_past_the_probe_prime():
+    # a candidate that is a root mod the probe prime q but not over QQ is
+    # rejected, and a true root whose denominator q divides is accepted
+    q = polyrat._PROBE_PRIMES[0]
+    assert not polyrat._is_root([-q, 1], Fraction(0))
+    assert not polyrat._is_root([-q * q, 0, 1], Fraction(2 * q, 3))
+    assert polyrat._is_root([-1, q], Fraction(1, q))
+    assert polyrat._is_root([-q * q, 0, 1], Fraction(-q))
+
+
 def test_rational_roots_huge_constant_term():
     # roots survive even when the constant term is far too big to factor
     f = P(1, 1)  # x + 1

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from lattes_lab import cli, elliptic, exceptionality
-from lattes_lab.cli import PMAX_MAX, WORKERS_MAX, main
+from lattes_lab.cli import K_MAX, PMAX_MAX, WORKERS_MAX, main
 from lattes_lab.elliptic import Curve
 from lattes_lab.tables import TABLE_IDS, check_all_tables, check_table
 
@@ -135,17 +135,24 @@ def test_cli_density_rejects_a_prime_beyond_int64(monkeypatch, capsys):
         ["density", "[0,0,0,1,0]", "--k", "2", "--pmax", str(PMAX_MAX + 1)],
         ["verify", "d11", "--workers", str(WORKERS_MAX + 1)],
         ["table", "d4-perm-k3", "--workers", "0"],
+        ["map", "[0,0,0,1,0]", "--k", str(K_MAX + 1)],
+        ["map", "[0,0,0,1,0]", "--k", "0"],
+        ["torsion", "[0,0,0,1,0]", "--k", str(K_MAX + 1)],
+        ["torsion", "[0,0,0,1,0]", "--k", "1"],
+        ["torsion", "--D=-11", "--k", str(10**6)],
     ],
 )
 def test_cli_rejects_unbounded_sizes_before_any_work(monkeypatch, capsys, argv):
     def reached(*args, **kwargs):
-        raise AssertionError("a sieve, pool or suite ran before the bounds check")
+        raise AssertionError("a sieve, pool, suite or map ran before the bounds check")
 
     monkeypatch.setattr(exceptionality, "ProcessPoolExecutor", reached)
     monkeypatch.setattr(elliptic, "primes_upto", reached)
     monkeypatch.setattr(Curve, "good_primes", reached)
     monkeypatch.setattr(cli, "run_suite", reached)
     monkeypatch.setattr(cli, "check_table", reached)
+    monkeypatch.setattr(cli, "lattes_map", reached)
+    monkeypatch.setattr(cli, "torsion_x_rational", reached)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -160,6 +167,10 @@ def test_cli_bounds_admit_their_ends():
     assert (args.pmax, args.workers) == (PMAX_MAX, WORKERS_MAX)
     args = parser.parse_args(["verify", "d11", "--workers", "1"])
     assert args.workers == 1
+    assert parser.parse_args(["map", "[0,0,0,1,0]", "--k", str(K_MAX)]).k == K_MAX
+    assert parser.parse_args(["map", "[0,0,0,1,0]", "--k", "1"]).k == 1
+    assert parser.parse_args(["torsion", "[0,0,0,1,0]", "--k", str(K_MAX)]).k == K_MAX
+    assert parser.parse_args(["torsion", "[0,0,0,1,0]", "--k", "2"]).k == 2
 
 
 def test_cli_scan_sieves_once(monkeypatch, capsys):
