@@ -2,9 +2,10 @@
 
 Subcommands: map, table, scan, verify, density, symbol, torsion, strategy.
 Exit codes: 0 on success/match, 1 on a verification failure or table
-mismatch, 2 on usage errors (bad flags, unparseable curve or element, and
---workers, --pmax, or the --k of map and torsion beyond WORKERS_MAX,
-PMAX_MAX or K_MAX).
+mismatch, 2 on usage errors (bad flags, an unknown table id, unparseable
+curve or element, and --workers, --pmax, the --k of map, torsion and
+strategy, or the strategy --count beyond WORKERS_MAX, PMAX_MAX, K_MAX or
+COUNT_MAX).
 """
 
 from __future__ import annotations
@@ -40,6 +41,10 @@ WORKERS_MAX = 64
 # host L_50 takes 1-13 s (catalog d4, d19, [0,0,0,1/7,-3/11]) and L_64 on
 # d19 32 s, so K_MAX keeps one call well under half a minute
 K_MAX = 50
+# strategy factors k by trial division and searches prime elements for
+# congruence constraints that grow with k, so K_MAX bounds its k as well;
+# COUNT_MAX is the count the strategy suite asks for
+COUNT_MAX = 50
 
 
 def _int_in(lo: Optional[int], hi: int):
@@ -79,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_in(1, K_MAX), required=True)
 
     p = sub.add_parser("table", help="regenerate a bundled reference table and diff it")
-    p.add_argument("table_id", help=f"one of: {', '.join(TABLE_IDS)}")
+    p.add_argument("table_id", choices=TABLE_IDS)
     p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1)
 
     p = sub.add_parser("scan", help="permutation-behavior scan over good primes")
@@ -112,8 +117,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strategy", help="strategy primes for a CM discriminant")
     p.add_argument("--D", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--count", type=int, default=8)
+    p.add_argument("--k", type=_int_in(2, K_MAX), required=True)
+    p.add_argument("--count", type=_int_in(1, COUNT_MAX), default=8)
 
     return parser
 
@@ -138,9 +143,6 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.table_id not in TABLE_IDS:
-        print(f"unknown table id {args.table_id!r}; known: {', '.join(TABLE_IDS)}", file=sys.stderr)
-        return 2
     result = check_table(args.table_id, workers=args.workers)
     print(result.rendered, end="")
     if result.ok:

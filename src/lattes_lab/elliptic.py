@@ -588,28 +588,19 @@ def torsion_x_rational(curve: Curve, k: int) -> set[Fraction]:
     return roots
 
 
-def _is_perfect_square(n: int) -> bool:
-    return n > 0 and all(e % 2 == 0 for e in factorize(n).values())
-
-
-def _is_perfect_cube(n: int) -> bool:
-    if n == 0:
-        return False
-    return all(e % 3 == 0 for e in factorize(n).values())
-
-
 def torsion_classify_Ed(d: int) -> str:
     """Torsion of y^2 = x^3 + d over Q for sixth-power-free d: one of
     'C1', 'C2', 'C3', 'C6'."""
     if d == 0:
         raise ValueError("d must be nonzero")
-    if any(e >= 6 for e in factorize(d).values()):
+    exponents = factorize(d).values()
+    if any(e >= 6 for e in exponents):
         raise ValueError(f"{d} is not sixth-power-free")
     if d == 1:
         return "C6"
-    if _is_perfect_square(d) or d == -432:
+    if (d > 0 and all(e % 2 == 0 for e in exponents)) or d == -432:
         return "C3"
-    if _is_perfect_cube(d):
+    if all(e % 3 == 0 for e in exponents):
         return "C2"
     return "C1"
 

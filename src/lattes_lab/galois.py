@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Optional
 
 import numpy as np
@@ -156,14 +156,6 @@ def frobenius_congruence_check(curve: Curve, p: int, ell: int) -> bool:
     return root == (((p + 1) ** 2 - ap * ap) % ell == 0)
 
 
-def _fraction_is_square(x: Fraction) -> bool:
-    if x < 0:
-        return False
-    from math import isqrt
-
-    return isqrt(x.numerator) ** 2 == x.numerator and isqrt(x.denominator) ** 2 == x.denominator
-
-
 def k2_verdict(curve: Curve) -> tuple[bool, str, Optional[Fraction]]:
     """(exceptional, galois_type, predicted_density) for k = 2.
 
@@ -174,14 +166,13 @@ def k2_verdict(curve: Curve) -> tuple[bool, str, Optional[Fraction]]:
     2/3 for C3 and 1/3 for S3.
     """
     q = curve.psi2_squared
-    cubic = q.scale(Fraction(1, 4)).monic()
-    if rational_roots(cubic):
+    if rational_roots(q):
         return False, "reducible", None
-    c2, c1, c0 = cubic.coeffs[2], cubic.coeffs[1], cubic.coeffs[0]
-    disc = (
-        18 * c2 * c1 * c0 - 4 * c2**3 * c0 + c2**2 * c1**2 - 4 * c1**3 - 27 * c0**2
-    )
-    if _fraction_is_square(Fraction(disc)):
+    # the discriminant of the integer cubic a x^3 + b x^2 + c x + d, a
+    # rational multiple r q of q: r^4 disc(q), of the same square class
+    d, c, b, a = q.ints
+    disc = b * b * c * c - 4 * a * c**3 - 4 * b**3 * d - 27 * a * a * d * d + 18 * a * b * c * d
+    if disc >= 0 and isqrt(disc) ** 2 == disc:
         return True, "C3", Fraction(2, 3)
     return True, "S3", Fraction(1, 3)
 

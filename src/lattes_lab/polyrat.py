@@ -1,14 +1,24 @@
 """Univariate polynomials and rational maps over exact coefficient fields.
 
-Two coefficient fields are supported: the rationals (fractions.Fraction)
-and prime fields GF(p) (ints in [0, p)).  A polynomial is a coefficient
-tuple, constant term first, with no trailing zeros; the zero polynomial is
-the empty tuple.  A rational map is read in canonical form, numerator and
-denominator coprime, so equal maps have equal representations and
-projective evaluation is total: over QQ the pair is the content-1 integer
-pair (integer coefficients with joint content 1 and a positive leading
-denominator coefficient), which is also the printed form and the model that
-reduction mod p reduces; over GF(p) the denominator is monic.
+Two coefficient fields are supported: the rationals QQ and prime fields
+GF(p).  Over both, a polynomial is stored in one form: a tuple of integer
+coefficients, constant term first and with no trailing zeros (the zero
+polynomial is the empty tuple), over one positive integer denominator.
+Over QQ the pair is reduced, gcd(content, den) = 1, so equal polynomials
+have equal pairs; over GF(p) the coefficients are residues in [0, p) and
+den = 1.  Every ring operation runs on the integers and hands its result
+to one normaliser, which over QQ cancels the content against the
+denominator and over GF(p) divides by it and reduces mod p.  The field
+elements a caller reads (coefficients, leading coefficient, values) are
+Fractions over QQ and ints in [0, p) over GF(p).
+
+A rational map is read in canonical form, numerator and denominator
+coprime, so equal maps have equal representations and projective
+evaluation is total: over QQ the pair is the content-1 integer pair
+(integer coefficients with joint content 1 and a positive leading
+denominator coefficient, each over denominator 1), which is also the
+printed form and the model that reduction mod p reduces; over GF(p) the
+denominator is monic.
 
 Cancellation is eager everywhere except after reduction mod p.  There the
 coefficient-wise reduced pair is kept and its gcd is taken only when the
@@ -21,10 +31,12 @@ coprime (phi_k and psi_k^2 share no root on a nonsingular curve;
 Washington, Elliptic Curves, Lemma 3.5), so the brute-force check there
 never runs the gcd.
 
-The kernels work on whole ints or int64 rows: a long product over Q is one
-big-int product by Kronecker substitution after clearing denominators, a
-long Euclid over GF(p) eliminates by slices of int64 rows, and value
-tables are one Horner pass over all of F_p with exponents folded below p.
+The kernels work on whole ints or int64 rows: a long product is one
+big-int product of the integer coefficients by Kronecker substitution,
+over the product of the denominators; division is pseudo-division over Z
+or elimination over GF(p), a long Euclid over GF(p) eliminates by slices
+of int64 rows, and value tables are one Horner pass over all of F_p with
+exponents folded below p.
 """
 
 from __future__ import annotations
@@ -66,28 +78,6 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def inv(a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / a
-
     def __repr__(self):
         return "QQ"
 
@@ -103,7 +93,7 @@ class PrimeField:
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.zero = 0
-        self.one = 1 % p
+        self.one = 1
 
     def coerce(self, v):
         p = self.p
@@ -116,23 +106,6 @@ class PrimeField:
             return v.numerator * pow(den, -1, p) % p
         raise TypeError(f"cannot coerce {v!r} into GF({p})")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of 0 mod {self.p}")
-        return pow(a, -1, self.p)
-
     def __repr__(self):
         return f"GF({self.p})"
 
@@ -143,60 +116,90 @@ def GF(p: int) -> PrimeField:
 
 
 class Poly:
-    """Univariate polynomial over QQ or GF(p), constant term first."""
+    """Univariate polynomial over QQ or GF(p), constant term first.
 
-    __slots__ = ("field", "coeffs")
+    Stored as `ints`, a tuple of integer coefficients with no trailing
+    zeros, over `den`, a positive integer: over QQ with gcd(content, den)
+    = 1, over GF(p) as residues in [0, p) with den = 1.  `coeffs` and
+    `leading` read field elements (Fractions over QQ).  Each operation
+    computes integers and passes them, with their denominator, to
+    `_normalize`, the only place where content is cancelled and residues
+    are taken."""
 
-    def __init__(self, field, coeffs: Iterable = (), *, _trusted=False):
-        self.field = field
-        if _trusted:
-            self.coeffs = tuple(coeffs)
-            return
+    __slots__ = ("field", "ints", "den")
+
+    def __init__(self, field, coeffs: Iterable = ()):
         cs = [field.coerce(c) for c in coeffs]
-        while cs and cs[-1] == field.zero:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = int_lcm(*(c.denominator for c in cs))
+        self._normalize(field, [c.numerator * (den // c.denominator) for c in cs], den)
+
+    def _normalize(self, field, ints: Sequence[int], den: int):
+        # store ints/den in the reduced form: over QQ divided by
+        # gcd(content, den) with den made positive, over GF(p) multiplied by
+        # den^-1 mod p; trailing zeros stripped
+        p = field.p
+        if p is None:
+            g = int_gcd(den, *ints)
+            if den < 0:
+                g = -g
+            ints = [c // g for c in ints] if g != 1 else list(ints)
+            den //= g
+        else:
+            inv = pow(den, -1, p) if den != 1 else 1
+            ints = [c * inv % p for c in ints] if inv != 1 else [c % p for c in ints]
+            den = 1
+        while ints and ints[-1] == 0:
+            ints.pop()
+        self.field, self.ints, self.den = field, tuple(ints), den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(field) -> "Poly":
-        return Poly(field, (), _trusted=True)
+        return _poly(field, [])
 
     @staticmethod
     def one(field) -> "Poly":
-        return Poly(field, (field.one,), _trusted=True)
+        return _poly(field, [1])
 
     @staticmethod
     def x(field) -> "Poly":
-        return Poly(field, (field.zero, field.one), _trusted=True)
+        return _poly(field, [0, 1])
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as field elements, constant term first."""
+        if self.field is QQ:
+            return tuple(Fraction(c, self.den) for c in self.ints)
+        return self.ints
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     @property
     def leading(self):
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den) if self.field is QQ else self.ints[-1]
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
             and self.field is other.field
-            and self.coeffs == other.coeffs
+            and self.ints == other.ints
+            and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.ints, self.den))
 
     def __repr__(self):
         return f"Poly({self.field}, {format_poly(self)!r})"
@@ -204,48 +207,36 @@ class Poly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        while out and out[-1] == F.zero:
-            out.pop()
-        return Poly(F, out, _trusted=True)
+        return self._add(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._add(other, -1)
+
+    def _add(self, other: "Poly", sign: int) -> "Poly":
+        # self + sign * other over the common denominator
+        den = int_lcm(self.den, other.den)
+        out = [c * (den // self.den) for c in self.ints] if self.den != den else list(self.ints)
+        out += [0] * (len(other.ints) - len(out))
+        m = sign * (den // other.den)
+        for i, c in enumerate(other.ints):
+            out[i] += m * c
+        return _poly(self.field, out, den)
 
     def __neg__(self) -> "Poly":
-        F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs], _trusted=True)
+        return _poly(self.field, [-c for c in self.ints], self.den)
 
     def __mul__(self, other) -> "Poly":
-        F = self.field
         if not isinstance(other, Poly):
             return self.scale(other)
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly.zero(F)
-        if F is QQ:
-            out = _qq_mul(a, b)
-        else:
-            p = F.p
-            out = [c % p for c in _int_mul(a, b)]
-        while out and out[-1] == F.zero:
-            out.pop()
-        return Poly(F, out, _trusted=True)
+        if not self.ints or not other.ints:
+            return Poly.zero(self.field)
+        return _poly(self.field, _int_mul(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
-        F = self.field
-        c = F.coerce(c)
-        if c == F.zero:
-            return Poly.zero(F)
-        return Poly(F, [F.mul(c, a) for a in self.coeffs], _trusted=True)
+        n, d = self.field.coerce(c).as_integer_ratio()
+        return _poly(self.field, [n * a for a in self.ints], self.den * d)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -260,27 +251,17 @@ class Poly:
         return result
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        # s a = q b + r on the integer parts gives self = (q b.den / (s den)) other
+        # + r / (s den), with den = self.den
         F = self.field
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return Poly.zero(F), self
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dlead_inv = F.inv(div[-1])
-        dd = len(div) - 1
-        quot = [F.zero] * (len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c == F.zero:
-                continue
-            q = F.mul(c, dlead_inv)
-            quot[i - dd] = q
-            for j in range(dd + 1):
-                rem[i - dd + j] = F.sub(rem[i - dd + j], F.mul(q, div[j]))
-        while rem and rem[-1] == F.zero:
-            rem.pop()
-        return Poly(F, quot), Poly(F, rem, _trusted=True)
+        if F is QQ:
+            q, r, s = _int_pdivmod(self.ints, other.ints)
+        else:
+            (q, r), s = _fp_divmod(self.ints, other.ints, F.p), 1
+        den = s * self.den
+        return _poly(F, [c * other.den for c in q], den), _poly(F, r, den)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -291,37 +272,36 @@ class Poly:
     # -- maps --------------------------------------------------------------
 
     def __call__(self, x):
-        """Evaluate by Horner's rule."""
+        """Evaluate by Horner's rule on the integers: over QQ at x = u/v as
+        sum_i ints[i] u^i v^(n-i) over den v^n, over GF(p) mod p."""
         F = self.field
-        x = F.coerce(x)
-        acc = F.zero
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
+        u, v = F.coerce(x).as_integer_ratio()
+        acc = 0
+        if F is QQ:
+            vpow = 1
+            for c in reversed(self.ints):
+                acc = acc * u + c * vpow
+                vpow *= v
+            return Fraction(acc * v, self.den * vpow)
+        p = F.p
+        for c in reversed(self.ints):
+            acc = (acc * u + c) % p
         return acc
 
     def derivative(self) -> "Poly":
-        F = self.field
-        return Poly(F, [F.mul(F.coerce(i), c) for i, c in enumerate(self.coeffs)][1:])
+        return _poly(self.field, [i * c for i, c in enumerate(self.ints)][1:], self.den)
 
     def monic(self) -> "Poly":
         if self.is_zero:
             return self
-        F = self.field
-        if self.leading == F.one:
-            return self
-        return self.scale(F.inv(self.leading))
+        return _poly(self.field, self.ints, self.ints[-1])
 
 
-def _qq_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    # clear each factor's denominators, multiply over Z, divide once
-    da = int_lcm(*(c.denominator for c in a))
-    db = int_lcm(*(c.denominator for c in b))
-    out = _int_mul([c.numerator if da == 1 else c.numerator * (da // c.denominator) for c in a],
-                   [c.numerator if db == 1 else c.numerator * (db // c.denominator) for c in b])
-    d = da * db
-    if d == 1:
-        return [Fraction(c) for c in out]
-    return [Fraction(c, d) for c in out]
+def _poly(field, ints: Sequence[int], den: int = 1) -> Poly:
+    # the Poly ints/den over field, normalized
+    f = object.__new__(Poly)
+    f._normalize(field, ints, den)
+    return f
 
 
 # below this many coefficients in the shorter factor, the schoolbook double
@@ -363,16 +343,16 @@ def format_poly(f: Poly, var: str = "x") -> str:
         return "0"
     parts = []
     for i in range(f.degree, -1, -1):
-        c = f.coeffs[i]
-        if c == f.field.zero:
+        if not f.ints[i]:
             continue
+        c = Fraction(f.ints[i], f.den)
         if i == 0:
             term = str(c)
         else:
             xpow = var if i == 1 else f"{var}^{i}"
-            if c == f.field.one:
+            if c == 1:
                 term = xpow
-            elif f.field is QQ and c == -1:
+            elif c == -1:
                 term = f"-{xpow}"
             elif "/" in str(c):
                 term = f"({c}){xpow}"
@@ -392,8 +372,8 @@ def format_poly(f: Poly, var: str = "x") -> str:
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd.  Over QQ a primitive remainder sequence on integer-cleared
-    polynomials avoids the coefficient blow-up of naive Fraction Euclid."""
+    """Monic gcd.  Over QQ a primitive remainder sequence on the integer
+    coefficients avoids the coefficient blow-up of naive Fraction Euclid."""
     if f.field is not g.field:
         raise TypeError("gcd of polynomials over different fields")
     F = f.field
@@ -403,10 +383,8 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return f.monic()
     if F is QQ:
         return _qq_gcd(f, g)
-    p = F.p
-    a, b = list(f.coeffs), list(g.coeffs)
-    a, b = _fp_gcd(a, b, p)
-    return Poly(F, a).monic()
+    a, _ = _fp_gcd(f.ints, g.ints, F.p)
+    return _poly(F, a, a[-1])
 
 
 # the divisor length from which _fp_gcd runs its Euclid steps on int64 rows
@@ -416,13 +394,12 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 _ROW_EUCLID_MIN = 24
 
 
-def _fp_gcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+def _fp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
     # Euclid over GF(p) on coefficient lists: (last nonzero remainder, [])
     if len(b) >= _ROW_EUCLID_MIN and p < 1 << 31:
         a, b = _fp_gcd_rows(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
     while b:
-        a = _fp_mod(a, b, p)
-        a, b = b, a
+        a, b = b, _fp_divmod(a, b, p)[1]
     return a, b
 
 
@@ -443,28 +420,32 @@ def _fp_gcd_rows(a: np.ndarray, b: np.ndarray, p: int) -> tuple[list[int], list[
     return a.tolist(), b.tolist()
 
 
-def _fp_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    a = a[:]
+def _fp_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    # (quotient, remainder) of residue lists over GF(p); each step stores
+    # its quotient coefficient in the slot of a it clears, so the quotient
+    # costs Euclid nothing beyond the final slice
+    a = list(a)
     db = len(b) - 1
     inv = pow(b[-1], -1, p)
     for i in range(len(a) - 1, db - 1, -1):
         c = a[i]
         if c:
-            q = c * inv % p
-            for j in range(db + 1):
+            q = a[i] = c * inv % p
+            for j in range(db):
                 a[i - db + j] = (a[i - db + j] - q * b[j]) % p
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+    r = a[:db]
+    while r and r[-1] == 0:
+        r.pop()
+    return a[db:], r
 
 
 def _int_clear(*polys: Poly) -> list[list[int]]:
-    """The coefficient lists of the polynomials over QQ scaled by one
-    rational factor to integers with joint content 1 and a positive leading
-    coefficient in the last one, which must be nonzero."""
-    lcm = int_lcm(*(c.denominator for f in polys for c in f.coeffs))
-    ints = [[c.numerator * (lcm // c.denominator) for c in f.coeffs] for f in polys]
-    content = _int_content(c for cs in ints for c in cs)
+    """The integer coefficient lists of the polynomials over QQ put over one
+    denominator, divided by their joint content and signed so that the last
+    one, which must be nonzero, has a positive leading coefficient."""
+    den = int_lcm(*(f.den for f in polys))
+    ints = [[c * (den // f.den) for c in f.ints] for f in polys]
+    content = int_gcd(*(c for cs in ints for c in cs))
     if ints[-1][-1] < 0:
         content = -content
     if content != 1:
@@ -472,41 +453,43 @@ def _int_clear(*polys: Poly) -> list[list[int]]:
     return ints
 
 
-def _int_content(cs: Iterable[int]) -> int:
-    g = 0
-    for c in cs:
-        g = int_gcd(g, c)
-        if g == 1:
-            break
-    return g
-
-
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    # pseudo-remainder of a by b over Z
-    a = a[:]
+def _int_pdivmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    # pseudo-division over Z: (q, r, s) with s a = q b + r, deg r < deg b and
+    # s a nonzero integer.  A step scales by lead(b) / gcd(lead(b), c) for
+    # the leading c only, so an exact division by a primitive b never
+    # scales; as in _fp_divmod, the quotient fills the slots of a it clears
+    a = list(a)
     db = len(b) - 1
     lb = b[-1]
-    while len(a) - 1 >= db and a:
-        da = len(a) - 1
-        la = a[-1]
-        a = [c * lb for c in a]
-        for j in range(db + 1):
-            a[da - db + j] -= la * b[j]
-        while a and a[-1] == 0:
-            a.pop()
-    return a
+    s = 1
+    for i in range(len(a) - 1, db - 1, -1):
+        c = a[i]
+        if c:
+            g = int_gcd(c, lb)
+            t = lb // g
+            if t != 1:
+                a = [x * t for x in a]
+                s *= t
+            q = a[i] = c // g
+            for j in range(db):
+                a[i - db + j] -= q * b[j]
+    r = a[:db]
+    while r and r[-1] == 0:
+        r.pop()
+    return a[db:], r, s
 
 
 def _qq_gcd(f: Poly, g: Poly) -> Poly:
-    [a], [b] = _int_clear(f), _int_clear(g)
+    a, b = f.ints, g.ints
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _int_prem(a, b)
+        _, r, _ = _int_pdivmod(a, b)
         if r:
-            r = [c // _int_content(r) for c in r]
+            content = int_gcd(*r)
+            r = [c // content for c in r]
         a, b = b, r
-    return Poly(QQ, [Fraction(c) for c in a]).monic()
+    return _poly(QQ, a, a[-1])
 
 
 _PROBE_PRIMES = (2147483647, 2147483629, 2147483587, 2147483563, 2147483549)
@@ -601,17 +584,17 @@ class RatMap:
                 return INFINITY
             if dn < dd:
                 return F.zero
-            return F.mul(num.leading, F.inv(den.leading))
+            return F.coerce(Fraction(num.leading, den.leading))
         nv = num(x)
         dv = den(x)
-        if dv == F.zero:
-            if nv == F.zero:
+        if dv == 0:
+            if nv == 0:
                 if self._coprime:
                     raise ArithmeticError("0/0 during projective evaluation: map not canonical")
                 self._cancel()
                 return self.eval_proj(x)
             return INFINITY
-        return F.mul(nv, F.inv(dv))
+        return F.coerce(Fraction(nv, dv))
 
     def compose(self, inner: "RatMap") -> "RatMap":
         """self(inner(x)) as a canonical rational map."""
@@ -624,12 +607,12 @@ class RatMap:
             powers_n.append(powers_n[-1] * n)
             powers_d.append(powers_d[-1] * d)
         num_out = Poly.zero(F)
-        for i, c in enumerate(self.num.coeffs):
-            if c != F.zero:
+        for i, c in enumerate(self.num.ints):
+            if c:
                 num_out = num_out + (powers_n[i] * powers_d[deg - i]).scale(c)
         den_out = Poly.zero(F)
-        for i, c in enumerate(self.den.coeffs):
-            if c != F.zero:
+        for i, c in enumerate(self.den.ints):
+            if c:
                 den_out = den_out + (powers_n[i] * powers_d[deg - i]).scale(c)
         return RatMap(num_out, den_out)
 
@@ -646,7 +629,7 @@ class RatMap:
         if self.field is not QQ:
             raise TypeError("reduce_mod_p applies to maps over QQ")
         F = GF(p)
-        num, den = (Poly(F, _reduce_ints(f.coeffs, p), _trusted=True) for f in (self.num, self.den))
+        num, den = (_poly(F, f.ints) for f in (self.num, self.den))
         if den.is_zero:
             raise ZeroDivisionError(f"denominator vanishes identically mod {p}")
         if num.is_zero:
@@ -691,14 +674,6 @@ class RatMap:
         return out
 
 
-def _reduce_ints(cs: Sequence[Fraction], p: int) -> list[int]:
-    # integral coefficients mod p, trailing zeros stripped
-    out = [c.numerator % p for c in cs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
     F = num.field
     if num.is_zero:
@@ -709,25 +684,22 @@ def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 ni, di = _int_clear(num // g, den // g)
-        return Poly(QQ, ni), Poly(QQ, di)
+        return _poly(QQ, ni), _poly(QQ, di)
     g = poly_gcd(num, den)
     if g.degree > 0:
         num = num // g
         den = den // g
-    lead_inv = F.inv(den.leading)
-    if den.leading != F.one:
-        num = num.scale(lead_inv)
-        den = den.scale(lead_inv)
-    return num, den
+    lead = den.ints[-1]
+    return _poly(F, num.ints, lead), _poly(F, den.ints, lead)
 
 
 def _horner_pair(num: Poly, den: Poly, p: int) -> np.ndarray:
     # num and den over GF(p) at x = 0..p-1, as the two rows of one Horner
     # pass; cs[j] holds the x^j coefficients, the shorter polynomial padded
     # with leading zeros
-    cs = np.zeros((max(len(num.coeffs), len(den.coeffs)), 2), dtype=np.int64)
-    cs[: len(num.coeffs), 0] = num.coeffs
-    cs[: len(den.coeffs), 1] = den.coeffs
+    cs = np.zeros((max(len(num.ints), len(den.ints)), 2), dtype=np.int64)
+    cs[: len(num.ints), 0] = num.ints
+    cs[: len(den.ints), 1] = den.ints
     return _horner_rows(cs, p)
 
 
@@ -769,7 +741,7 @@ def format_ratmap(f: RatMap, var: str = "x") -> str:
     """The canonical pair as '(num)/(den)' with descending powers, e.g.
     '(x^4 - 16x)/(4x^3 + 8)' over QQ; just 'num' when den is 1."""
     num, den = f.num, f.den
-    if den.degree == 0 and den.coeffs[0] == f.field.one:
+    if den == Poly.one(f.field):
         return format_poly(num, var)
     return f"({format_poly(num, var)})/({format_poly(den, var)})"
 
@@ -809,7 +781,7 @@ def rational_roots(f: Poly) -> set[Fraction]:
     p = _squarefree_prime(cs)
     if p is None:
         # repeated factors over QQ: recurse on the squarefree part
-        sq = Poly(QQ, [Fraction(c) for c in cs])
+        sq = _poly(QQ, cs)
         sq = sq // poly_gcd(sq, sq.derivative())
         return roots | rational_roots(sq)
     mod_roots = _roots_mod_p(cs, p)

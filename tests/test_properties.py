@@ -7,11 +7,11 @@ from math import gcd
 
 from hypothesis import assume, given, settings, strategies as st
 
-from lattes_lab import polyrat
-from lattes_lab.elliptic import Curve, count_points
+from lattes_lab import elliptic, polyrat
+from lattes_lab.elliptic import Curve, count_points, frobenius_trace
 from lattes_lab.galois import coprime_verdicts
 from lattes_lab.intmath import primes_upto
-from lattes_lab.polyrat import GF, INFINITY, QQ, Poly, RatMap
+from lattes_lab.polyrat import GF, INFINITY, QQ, Poly, RatMap, format_poly
 
 PRIMES = [p for p in primes_upto(3000) if p >= 5]
 
@@ -49,6 +49,18 @@ def test_coprime_verdicts_match_count_points(curve, low, high, with_5):
         assert coprime_verdicts(curve, k, good) == [gcd(a, k) == 1 for a in big_a], k
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    curve=curves(),
+    primes=st.lists(st.sampled_from([p for p in primes_upto(10**4) if p > elliptic._BSGS_FROM]), min_size=1, max_size=4),
+)
+def test_shanks_mestre_matches_the_character_sum(curve, primes):
+    # above the crossover frobenius_trace takes baby-step giant-step
+    for p in primes:
+        if curve.has_good_reduction(p):
+            assert frobenius_trace(curve, p) == count_points(curve, p)[1], p
+
+
 # -- polynomial kernels against their plain references ---------------------------
 
 KERNELS = settings(max_examples=80, derandomize=True, database=None, deadline=None)
@@ -71,7 +83,7 @@ def horner(cs, x, p):
 
 def list_euclid(a, b, p):
     while b:
-        a = polyrat._fp_mod(a, b, p)
+        a = polyrat._fp_divmod(a, b, p)[1]
         a, b = b, a
     return a
 
@@ -110,7 +122,9 @@ def test_rational_multiply_matches_fraction_schoolbook(a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    assert polyrat._qq_mul(a, b) == out
+    while out and out[-1] == 0:
+        out.pop()
+    assert list((Poly(QQ, a) * Poly(QQ, b)).coeffs) == out
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 31]
@@ -199,3 +213,141 @@ def test_rational_roots_find_planted_roots_and_only_roots(roots, cofactor):
     assert set(roots) <= found
     for r in found:
         assert sum((c * r**i for i, c in enumerate(f.coeffs)), Fraction(0)) == 0
+
+
+# -- the stored form of Poly against Fraction-list arithmetic ---------------------
+
+
+class FieldLists:
+    """Coefficient lists of field elements, constant term first, with the
+    plain per-coefficient arithmetic: Fractions over QQ (p None), residues
+    mod p over GF(p)."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def norm(self, c):
+        return Fraction(c) if self.p is None else c % self.p
+
+    def div(self, a, b):
+        return Fraction(a) / b if self.p is None else a * pow(b, -1, self.p) % self.p
+
+    def trim(self, cs):
+        cs = [self.norm(c) for c in cs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    def add(self, a, b, sign=1):
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] += sign * c
+        return self.trim(out)
+
+    def mul(self, a, b):
+        if not a or not b:
+            return []
+        return self.trim(schoolbook(a, b))
+
+    def divmod(self, a, b):
+        a, b = self.trim(a), self.trim(b)
+        q = [0] * max(len(a) - len(b) + 1, 0)
+        for i in range(len(a) - len(b), -1, -1):
+            c = q[i] = self.div(a[i + len(b) - 1], b[-1])
+            for j, bj in enumerate(b):
+                a[i + j] = self.norm(a[i + j] - c * bj)
+        return self.trim(q), self.trim(a)
+
+    def eval(self, a, x):
+        acc = self.norm(0)
+        for c in reversed(a):
+            acc = self.norm(acc * x + c)
+        return acc
+
+    def monic(self, a):
+        return [self.div(c, a[-1]) for c in a] if a else []
+
+    def derivative(self, a):
+        return self.trim([i * c for i, c in enumerate(a)][1:])
+
+    def format(self, a):
+        terms = []
+        for i in range(len(a) - 1, -1, -1):
+            c, xpow = a[i], "x" if i == 1 else f"x^{i}"
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            elif c == 1:
+                terms.append(xpow)
+            elif c == -1:
+                terms.append("-" + xpow)
+            else:
+                terms.append(f"({c}){xpow}" if "/" in str(c) else f"{c}{xpow}")
+        if not terms:
+            return "0"
+        return terms[0] + "".join(" - " + t[1:] if t[0] == "-" else " + " + t for t in terms[1:])
+
+
+@st.composite
+def field_lists(draw, n):
+    p = draw(st.one_of(st.none(), st.sampled_from([2, 3, 5, 7, 13, 31])))
+    elems = st.fractions(max_denominator=50) if p is None else st.integers(-(10**6), 10**6)
+    return (p, *(draw(st.lists(elems, max_size=12)) for _ in range(n)))
+
+
+@KERNELS
+@given(inputs=field_lists(3))
+def test_poly_arithmetic_matches_field_element_lists(inputs):
+    p, a, b, xs = inputs
+    R, F = FieldLists(p), QQ if p is None else GF(p)
+
+    def check(h, want):
+        # the stored form: reduced integers over a positive denominator over
+        # QQ, residues over 1 over GF(p); and the same Poly as the reference
+        if p is None:
+            assert h.den > 0 and gcd(h.den, *h.ints) == 1
+        else:
+            assert h.den == 1 and all(0 <= c < p for c in h.ints)
+        assert not h.ints or h.ints[-1] != 0
+        assert list(h.coeffs) == want and h == Poly(F, want)
+        assert all(type(c) is (Fraction if p is None else int) for c in h.coeffs)
+
+    f, g = Poly(F, a), Poly(F, b)
+    a, b = R.trim(a), R.trim(b)
+    check(f, a)
+    check(g, b)
+    check(f + g, R.add(a, b))
+    check(f - g, R.add(a, b, -1))
+    check(-f, R.add([], a, -1))
+    check(f * g, R.mul(a, b))
+    if b:
+        q, r = divmod(f, g)
+        want_q, want_r = R.divmod(a, b)
+        check(q, want_q)
+        check(r, want_r)
+    for x in xs:
+        x = R.norm(x)
+        assert f(x) == R.eval(a, x)
+    check(f.monic(), R.monic(a))
+    check(f.derivative(), R.derivative(a))
+    assert format_poly(f) == R.format(a)
+
+
+@KERNELS
+@given(
+    inputs=field_lists(1),
+    ints=st.lists(st.integers(-(10**6), 10**6), max_size=12),
+    zeros=st.integers(0, 3),
+    k=st.integers(2, 60),
+)
+def test_equal_polys_have_one_stored_form_and_hash(inputs, ints, zeros, k):
+    p, a = inputs
+    F = QQ if p is None else GF(p)
+    # integers given as ints, with trailing zeros, and as Fractions
+    f, g = Poly(F, ints + [0] * zeros), Poly(F, [Fraction(c) for c in ints])
+    assert f == g and hash(f) == hash(g)
+    # the same elements reached through a scaling by k and by 1/k
+    if p is None or k % p:
+        f, g = Poly(F, a), Poly(F, [k * c for c in a]).scale(Fraction(1, k))
+        assert f == g and hash(f) == hash(g)

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from lattes_lab import cli, elliptic, exceptionality
-from lattes_lab.cli import K_MAX, PMAX_MAX, WORKERS_MAX, main
+from lattes_lab.cli import COUNT_MAX, K_MAX, PMAX_MAX, WORKERS_MAX, main
 from lattes_lab.elliptic import Curve
 from lattes_lab.tables import TABLE_IDS, check_all_tables, check_table
 
@@ -38,7 +38,11 @@ def test_identity_and_collapse_rows():
 
 
 def run_cli(*args):
-    return main(list(args))
+    # the exit status, also where argparse rejects the arguments
+    try:
+        return main(list(args))
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_cli_map(capsys):
@@ -140,6 +144,12 @@ def test_cli_density_rejects_a_prime_beyond_int64(monkeypatch, capsys):
         ["torsion", "[0,0,0,1,0]", "--k", str(K_MAX + 1)],
         ["torsion", "[0,0,0,1,0]", "--k", "1"],
         ["torsion", "--D=-11", "--k", str(10**6)],
+        ["strategy", "--D=-11", "--k", "1"],
+        ["strategy", "--D=-11", "--k", str(K_MAX + 1)],
+        ["strategy", "--D=-11", "--k", "3000000048000000189"],
+        ["strategy", "--D=-4", "--k", "3", "--count", "0"],
+        ["strategy", "--D=-4", "--k", "3", "--count", str(COUNT_MAX + 1)],
+        ["strategy", "--D=-4", "--k", "3", "--count", "100000000"],
     ],
 )
 def test_cli_rejects_unbounded_sizes_before_any_work(monkeypatch, capsys, argv):
@@ -153,11 +163,21 @@ def test_cli_rejects_unbounded_sizes_before_any_work(monkeypatch, capsys, argv):
     monkeypatch.setattr(cli, "check_table", reached)
     monkeypatch.setattr(cli, "lattes_map", reached)
     monkeypatch.setattr(cli, "torsion_x_rational", reached)
+    monkeypatch.setattr(cli, "strategy_primes", reached)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     flag = argv[-2]
     assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+def test_cli_table_rejects_an_unknown_id_before_any_work(monkeypatch, capsys):
+    def reached(*args, **kwargs):
+        raise AssertionError("a table was built for an unknown id")
+
+    monkeypatch.setattr(cli, "check_table", reached)
+    assert run_cli("table", "nope") == 2
+    assert "argument table_id: invalid choice: 'nope'" in capsys.readouterr().err
 
 
 def test_cli_bounds_admit_their_ends():
@@ -171,6 +191,10 @@ def test_cli_bounds_admit_their_ends():
     assert parser.parse_args(["map", "[0,0,0,1,0]", "--k", "1"]).k == 1
     assert parser.parse_args(["torsion", "[0,0,0,1,0]", "--k", str(K_MAX)]).k == K_MAX
     assert parser.parse_args(["torsion", "[0,0,0,1,0]", "--k", "2"]).k == 2
+    args = parser.parse_args(["strategy", "--D=-11", "--k", str(K_MAX), "--count", str(COUNT_MAX)])
+    assert (args.k, args.count) == (K_MAX, COUNT_MAX)
+    args = parser.parse_args(["strategy", "--D=-11", "--k", "2", "--count", "1"])
+    assert (args.k, args.count) == (2, 1)
 
 
 def test_cli_scan_sieves_once(monkeypatch, capsys):
