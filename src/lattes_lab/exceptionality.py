@@ -21,6 +21,7 @@ from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 from .elliptic import (
+    CATALOG_BY_NAME,
     Curve,
     _frobenius_trace,
     cm_disc_for,
@@ -41,7 +42,7 @@ from .intmath import (
     prime_stream,
     primes_between,
 )
-from .quadorder import find_prime_element, prime_above, quad_order, splitting_type
+from .quadorder import prime_above, prime_elements, quad_order, splitting_type
 
 # -- trace records -------------------------------------------------------------
 
@@ -481,54 +482,42 @@ _CHECK_CURVE_NAME = {
 }
 
 
+# the element search walks the split primes up to this norm, 2000 * 4**8,
+# before it gives up on a row
+_STRATEGY_NORM_CAP = 131_072_000
+
+
 def strategy_primes(D: int, k: int, count: int) -> list[int]:
     """The first `count` primes from the strategy row for (D, k); each one
     is checked to satisfy gcd(A_p, k) = 1 for the catalog curve of the
     discriminant, so an unsound recipe fails loudly."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    from .elliptic import CATALOG_BY_NAME
-
     name = _CHECK_CURVE_NAME.get(D)
-    entry = CATALOG_BY_NAME[name] if name else None
-    curve = entry.curve if entry else None
-    disc = entry.cm_disc if entry else None
+    curve = CATALOG_BY_NAME[name].curve if name else None
     conds = _congruence_recipe(D, k)
-    primes: list[int] = []
     if conds is not None:
-        for p in prime_stream(conds):
-            if p < 5 or (curve is not None and not curve.has_good_reduction(p)):
-                continue
-            primes.append(p)
-            if len(primes) == count:
-                break
+        stream = prime_stream(conds)
     else:
         search_D = -3 if D in (-3, -27) else D
-        constraints = _element_constraints(D, k)
-        bound = 2000
-        while True:
-            elems = find_prime_element(search_D, constraints, bound, 12 * count)
-            seen = []
-            for z in elems:
-                p = z.norm()
-                if p in seen or p < 5:
-                    continue
-                if curve is not None and not curve.has_good_reduction(p):
-                    continue
-                seen.append(p)
-            if len(seen) >= count:
-                primes = seen[:count]
-                break
-            if bound > 10**8:
-                raise ArithmeticError(f"strategy search exhausted for D={D}, k={k}")
-            bound *= 4
+        elements = prime_elements(search_D, _element_constraints(D, k), _STRATEGY_NORM_CAP)
+        stream = (z.norm() for z in elements)
+    primes: list[int] = []
+    # one ascending walk, so a repeated norm is the last one kept
+    for p in stream:
+        if p < 5 or p in primes[-1:] or (curve is not None and not curve.has_good_reduction(p)):
+            continue
+        primes.append(p)
+        if len(primes) == count:
+            break
+    else:
+        raise ArithmeticError(f"strategy search exhausted for D={D}, k={k}")
     if curve is not None:
         for p in primes:
-            rec = trace_record(curve, p, disc)
-            if gcd(rec.Ap, k) != 1:
-                raise ArithmeticError(
-                    f"strategy for D={D}, k={k} emitted p={p} with gcd {gcd(rec.Ap, k)}"
-                )
+            ap = frobenius_trace(curve, p)
+            g = gcd((p + 1) ** 2 - ap * ap, k)
+            if g != 1:
+                raise ArithmeticError(f"strategy for D={D}, k={k} emitted p={p} with gcd {g}")
     return primes
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from itertools import islice
 from math import isqrt
 from typing import Iterable, Iterator, Optional
 
@@ -322,21 +323,19 @@ def _primes_by_doubling(limit: int) -> Iterator[int]:
         lo, hi = hi, 2 * hi
 
 
-def find_prime_element(
+def prime_elements(
     D: int,
     constraints: Iterable[tuple[QuadInt, QuadInt]],
     norm_bound: int,
-    count: int,
-) -> list[QuadInt]:
-    """Up to `count` elements pi, ascending in norm, such that N(pi) is a
-    split rational prime <= norm_bound and pi = target (mod modulus) for
-    every (target, modulus) constraint.  Ties in norm are ordered as in
+) -> Iterator[QuadInt]:
+    """The elements pi, ascending in norm, such that N(pi) is a split
+    rational prime <= norm_bound and pi = target (mod modulus) for every
+    (target, modulus) constraint.  Ties in norm are ordered as in
     norm_solutions.
 
-    The search walks the split primes p <= norm_bound upward and keeps the
-    elements of norm p that meet the constraints, stopping after the first
-    p at which `count` elements are kept.  The result is the first `count`
-    of the exhaustive list up to the bound, and is deterministic.
+    The constraints are checked at the call (ValueError).  The walk over
+    the split primes is lazy: a caller that stops early solves the norm
+    equation only at the primes up to the last element it read.
     """
     order = quad_order(D)
     s, n = order.s, order.n
@@ -351,20 +350,32 @@ def find_prime_element(
         mc = modulus.conj()
         tc = target * mc
         tests.append((mc.a, mc.b, tc.a, tc.b, modulus.norm()))
-    found = []
-    for p in _primes_by_doubling(norm_bound):
-        if kronecker(D, p) != 1:
-            continue
-        sols = _split_prime_solutions(order, p) if p > 2 else norm_solutions(D, p)
-        for a, b in sols:
-            if all(
-                (a * c - n * b * d - ta) % nm == 0 and (a * d + b * c + s * b * d - tb) % nm == 0
-                for c, d, ta, tb, nm in tests
-            ):
-                found.append(order.element(a, b))
-        if 0 <= count <= len(found):
-            break
-    return found[:count]
+
+    def walk() -> Iterator[QuadInt]:
+        for p in _primes_by_doubling(norm_bound):
+            if kronecker(D, p) != 1:
+                continue
+            sols = _split_prime_solutions(order, p) if p > 2 else norm_solutions(D, p)
+            for a, b in sols:
+                if all(
+                    (a * c - n * b * d - ta) % nm == 0 and (a * d + b * c + s * b * d - tb) % nm == 0
+                    for c, d, ta, tb, nm in tests
+                ):
+                    yield order.element(a, b)
+
+    return walk()
+
+
+def find_prime_element(
+    D: int,
+    constraints: Iterable[tuple[QuadInt, QuadInt]],
+    norm_bound: int,
+    count: int,
+) -> list[QuadInt]:
+    """The first `count` elements of prime_elements(D, constraints,
+    norm_bound): the first `count` of the exhaustive list up to the bound,
+    deterministic, and found without walking past the norm of the last."""
+    return list(islice(prime_elements(D, constraints, norm_bound), count))
 
 
 def deuring_consistency(curve: Curve, D: int, p: int) -> bool:

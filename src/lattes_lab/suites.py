@@ -275,15 +275,15 @@ def suite_strategies(count: int = 50) -> SuiteResult:
     return res
 
 
-def suite_density(pmax: int = 100000, tolerance: float = 0.02, workers: int = 1) -> SuiteResult:
-    """Empirical k = 2 densities against the Galois predictions, plus the
-    exact enumerated densities of C_m."""
+def suite_density(pmax: int = 100000, tolerance: Fraction = Fraction(1, 50), workers: int = 1) -> SuiteResult:
+    """Empirical k = 2 densities against the Galois predictions, within
+    `tolerance` exactly, plus the exact enumerated densities of C_m."""
     res = SuiteResult("density")
     for name, target in (("k2-s3", Fraction(1, 3)), ("k2-c3", Fraction(2, 3))):
         d = empirical_density(CATALOG_BY_NAME[name].curve, 2, pmax, workers=workers)
         delta = abs(float(d) - float(target))
         res.check(
-            delta <= tolerance,
+            abs(d - target) <= tolerance,
             f"{name}: density {float(d):.4f} vs {target} off by {delta:.4f}",
         )
         res.log(f"{name}: empirical {float(d):.4f} vs predicted {target} (|diff| {delta:.4f})")

@@ -1,36 +1,85 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line.
 
-Criterion 9 (determinism) recomputes the worker-sensitive outputs of the
-other criteria with 1 and with 8 workers and requires identical digests;
-results are memoized per worker count so nothing runs more than twice.
+Criteria 1-8 run the golden tables and the named suites that `lattes-lab
+verify` runs, at the bounds given in each criterion's docstring, and pass
+when the suites pass.  Criterion 9 (determinism) reruns the tables and
+every suite that takes a worker count with 8 workers, and requires the same
+results, and the same values from every process-pool call, as with 1
+worker.  Results are memoized per worker count, so nothing runs more than
+twice; the `verify all` test replays them through the CLI.
 """
 
 import hashlib
+import inspect
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import partial, wraps
+from unittest import mock
 
-from lattes_lab.elliptic import (
-    CATALOG,
-    CATALOG_BY_NAME,
-    cm_model,
-    lattes_map,
-    torsion_x_rational,
-)
-from lattes_lab.exceptionality import (
-    frobenius_scan,
-    verify_d11_obstruction,
-    verify_noncm_counterexample,
-)
-from lattes_lab.galois import Mat2Zm, SubgroupSpec, cm_density_full, cm_density_subgroup, empirical_density
-from lattes_lab.quadorder import splitting_type
-from lattes_lab.suites import suite_lattes_oracle, suite_reciprocity
+import pytest
+
+from lattes_lab import cli, exceptionality, galois, suites
+from lattes_lab.exceptionality import map_primes
+from lattes_lab.suites import SUITES
 from lattes_lab.tables import TABLE_IDS, check_all_tables
+
+# the checks the criteria run, at the criteria's bounds: the golden tables
+# and every named suite
+CHECKS = {
+    "tables": check_all_tables,
+    "perm-equivalence": partial(suites.suite_perm_equivalence, pmax=200, kmax=10),
+    "deuring": partial(suites.suite_deuring, pmax=10**4),
+    "reciprocity": partial(suites.suite_reciprocity, seed=20240811, pairs=200, tower=1000),
+    "d11": partial(suites.suite_d11, pmax=10**4),
+    "noncm": partial(suites.suite_noncm, pmax=10**4),
+    "torsion": partial(suites.suite_torsion_forward, pmax=1000, kmax=12),
+    "density": partial(suites.suite_density, pmax=10**5, tolerance=Fraction(2, 100)),
+    "lattes-oracle": partial(suites.suite_lattes_oracle, pmax=100, kmax=6, points=20, seed=20240811),
+    "strategies": partial(suites.suite_strategies, count=50),
+}
+
+# the suites behind each criterion's PASS line
+CRITERIA = {
+    "2 criterion/bruteforce equivalence": ("perm-equivalence",),
+    "3 Lattes/group-law oracle": ("lattes-oracle",),
+    "4 Deuring/CM traces": ("deuring",),
+    "5 reciprocity and point-count formula": ("reciprocity",),
+    "6 obstructed families": ("d11", "noncm"),
+    "7 densities": ("density",),
+    "8 forward direction and strategies": ("torsion", "strategies"),
+}
+
+# sha256 of `lattes-lab verify all` stdout, at 1 and at 8 workers
+VERIFY_ALL_SHA256 = "27002e2dec91364ba3f5a383968c60c95887ecb332cc4f0263755e6780aad5c8"
 
 _memo: dict = {}
 
 
-def _digest(payload: str) -> str:
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+def _takes_workers(fn) -> bool:
+    return "workers" in inspect.signature(fn).parameters
+
+
+def _run(name: str, workers: int = 1):
+    """(result, pool values) of a check: its result with `workers`
+    processes (1 for a check that takes no worker count), and every value
+    map_primes returned while it ran, in call order."""
+    fn = CHECKS[name]
+    takes = _takes_workers(fn)
+    workers = workers if takes else 1
+    if (name, workers) not in _memo:
+        pooled = []
+
+        def recording(*args, **kwargs):
+            pooled.append(map_primes(*args, **kwargs))
+            return pooled[-1]
+
+        # galois imports map_primes by name, so both bindings are replaced
+        with (
+            mock.patch.object(exceptionality, "map_primes", recording),
+            mock.patch.object(galois, "map_primes", recording),
+        ):
+            result = fn(workers=workers) if takes else fn()
+        _memo[name, workers] = (result, pooled)
+    return _memo[name, workers]
 
 
 def _report(name: str, ok: bool, detail: str):
@@ -38,234 +87,103 @@ def _report(name: str, ok: bool, detail: str):
     assert ok, f"{name}: {detail}"
 
 
-def criterion_1_tables(workers: int = 1):
-    """All 16 registered reference tables regenerate exactly."""
-    key = ("c1", workers)
-    if key not in _memo:
-        checks = check_all_tables(workers=workers)
-        ok = all(c.ok for c in checks) and len(checks) == len(TABLE_IDS)
-        payload = "\n".join(c.rendered for c in checks)
-        _memo[key] = (ok, f"{sum(c.ok for c in checks)}/{len(checks)} tables exact", _digest(payload))
-    return _memo[key]
-
-
-def criterion_2_equivalence(workers: int = 1):
-    """Criterion verdict == brute-force verdict, catalog x (5..200) x (2..10)."""
-    key = ("c2", workers)
-    if key not in _memo:
-        rows = []
-        ok = True
-        detail = ""
-        for entry in CATALOG:
-            good = entry.curve.good_primes(200)
-            traces = frobenius_scan(entry.curve, good, workers=workers)
-            for k in range(2, 11):
-                L = lattes_map(entry.curve, k)
-                for p in good:
-                    crit = gcd((p + 1) ** 2 - traces[p] ** 2, k) == 1
-                    brute, _ = L.reduce_mod_p(p).is_bijection()
-                    rows.append((entry.name, k, p, crit))
-                    if crit != brute:
-                        ok = False
-                        detail = f"disagreement at {entry.name}, k={k}, p={p}"
-        if ok:
-            detail = f"{len(rows)} comparisons, zero disagreements"
-        _memo[key] = (ok, detail, _digest(repr(rows)))
-    return _memo[key]
-
-
-def criterion_3_lattes_oracle(workers: int = 1):
-    """x([k]P) = L_k(x(P)) on 20 random points per (curve, p<=100, k<=6),
-    and L_6 = L_2 o L_3 = L_3 o L_2 symbolically."""
-    key = ("c3", workers)
-    if key not in _memo:
-        res = suite_lattes_oracle(pmax=100, kmax=6, points=20, seed=20240811)
-        payload = repr(res.lines)
-        _memo[key] = (res.ok, "group-law oracle and compositions exact", _digest(payload))
-    return _memo[key]
-
-
-def criterion_4_deuring(workers: int = 1):
-    """Inert => a_p = 0; split => 4p - a_p^2 = |D| s^2; Hasse everywhere,
-    for every CM catalog curve and good p <= 10^4."""
-    key = ("c4", workers)
-    if key not in _memo:
-        ok = True
-        detail = ""
-        rows = []
-        for entry in CATALOG:
-            if entry.cm_disc is None:
-                continue
-            D = entry.cm_disc
-            good = [p for p in entry.curve.good_primes(10000) if p % abs(D) != 0]
-            traces = frobenius_scan(entry.curve, good, workers=workers)
-            for p in good:
-                ap = traces[p]
-                kind = splitting_type(D, p)
-                hasse = ap * ap <= 4 * p
-                if kind == "inert":
-                    good_p = ap == 0
-                else:
-                    rem = 4 * p - ap * ap
-                    good_p = rem % -D == 0 and isqrt(rem // -D) ** 2 == rem // -D
-                rows.append((entry.name, p, ap, kind))
-                if not (hasse and good_p):
-                    ok = False
-                    detail = f"failure at {entry.name}, p={p}, a_p={ap}"
-        if ok:
-            detail = f"{len(rows)} (curve, prime) pairs consistent"
-        _memo[key] = (ok, detail, _digest(repr(rows)))
-    return _memo[key]
-
-
-def criterion_5_reciprocity(workers: int = 1):
-    """200 cubic pairs, 200 sextic pairs, 10^3 tower checks, and the E_d
-    point-count formula for all primary split primes of norm <= 500 and
-    d in {1, 2, 3, 5, -432}."""
-    key = ("c5", workers)
-    if key not in _memo:
-        res = suite_reciprocity(seed=20240811, pairs=200, tower=1000)
-        _memo[key] = (res.ok, "; ".join(res.lines[:2] + res.lines[-1:]), _digest(repr(res.lines)))
-    return _memo[key]
-
-
-def criterion_6_counterexamples(workers: int = 1):
-    """Zero violations for the -11 obstruction and the non-CM families,
-    u in {1,2,3}, pmax 10^4; torsion x never rational for k in {2,3,6}."""
-    key = ("c6", workers)
-    if key not in _memo:
-        ok = True
-        details = []
-        payload = []
-        for u in (1, 2, 3):
-            rep = verify_d11_obstruction(cm_model(-11, u), 10000, workers=workers)
-            payload.append(("d11", u, rep.checked, rep.skipped, rep.violations))
-            ok &= rep.ok
-            for k in (2, 3, 6):
-                tors = torsion_x_rational(cm_model(-11, u), k)
-                payload.append(("d11-tors", u, k, sorted(map(str, tors))))
-                ok &= not tors
-        for family in ("E", "F"):
-            for u in (1, 2, 3):
-                rep = verify_noncm_counterexample(family, u, 10000, workers=workers)
-                payload.append((family, u, rep.checked, rep.skipped, rep.violations))
-                ok &= rep.ok
-        detail = "9 obstruction scans to 10^4, zero violations" if ok else "violations found"
-        _memo[key] = (ok, detail, _digest(repr(payload)))
-    return _memo[key]
-
-
-def criterion_7_density(workers: int = 1):
-    """Empirical k=2 densities at 10^5 within 0.02 of 1/3 resp. 2/3; the
-    enumerated C_2 density is exactly 1/3 and the C3-subgroup density 2/3."""
-    key = ("c7", workers)
-    if key not in _memo:
-        d_s3 = empirical_density(CATALOG_BY_NAME["k2-s3"].curve, 2, 100000, workers=workers)
-        d_c3 = empirical_density(CATALOG_BY_NAME["k2-c3"].curve, 2, 100000, workers=workers)
-        exact_full = cm_density_full(2)
-        exact_sub = cm_density_subgroup(SubgroupSpec(2, (Mat2Zm(2, 0, 1, 1, 1),)))
-        ok = (
-            abs(d_s3 - Fraction(1, 3)) <= Fraction(2, 100)
-            and abs(d_c3 - Fraction(2, 3)) <= Fraction(2, 100)
-            and exact_full == Fraction(1, 3)
-            and exact_sub == Fraction(2, 3)
-        )
-        detail = (
-            f"densities {float(d_s3):.4f} (target 1/3), {float(d_c3):.4f} (target 2/3); "
-            f"exact {exact_full}, {exact_sub}"
-        )
-        _memo[key] = (ok, detail, _digest(repr((d_s3, d_c3, exact_full, exact_sub))))
-    return _memo[key]
-
-
-def criterion_8_forward(workers: int = 1):
-    """Rational k-torsion x-coordinate => no permutation prime in [5, 10^3],
-    for every catalog curve and k <= 12."""
-    key = ("c8", workers)
-    if key not in _memo:
-        ok = True
-        detail = ""
-        payload = []
-        cases = 0
-        for entry in CATALOG:
-            good = entry.curve.good_primes(1000)
-            traces = frobenius_scan(entry.curve, good, workers=workers)
-            for k in range(2, 13):
-                if not torsion_x_rational(entry.curve, k):
-                    continue
-                cases += 1
-                witnesses = tuple(
-                    p for p in good if gcd((p + 1) ** 2 - traces[p] ** 2, k) == 1
-                )
-                payload.append((entry.name, k, witnesses))
-                if witnesses:
-                    ok = False
-                    detail = f"{entry.name}, k={k}: witnesses {witnesses[:3]}"
-        if ok:
-            detail = f"{cases} torsion cases, zero witnesses"
-        _memo[key] = (ok, detail, _digest(repr(payload)))
-    return _memo[key]
+def _criterion(name: str, summary):
+    """Pass when every suite of the criterion passes; the PASS line reports
+    summary(*results), a failure the suites' failures."""
+    results = [_run(suite)[0] for suite in CRITERIA[name]]
+    ok = all(res.ok for res in results)
+    _report(name, ok, summary(*results) if ok else "; ".join(f for res in results for f in res.failures))
 
 
 def test_criterion_1_golden_tables():
-    ok, detail, _ = criterion_1_tables()
-    _report("1 golden tables", ok, detail)
+    """All 16 registered reference tables regenerate exactly."""
+    checks = _run("tables")[0]
+    ok = all(c.ok for c in checks) and len(checks) == len(TABLE_IDS)
+    _report("1 golden tables", ok, f"{sum(c.ok for c in checks)}/{len(checks)} tables exact")
 
 
 def test_criterion_2_perm_equivalence():
-    ok, detail, _ = criterion_2_equivalence()
-    _report("2 criterion/bruteforce equivalence", ok, detail)
+    """Criterion verdict == brute-force verdict, catalog x (5..200) x (2..10)."""
+    _criterion("2 criterion/bruteforce equivalence", lambda res: f"{res.lines[-1]}, zero disagreements")
 
 
 def test_criterion_3_lattes_oracle():
-    ok, detail, _ = criterion_3_lattes_oracle()
-    _report("3 Lattes/group-law oracle", ok, detail)
+    """x([k]P) = L_k(x(P)) on 20 random points per (curve, p<=100, k<=6),
+    and L_6 = L_2 o L_3 = L_3 o L_2 symbolically."""
+    _criterion("3 Lattes/group-law oracle", lambda res: "group-law oracle and compositions exact")
 
 
 def test_criterion_4_deuring():
-    ok, detail, _ = criterion_4_deuring()
-    _report("4 Deuring/CM traces", ok, detail)
+    """Inert => a_p = 0; otherwise 4p - a_p^2 = |D| s^2 with s >= 1; Hasse
+    everywhere, for every CM catalog curve and good p <= 10^4, p not | D."""
+    _criterion("4 Deuring/CM traces", lambda res: f"{len(res.lines)} CM curves consistent to 10^4")
 
 
 def test_criterion_5_reciprocity():
-    ok, detail, _ = criterion_5_reciprocity()
-    _report("5 reciprocity and point-count formula", ok, detail)
+    """200 cubic pairs, 200 sextic pairs, 10^3 tower checks, and the E_d
+    point-count formula for all primary split primes of norm <= 500 and
+    d in {1, 2, 3, 5, -432}."""
+    _criterion("5 reciprocity and point-count formula", lambda res: "; ".join(res.lines[:2] + res.lines[-1:]))
 
 
 def test_criterion_6_counterexamples():
-    ok, detail, _ = criterion_6_counterexamples()
-    _report("6 obstructed families", ok, detail)
+    """Zero violations for the -11 obstruction and the non-CM families,
+    u in {1,2,3}, pmax 10^4; torsion x never rational for k in {2,3,6} on
+    the -11 curves."""
+    _criterion(
+        "6 obstructed families",
+        lambda d11, noncm: f"{len(d11.lines) + len(noncm.lines)} obstruction scans to 10^4, zero violations",
+    )
 
 
 def test_criterion_7_density():
-    ok, detail, _ = criterion_7_density()
-    _report("7 densities", ok, detail)
+    """Empirical k=2 densities at 10^5 within 2/100 of 1/3 resp. 2/3; the
+    enumerated C_2 density is exactly 1/3 and the C3-subgroup density 2/3;
+    the -11 curve has k=6 density 0 to 10^4."""
+    _criterion("7 densities", lambda res: "; ".join(res.lines))
 
 
 def test_criterion_8_forward_direction():
-    ok, detail, _ = criterion_8_forward()
-    _report("8 forward direction", ok, detail)
+    """Rational k-torsion x-coordinate => no permutation prime in [5, 10^3],
+    for every catalog curve and k <= 12; and the first 50 strategy primes
+    of each congruence row pass the gcd criterion."""
+    _criterion(
+        "8 forward direction and strategies",
+        lambda torsion, strategies: f"{len(torsion.lines)} curves with zero torsion witnesses; "
+        f"{len(strategies.lines)} strategy rows sound",
+    )
 
 
 def test_criterion_9_determinism():
-    criteria = (
-        criterion_1_tables,
-        criterion_2_equivalence,
-        criterion_3_lattes_oracle,
-        criterion_4_deuring,
-        criterion_5_reciprocity,
-        criterion_6_counterexamples,
-        criterion_7_density,
-        criterion_8_forward,
-    )
-    mismatches = []
-    for fn in criteria:
-        _, _, one = fn(workers=1)
-        _, _, many = fn(workers=8)
-        if one != many:
-            mismatches.append(fn.__name__)
+    """The tables and each suite that takes a worker count give equal
+    results, and every map_primes call equal values, with 1 and 8 workers."""
+    names = [name for name, fn in CHECKS.items() if _takes_workers(fn)]
+    mismatches = [name for name in names if _run(name, 1) != _run(name, 8)]
+    # a check that reached no map_primes call would compare nothing
+    unpooled = [name for name in names if not _run(name, 8)[1]]
     _report(
         "9 determinism",
-        not mismatches,
-        "criteria 1-8 identical with 1 and 8 workers" if not mismatches else f"{mismatches}",
+        not mismatches and not unpooled,
+        f"{len(names)} checks and their pool values identical with 1 and 8 workers"
+        if not mismatches and not unpooled
+        else f"differ: {mismatches}; no pool call: {unpooled}",
     )
+
+
+def test_every_suite_has_a_criterion():
+    assert {suite for names in CRITERIA.values() for suite in names} == set(SUITES)
+    assert all(CHECKS[name].func is fn for name, fn in SUITES.items())
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_verify_all_output_is_unchanged(workers, monkeypatch, capsys):
+    # the CLI runs wrappers that return the criteria's memoized results
+    # (wraps gives each wrapper its suite's signature, which run_suite reads)
+    memoized = {
+        name: wraps(fn)(lambda workers=1, name=name: _run(name, workers)[0]) for name, fn in SUITES.items()
+    }
+    monkeypatch.setattr(suites, "SUITES", memoized)
+    assert cli.main(["verify", "all", "--workers", str(workers)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256

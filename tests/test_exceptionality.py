@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from lattes_lab import elliptic
+from lattes_lab import elliptic, quadorder
 from lattes_lab.elliptic import (
     CATALOG_BY_NAME,
     Curve,
@@ -120,6 +120,34 @@ def test_strategy_primes_soundness_sample():
     for D, k in ((-19, 3), (-43, 2), (-11, 2), (-3, 2)):
         ps = strategy_primes(D, k, 3)
         assert len(ps) == 3
+
+
+def test_strategy_element_search_walks_the_split_primes_once(monkeypatch):
+    # each row reads one ascending walk of prime elements, up to the norm cap
+    walks = []
+    walk = quadorder._primes_by_doubling
+
+    def spy(limit):
+        walks.append(limit)
+        return walk(limit)
+
+    monkeypatch.setattr(quadorder, "_primes_by_doubling", spy)
+    rows = {
+        (-19, 3, 3): [5, 11, 17],
+        (-43, 2, 3): [11, 13, 17],
+        (-11, 2, 3): [3001, 3067, 3089],
+        (-3, 2, 3): [7, 13, 19],
+        (-43, 10, 4): [269, 359, 379, 479],
+        (-163, 9, 4): [41, 47, 53, 71],
+        (-11, 5, 1): [8699],
+        (-11, 4, 3): [3001, 3067, 3089],
+        (-3, 10, 2): [163, 313],
+        (-11, 7, 10): [253999, 310363, 376583, 416623, 469907, 649471, 750803, 770053, 799313, 861221],
+    }
+    for (D, k, count), want in rows.items():
+        walks.clear()
+        assert strategy_primes(D, k, count) == want, (D, k, count)
+        assert walks == [131_072_000], (D, k, count)
 
 
 def test_strategy_soundness_suite_50():
