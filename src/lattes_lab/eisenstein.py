@@ -14,11 +14,12 @@ roots of unity, so the result is an exact group element, never a residue.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from math import isqrt
 from typing import Iterator
 
 from .elliptic import Curve, count_points
-from .intmath import is_prime, primes_upto
+from .intmath import is_prime, prime_flags, primes_upto
 from .quadorder import QuadInt, congruent, norm_solutions, quad_order
 
 EISENSTEIN = quad_order(-3)
@@ -108,12 +109,13 @@ def _classify_prime(pi: QuadInt) -> tuple[str, int]:
     raise ValueError(f"{pi} is not a prime element of Z[w]")
 
 
-def _root_candidates(n: int) -> list[SymbolValue]:
-    if n == 2:
-        return [SymbolValue(0, 0), SymbolValue(1, 0)]
-    if n == 3:
-        return [SymbolValue(0, e) for e in range(3)]
-    return [SymbolValue(s, e) for s in (0, 1) for e in range(3)]
+# the n-th roots of unity for each supported n, built once (SymbolValue is
+# frozen, so every table shares them)
+_ROOT_CANDIDATES = {
+    2: (SYMBOL_ONE, SYMBOL_MINUS_ONE),
+    3: tuple(SymbolValue(0, e) for e in range(3)),
+    6: tuple(SymbolValue(s, e) for s in (0, 1) for e in range(3)),
+}
 
 
 def _split_tables(pi: QuadInt, n: int) -> tuple[int, int, dict[int, SymbolValue]]:
@@ -125,7 +127,7 @@ def _split_tables(pi: QuadInt, n: int) -> tuple[int, int, dict[int, SymbolValue]
         raise ValueError(f"{pi} has norm {p} but integral residue image")
     r = (-pi.a * pow(b, -1, p)) % p
     lookup = {}
-    for sym in _root_candidates(n):
+    for sym in _ROOT_CANDIDATES[n]:
         v = pow(r, sym.e, p) * (1 if sym.s == 0 else -1) % p
         lookup[v] = sym
     if len(lookup) != n:
@@ -154,7 +156,7 @@ def _inert_pow(x, n, q):
 def _inert_tables(q: int, n: int) -> dict[tuple[int, int], SymbolValue]:
     lookup = {}
     w = (0, 1)
-    for sym in _root_candidates(n):
+    for sym in _ROOT_CANDIDATES[n]:
         v = (1, 0)
         for _ in range(sym.e):
             v = _inert_mul(v, w, q)
@@ -289,6 +291,10 @@ _HARDCODED_AB = {
     19: (eis(5), eis(1, 3)),
 }
 
+# the largest norm bound the witness search and its check accept: the walk's
+# sieve takes one byte per integer up to the bound
+LEMMA_AB_BOUND_MAX = 10**7
+
 
 def qualifying_primes(ell: int, bound: int) -> Iterator[QuadInt]:
     """Prime elements pi = 1 (mod 3), coprime to 6*ell, of norm <= bound,
@@ -333,11 +339,20 @@ def _non_unit_mod(z: QuadInt, ell: int) -> bool:
     return True
 
 
+def _check_bound(bound: int) -> None:
+    if not 0 <= bound <= LEMMA_AB_BOUND_MAX:
+        raise ValueError(f"bound must be in [0, {LEMMA_AB_BOUND_MAX}], got {bound}")
+
+
 def verify_lemma_ab(
     ell: int, alpha: QuadInt, beta: QuadInt, bound: int
 ) -> tuple[bool, int, int]:
     """Empirically verify the witness pair over all qualifying primes of
-    norm <= bound.  Returns (ok, #alpha-class primes, #beta-class primes)."""
+    norm <= bound.  Returns (ok, #alpha-class primes, #beta-class primes).
+
+    This route finds each prime by Cornacchia and computes the full sextic
+    symbol, independently of the integer walk behind lemma_ab_witness."""
+    _check_bound(bound)
     ca, cb = _residue_coords(alpha, ell), _residue_coords(beta, ell)
     na = nb = 0
     for pi in qualifying_primes(ell, bound):
@@ -353,6 +368,45 @@ def verify_lemma_ab(
     return na > 0 and nb > 0, na, nb
 
 
+def lemma_ab_tallies(ell: int, bound: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """{(a mod ell, b mod ell): (#primes, #primes with (ell/pi)_6 real)} over
+    the primes pi = a + b*w that qualifying_primes yields for (ell, bound).
+
+    Those are exactly the elements with a = 1, b = 0 (mod 3) and norm
+    N = a^2 - ab + b^2 <= bound that is a prime p or the square of an inert
+    prime q, with ell excluded.  One walk visits every such a + b*w
+    row by row and tests N against one sieve.  The symbol is real exactly
+    when ell^((N-1)/3) = 1 (mod pi); ell is rational, so that power is
+    taken mod p at a split pi and mod q at an inert -q.
+    """
+    _check_bound(bound)
+    # kind[N]: 1 for a split prime norm p, 2 for an inert norm q^2, else 0
+    kind = prime_flags(bound)
+    for q in compress(range(isqrt(bound) + 1), kind):
+        if q % 3 == 2 and q not in (2, ell):
+            kind[q * q] = 2
+    # norms 2 and 3 never occur (N = 1 mod 3); norm ell is excluded
+    if ell <= bound:
+        kind[ell] = 0
+    tallies: dict[tuple[int, int], list[int]] = {}
+    bmax = isqrt(4 * bound // 3)
+    for b in range(-(bmax - bmax % 3), bmax + 1, 3):
+        # a^2 - ab + b^2 <= bound  <=>  (2a - b)^2 <= 4*bound - 3b^2
+        t = isqrt(4 * bound - 3 * b * b)
+        lo = (b - t + 1) // 2
+        bb, cb = b * b, b % ell
+        for a in range(lo + (1 - lo) % 3, (b + t) // 2 + 1, 3):
+            n = a * (a - b) + bb
+            k = kind[n]
+            if not k:
+                continue
+            modulus = n if k == 1 else isqrt(n)
+            tally = tallies.setdefault((a % ell, cb), [0, 0])
+            tally[0] += 1
+            tally[1] += pow(ell, (n - 1) // 3, modulus) == 1
+    return {c: (n, r) for c, (n, r) in tallies.items()}
+
+
 def lemma_ab_witness(ell: int, bound: int = 100000) -> tuple[QuadInt, QuadInt]:
     """A witness pair (alpha, beta) of residues mod ell such that every
     prime pi = 1 (mod 3) coprime to 6*ell with pi = alpha (mod ell) has
@@ -361,30 +415,26 @@ def lemma_ab_witness(ell: int, bound: int = 100000) -> tuple[QuadInt, QuadInt]:
     primes pi also keep ell away from N((pi-1)(pi+1)).
 
     ell = 13 and 19 use fixed witnesses; other ell are searched over all
-    qualifying primes of norm <= bound, and that search is itself the
-    empirical check up to bound: a class is picked only if every one of its
-    primes behaves.  verify_lemma_ab checks a pair at another bound.
+    qualifying primes of norm <= bound (lemma_ab_tallies), and that search
+    is itself the empirical check up to bound: a class is picked only if
+    every one of its primes behaves.  verify_lemma_ab checks a pair at
+    another bound.
     """
     if ell in (2, 3, 7) or not is_prime(ell):
         raise ValueError(f"ell must be a prime > 3, != 7, got {ell}")
+    _check_bound(bound)
     if ell in _HARDCODED_AB:
         return _HARDCODED_AB[ell]
-    # gather symbol behavior per residue class
-    by_class: dict[tuple[int, int], set] = {}
-    reps: dict[tuple[int, int], QuadInt] = {}
-    for pi in qualifying_primes(ell, bound):
-        c = _residue_coords(pi, ell)
-        by_class.setdefault(c, set()).add(power_residue_symbol(eis(ell), pi, 6))
-        reps.setdefault(c, pi)
+    tallies = lemma_ab_tallies(ell, bound)
     alpha = beta = None
-    for c in sorted(by_class):
-        vals = by_class[c]
+    for c in sorted(tallies):
+        count, real = tallies[c]
         z = eis(c[0], c[1])
         if z.norm() % ell == 0 or not _non_unit_mod(z, ell):
             continue
-        if alpha is None and all(v.is_real for v in vals):
+        if alpha is None and real == count:
             alpha = z
-        if beta is None and not any(v.is_real for v in vals):
+        if beta is None and real == 0:
             beta = z
         if alpha is not None and beta is not None:
             break

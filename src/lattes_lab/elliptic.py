@@ -667,10 +667,36 @@ CATALOG: tuple[CatalogEntry, ...] = _build_catalog()
 CATALOG_BY_NAME: dict[str, CatalogEntry] = {e.name: e for e in CATALOG}
 
 
+# the j-invariant of each class-number-one discriminant
+# (quadorder.CLASS_NUMBER_ONE_DISCS)
+CM_J_INVARIANTS = {
+    -3: 0,
+    -4: 1728,
+    -7: -3375,
+    -8: 8000,
+    -11: -(2**15),
+    -12: 54000,
+    -16: 287496,
+    -19: -(96**3),
+    -27: -12288000,
+    -28: 16581375,
+    -43: -(960**3),
+    -67: -(5280**3),
+    -163: -(640320**3),
+}
+
+
 def cm_disc_for(curve: Curve, disc: Optional[int] = None) -> Optional[int]:
     """disc when one is given, else the catalog's CM discriminant of the
-    curve (None for a non-CM or uncatalogued curve)."""
+    curve (None for a non-CM or uncatalogued curve).  A given disc must be
+    a class-number-one discriminant whose j-invariant is the curve's."""
     if disc is not None:
+        if disc not in CM_J_INVARIANTS:
+            raise ValueError(f"D = {disc} is not a class-number-one discriminant")
+        if curve.j != CM_J_INVARIANTS[disc]:
+            raise ValueError(
+                f"D = {disc} needs j = {CM_J_INVARIANTS[disc]}, but the curve has j = {curve.j}"
+            )
         return disc
     for entry in CATALOG:
         if entry.curve.ainvs() == curve.ainvs():

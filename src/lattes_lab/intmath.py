@@ -241,17 +241,33 @@ def primes_upto(limit: int) -> list[int]:
     return primes_between(2, limit + 1)
 
 
+def _sieve_segment(lo: int, hi: int) -> bytearray:
+    """seg[i] = 1 exactly when lo + i is prime, for 2 <= lo + i < hi; the
+    entries of 0 and 1 (lo = 0) are left to the caller."""
+    seg = bytearray([1]) * (hi - lo)
+    for q in primes_between(2, isqrt(hi - 1) + 1):
+        start = max(q * q, -(-lo // q) * q) - lo
+        seg[start::q] = bytes(len(range(start, hi - lo, q)))
+    return seg
+
+
 def primes_between(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p < hi, ascending, by a segmented sieve of
     Eratosthenes: memory is O(hi - lo + sqrt(hi)) whatever lo is."""
     lo = max(lo, 2)
     if hi <= lo:
         return []
-    seg = bytearray([1]) * (hi - lo)
-    for q in primes_between(2, isqrt(hi - 1) + 1):
-        start = max(q * q, -(-lo // q) * q) - lo
-        seg[start::q] = bytes(len(range(start, hi - lo, q)))
-    return list(compress(range(lo, hi), seg))
+    return list(compress(range(lo, hi), _sieve_segment(lo, hi)))
+
+
+def prime_flags(limit: int) -> bytearray:
+    """A bytearray f of length limit + 1 with f[n] = 1 exactly when n is
+    prime: one byte per integer, for walks that test many values <= limit."""
+    if limit < 2:
+        return bytearray(max(limit + 1, 0))
+    flags = _sieve_segment(0, limit + 1)
+    flags[0] = flags[1] = 0
+    return flags
 
 
 def squarefree_part_known(n: int) -> bool:

@@ -225,8 +225,10 @@ def suite_d11(pmax: int = 10000, workers: int = 1) -> SuiteResult:
 
 def suite_noncm(pmax: int = 10000, workers: int = 1) -> SuiteResult:
     """The non-CM counterexample families E and F for u in 1..3: the cubic
-    residue dichotomy forces gcd(A_p, 6) > 1 at every good prime, and no
-    k-torsion x is rational for k in {2, 3, 6}."""
+    residue dichotomy forces gcd(A_p, 6) > 1 at every good prime.  The
+    torsion side is not a check of this suite: verify_noncm_counterexample
+    raises ArithmeticError (the CLI exits 1) before its scan if a k-torsion
+    x is rational for some k in {2, 3, 6}."""
     res = SuiteResult("noncm")
     for family in ("E", "F"):
         for u in (1, 2, 3):

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from lattes_lab import eisenstein
 from lattes_lab.eisenstein import (
     EISENSTEIN,
+    LEMMA_AB_BOUND_MAX,
     OMEGA,
     SYMBOL_ONE,
     SYMBOL_ZERO,
@@ -14,6 +16,7 @@ from lattes_lab.eisenstein import (
     eis,
     is_e_primary,
     is_primary,
+    lemma_ab_tallies,
     lemma_ab_witness,
     power_residue_symbol,
     primary_associate,
@@ -132,6 +135,12 @@ def test_symbol_inert_modulus():
         power_residue_symbol(eis(5), eis(2), 6)
 
 
+def test_root_candidates_are_the_roots_of_unity():
+    for n, roots in eisenstein._ROOT_CANDIDATES.items():
+        assert len(set(roots)) == n
+        assert all(v**n == SYMBOL_ONE for v in roots)
+
+
 def test_sixth_roots_distinct():
     for pi in primary_split_primes(500):
         vals = {power_residue_symbol(eis(1), pi, 6)}
@@ -208,6 +217,75 @@ def test_lemma_witness_search_small():
         if (pi.a % 5, pi.b % 5) == (alpha.a % 5, alpha.b % 5):
             n = ((pi - eis(1)) * (pi + eis(1))).norm()
             assert n % 5 != 0
+
+
+def _reference_tallies(ell, bound):
+    # the independent route: Cornacchia's primes and the full sextic symbol
+    tallies = {}
+    for pi in qualifying_primes(ell, bound):
+        c = (pi.a % ell, pi.b % ell)
+        count, real = tallies.get(c, (0, 0))
+        tallies[c] = (count + 1, real + power_residue_symbol(eis(ell), pi, 6).is_real)
+    return tallies
+
+
+def _reference_pair(ell, tallies):
+    # the first admissible class whose primes all have a real symbol, and the
+    # first whose primes all have a non-real one
+    alpha = beta = None
+    for c in sorted(tallies):
+        count, real = tallies[c]
+        z = eis(*c)
+        if z.norm() % ell == 0 or not eisenstein._non_unit_mod(z, ell):
+            continue
+        if alpha is None and real == count:
+            alpha = z
+        if beta is None and real == 0:
+            beta = z
+    return alpha, beta
+
+
+LEMMA_ELLS = [ell for ell in primes_upto(60) if ell not in (2, 3, 7)]
+
+
+@pytest.mark.parametrize("ell", LEMMA_ELLS)
+def test_lemma_ab_walk_matches_the_symbol_route(ell):
+    for bound in (2000, 10**4):
+        ref = _reference_tallies(ell, bound)
+        assert lemma_ab_tallies(ell, bound) == ref
+        if ell not in (13, 19):  # those two have fixed witnesses
+            assert lemma_ab_witness(ell, bound) == _reference_pair(ell, ref)
+
+
+def test_lemma_ab_tallies_count_every_qualifying_prime():
+    # two primes pi = 1 (mod 3) above each split p, and -q for the inert
+    # q = 11, 17, 23, 29, 41 (q^2 <= 2000, q != 2, 5)
+    split = [p for p in primes_upto(2000) if p % 3 == 1]
+    tallies = lemma_ab_tallies(5, 2000)
+    assert sum(n for n, _ in tallies.values()) == 2 * len(split) + 5
+
+
+def test_lemma_ab_witness_default_bound():
+    assert lemma_ab_witness(5) == (eis(1, 2), eis(0, 2))
+    ok, na, nb = verify_lemma_ab(5, eis(1, 2), eis(0, 2), 20000)
+    assert ok and na > 0 and nb > 0
+
+
+@pytest.mark.parametrize("bound", [LEMMA_AB_BOUND_MAX + 1, 10**12, -1])
+def test_lemma_ab_bound_is_checked_before_any_sieve(monkeypatch, bound):
+    def reached(*args, **kwargs):
+        raise AssertionError("a sieve ran before the bound check")
+
+    monkeypatch.setattr(eisenstein, "prime_flags", reached)
+    monkeypatch.setattr(eisenstein, "primes_upto", reached)
+    with pytest.raises(ValueError, match="bound"):
+        lemma_ab_witness(5, bound)
+    with pytest.raises(ValueError, match="bound"):
+        lemma_ab_witness(13, bound)
+    with pytest.raises(ValueError, match="bound"):
+        lemma_ab_tallies(5, bound)
+    with pytest.raises(ValueError, match="bound"):
+        verify_lemma_ab(5, eis(1, 2), eis(0, 2), bound)
 
 
 def test_qualifying_primes_shape():

@@ -8,8 +8,10 @@ from lattes_lab import elliptic, polyrat
 from lattes_lab.elliptic import (
     CATALOG,
     CATALOG_BY_NAME,
+    CM_J_INVARIANTS,
     Curve,
     add_points,
+    cm_disc_for,
     cm_model,
     count_points,
     curve_hash,
@@ -28,6 +30,7 @@ from lattes_lab.elliptic import (
 )
 from lattes_lab.intmath import check_int64_modulus, kronecker, primes_upto
 from lattes_lab.polyrat import GF, Poly, QQ, RatMap, format_ratmap, poly_gcd
+from lattes_lab.quadorder import CLASS_NUMBER_ONE_DISCS
 
 
 def test_invariants():
@@ -577,3 +580,22 @@ def test_frobenius_trace_routes_and_checks(monkeypatch):
     monkeypatch.setattr(elliptic, "_shanks_mestre", lambda a, b, p: 2 * math.isqrt(p) + 2)
     with pytest.raises(RuntimeError, match="Hasse"):
         elliptic.frobenius_trace(c, above)
+
+
+def test_cm_disc_for_checks_a_given_D_against_j():
+    assert tuple(CM_J_INVARIANTS) == CLASS_NUMBER_ONE_DISCS
+    for entry in CATALOG:
+        if entry.cm_disc is not None:
+            assert entry.curve.j == CM_J_INVARIANTS[entry.cm_disc]
+            assert cm_disc_for(entry.curve, entry.cm_disc) == entry.cm_disc
+        assert cm_disc_for(entry.curve) == entry.cm_disc
+    twist = cm_model(-11, 2)
+    assert cm_disc_for(twist, -11) == -11
+    assert cm_disc_for(twist) is None  # no --D: the catalog only
+    assert cm_disc_for(Curve(0, 0, 0, -11, 14), -16) == -16  # j = 287496
+    with pytest.raises(ValueError, match="j = "):
+        cm_disc_for(Curve(0, 0, 0, 1, 1), -11)
+    with pytest.raises(ValueError, match="j = "):
+        cm_disc_for(twist, -7)
+    with pytest.raises(ValueError, match="class-number-one"):
+        cm_disc_for(twist, -5)

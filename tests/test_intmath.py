@@ -9,6 +9,7 @@ from lattes_lab.intmath import (
     factorize,
     is_prime,
     kronecker,
+    prime_flags,
     primes_in_congruence,
     prime_divisors,
     primes_between,
@@ -112,6 +113,16 @@ def test_primes_between_against_the_sieve():
     windows += [tuple(sorted(rng.sample(range(0, 20001), 2))) for _ in range(200)]
     for lo, hi in windows:
         assert primes_between(lo, hi) == [p for p in primes if lo <= p < hi], (lo, hi)
+
+
+def test_prime_flags_against_trial_division():
+    for limit in (-3, 0, 1, 2, 3, 4, 97, 1000):
+        flags = prime_flags(limit)
+        assert len(flags) == max(limit + 1, 0)
+        assert [n for n, f in enumerate(flags) if f] == [
+            n for n in range(limit + 1) if trial_division_prime(n)
+        ], limit
+        assert set(flags) <= {0, 1}
 
 
 def test_kronecker_examples():

@@ -115,6 +115,26 @@ def test_cli_model_selection_by_D_and_u(capsys):
     assert run_cli("torsion", "--k", "2") == 2  # neither curve nor --D given
 
 
+def test_cli_scan_rejects_a_D_that_contradicts_the_curve(monkeypatch, capsys):
+    def reached(*args, **kwargs):
+        raise AssertionError("a sieve ran before the --D check")
+
+    monkeypatch.setattr(Curve, "primes_by_reduction", reached)
+    # [0,0,0,1,1] has j = 6912/31 and no CM
+    assert run_cli("scan", "[0,0,0,1,1]", "--D=-11", "--k", "6", "--pmax", "40") == 2
+    assert "j = -32768" in capsys.readouterr().err
+    assert run_cli("scan", "[0,0,0,1,1]", "--D=-5", "--k", "6", "--pmax", "40") == 2
+    assert "class-number-one" in capsys.readouterr().err
+
+
+def test_cli_scan_accepts_the_D_of_a_twist(capsys):
+    # cm_model(-11, 2), outside the catalog, with CM by -11
+    assert run_cli("scan", "[0,0,0,-1056,13552]", "--D=-11", "--k", "6", "--pmax", "40") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("| p | (-11/p) |")
+    assert out[3] == "| 7 | -1 | 0 | 2 | No |"
+
+
 def test_cli_density(capsys):
     assert run_cli("density", "[0,0,0,-264,1694]", "--k", "6", "--pmax", "500") == 0
     assert capsys.readouterr().out.strip().startswith("0 ")
