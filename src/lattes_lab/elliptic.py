@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm as int_lcm
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -330,6 +330,12 @@ def frobenius_trace(curve: Curve, p: int) -> int:
     from an RNG seeded by p, so the result and its cost are the same in
     every process.  Raises ValueError like `count_points`, and
     ArithmeticError if no a_p is settled after 64 points.
+
+    This route takes one prime at a time.  Scans and verdicts take a whole
+    chunk of primes through `_shanks_mestre_batch`, which runs the same
+    search on int64 arrays, keeps a trace by the same rule and sends the
+    rows it cannot settle here; near 10^6 it costs 40-70 us a prime
+    against about 310 us for this route.
     """
     check_int64_modulus(p)
     curve._require_good(p)
@@ -348,6 +354,15 @@ def _frobenius_trace(curve: Curve, p: int) -> int:
     if ap * ap > 4 * p:
         raise RuntimeError(f"Hasse bound violated at p={p}: a_p={ap}")
     return ap
+
+
+def _frobenius_traces(curve: Curve, primes: Sequence[int]) -> list[int]:
+    """_frobenius_trace at each of a list of checked primes, in order: the
+    character sum below the crossover, and `_shanks_mestre_batch` for all
+    the primes above it at once."""
+    big = [p for p in primes if p >= _BSGS_FROM]
+    traces = dict(zip(big, _shanks_mestre_batch(curve, big)))
+    return [traces[p] if p >= _BSGS_FROM else count_points(curve, p)[1] for p in primes]
 
 
 def _shanks_mestre(a: int, b: int, p: int) -> int:
@@ -463,6 +478,260 @@ def _ec_mul(k: int, P: Point, a: int, p: int) -> Point:
         if k:
             P = _ec_add(P, P, a, p)
     return R
+
+
+# -- Shanks-Mestre for a chunk of primes on int64 arrays ----------------------
+#
+# Each row of an array is one prime p.  Every residue is below p < 2**31
+# (the callers run check_int64_modulus before any work), and every operand
+# is reduced mod p before it enters a product, so no product of two
+# residues, nor a product plus a few residues, reaches 2**63.
+
+# _shanks_mestre_batch runs at most this many primes at a time, so that its
+# arrays stay bounded whatever the length of the list: the largest are the
+# baby table and the giant steps' match mask, (s + 1) x rows each, with
+# s = 45 near 10^6 and s <= 305 below 2**31, and at most 2 x 4096 rows in
+# the pass that takes the second and third draws
+_BATCH_ROWS = 4096
+# points drawn per prime on the arrays before a row still open goes to the
+# scalar route
+_BATCH_DRAWS = 3
+# draw d takes x = (d + 1) * _X_STRIDE mod p, fixed per p
+_X_STRIDE = 0x5851F42D4C957F2D
+
+
+def _shanks_mestre_batch(curve: Curve, primes: Sequence[int]) -> list[int]:
+    """a_p at each prime of `primes`, in order; every p must be at least
+    _BSGS_FROM and already checked by the caller.
+
+    The search of `_shanks_mestre`, run on the short model for up to 4096
+    primes at once on int64 arrays.  Each draw puts the point (f x, f^2) on
+    the curve or its twist for every row, with x fixed per p.  The baby
+    steps [1]P..[s]P, [w]P = 2[s]P + P, the multiple [p + 1 - lo w]P and
+    the giant steps are taken in Jacobian coordinates, so no step inverts;
+    the baby table is made affine with one Fermat inverse per prime
+    (Montgomery's simultaneous inversion), and each giant step (X : Y : Z)
+    is matched against it projectively, X = x Z^2 and Y = +-y Z^3.  An
+    addition of two equal points (H = r = 0) is taken as a doubling.  A row
+    keeps a trace by the scalar rule only: after a draw, exactly one a with
+    |a| <= 2 sqrt(p) fits the lcm of the orders seen on each side
+    (`_traces_fitting`).  Rows that several a fit take up to three draws.
+    A row whose draw meets f = 0 or an order of at most 2s + 1, or that is
+    still open after three draws, takes the scalar `_frobenius_trace`.
+    Raises ArithmeticError where the scalar route would, when no a fits,
+    and when a point's order has no multiple in the Hasse interval, which
+    only broken arithmetic can give."""
+    order = sorted(set(primes))
+    nsub = -(-len(order) // _BATCH_ROWS)
+    traces: dict[int, int] = {}
+    for i in range(nsub):
+        traces.update(_batch_traces(curve, order[i * len(order) // nsub : (i + 1) * len(order) // nsub]))
+    return [traces[p] for p in primes]
+
+
+def _batch_traces(curve: Curve, ps: list[int]) -> dict[int, int]:
+    """{p: a_p} for at most _BATCH_ROWS primes, ascending.  Every row takes
+    draw 0; the rows it leaves open take the other draws in one more pass,
+    with a row per (prime, draw), read in draw order."""
+    a, b = _residues(-27 * curve.c4, ps), _residues(-54 * curve.c6, ps)
+    P = np.array(ps, dtype=np.int64)
+    T = np.array([isqrt(4 * p) for p in ps], dtype=np.int64)
+    lcms = [{1: 1, -1: 1} for _ in ps]  # as in _shanks_mestre, per row
+    traces: dict[int, int] = {}
+    open_rows = list(range(len(ps)))
+    for first, count in ((0, 1), (1, _BATCH_DRAWS - 1)):
+        if not open_rows or count < 1:
+            break
+        rows = np.repeat(open_rows, count)
+        draws = np.tile(np.arange(first, first + count), len(open_rows))
+        sides, steps, bad = (v.tolist() for v in _batch_draw(a[rows], b[rows], P[rows], T[rows], draws))
+        still = []
+        for k, r in enumerate(open_rows):
+            p, seen = ps[r], lcms[r]
+            for i in range(k * count, (k + 1) * count):
+                if bad[i]:
+                    break
+                seen[sides[i]] = int_lcm(seen[sides[i]], steps[i])
+                fits = _traces_fitting(p, isqrt(4 * p), seen[1], seen[-1])
+                if len(fits) == 1:
+                    traces[p] = fits[0]
+                    break
+                if not fits:
+                    raise ArithmeticError(f"no trace fits the point orders at p={p}")
+            else:
+                still.append(r)
+        open_rows = still
+    for p in ps:
+        if p not in traces:
+            traces[p] = _frobenius_trace(curve, p)
+    return traces
+
+
+def _residues(c: Fraction, ps: list[int]) -> np.ndarray:
+    """c mod p at each prime; a good prime never divides the denominator."""
+    num, den = c.numerator, c.denominator
+    return np.array([num * pow(den, -1, p) % p for p in ps], dtype=np.int64)
+
+
+def _batch_x(p: np.ndarray, draw: np.ndarray) -> np.ndarray:
+    """The x-coordinate that each row's draw tries at its prime."""
+    return (draw + 1) * (_X_STRIDE % p) % p
+
+
+def _batch_draw(a, b, p, T, draw):
+    """One point per row on y^2 = x^3 + a x + b mod p, the row's draw, and
+    what its order says of the group order, as (side, step, bad).
+
+    side is the Legendre symbol of f, +1 for a point on the curve and -1
+    for one on the twist.  step is the one multiple m of the order with
+    |p + 1 - m| <= T when there is one, else the spacing of those multiples,
+    which is the order; `_hasse_multiples` gives the same.  bad marks the
+    rows this draw cannot serve: f = 0, or an order of at most 2s + 1."""
+    pc = p[None, :]
+    x = _batch_x(p, draw)
+    f = (x * x % p * x % p + a * x % p + b) % p
+    bad = f == 0
+    sides = np.where(_pow_mod(f, (p - 1) // 2, p) == 1, 1, -1)
+    # (f x, f^2) lies on y^2 = x^3 + a f^2 x + b f^3
+    px, py = f * x % p, f * f % p
+    A = a * py % p
+    one = np.ones_like(p)
+    s = isqrt(int(T.max())) + 1
+    w = 2 * s + 1
+    # rows 0..s-1 hold [1]P..[s]P, row s holds [w]P = 2[s]P + P
+    X, Y, Z = (np.empty((s + 1, len(p)), dtype=np.int64) for _ in range(3))
+    X[0], Y[0], Z[0] = px, py, one
+    X[1], Y[1], Z[1] = _jac_double(px, py, one, A, p)
+    for j in range(2, s):
+        X[j], Y[j], Z[j] = _jac_add_affine(X[j - 1], Y[j - 1], Z[j - 1], px, py, A, p)
+    X[s], Y[s], Z[s] = _jac_add_affine(*_jac_double(X[s - 1], Y[s - 1], Z[s - 1], A, p), px, py, A, p)
+    bad |= (Z == 0).any(axis=0)
+    zinv = _inverse_columns(np.where(Z == 0, 1, Z), p)
+    zinv2 = zinv * zinv % pc
+    bx = X * zinv2 % pc
+    by = Y * (zinv2 * zinv % pc) % pc
+    # the orders n <= 2s + 1 that would spoil the search show as
+    # [j]P = O or [w]P = O (Z = 0 above) and as y = 0 (n = 2j, where a match
+    # would give only one of t = i w +- j); the other small orders give
+    # several baby steps with one x, and a giant step then matches each
+    # of them, each a true multiple
+    bad |= (by[:s] == 0).any(axis=0)
+    table_x, table_y = bx[:s], by[:s]
+    minus_wx, minus_wy = bx[s], (p - by[s]) % p
+    # giant steps R_i = [p + 1 - i w]P; R_i = +-[j]P puts t = i w +- j in the
+    # list of traces, and R_i = O puts t = i w
+    lo = -(int(T.max()) // w) - 1
+    gx, gy, gz = _jac_mul(p + 1 - lo * w, table_x, table_y, A, p)
+    found_r, found_t = [], []
+    for i in range(lo, int(T.max()) // w + 2):
+        zz = gz * gz % p
+        js, rs = np.nonzero(table_x * zz % pc == gx)
+        if not gz.all():
+            at_o = gz == 0
+            keep = ~at_o[rs]
+            js, rs = js[keep], rs[keep]
+            found_r.append(np.flatnonzero(at_o))
+            found_t.append(np.full(len(found_r[-1]), i * w))
+        up = gy[rs] == table_y[js, rs] * (zz[rs] * gz[rs] % p[rs]) % p[rs]
+        found_r.append(rs)
+        found_t.append(i * w + np.where(up, js + 1, -js - 1))
+        gx, gy, gz = _jac_add_affine(gx, gy, gz, minus_wx, minus_wy, A, p)
+    rs, ts = np.concatenate(found_r), np.concatenate(found_t)
+    inside = np.abs(ts) <= T[rs]
+    rs, ts = rs[inside], ts[inside]
+    # each row's traces ascending, one row after another, behind a 0 that
+    # rows with no trace point at
+    order = np.lexsort((ts, rs))
+    ts = np.concatenate(([0], ts[order]))
+    hits = np.bincount(rs, minlength=len(p))
+    end = np.cumsum(hits)
+    if (~bad & (hits == 0)).any():
+        raise ArithmeticError("a point has no multiple of its order in the Hasse interval")
+    return sides, np.where(hits == 1, p + 1 - ts[end], ts[end] - ts[end - 1]), bad
+
+
+def _jac_double(X, Y, Z, A, p):
+    """2(X : Y : Z) on y^2 = x^3 + A x + B in Jacobian coordinates, row by
+    row; O (Z = 0) stays O."""
+    XX = X * X % p
+    YY = Y * Y % p
+    ZZ = Z * Z % p
+    S = 4 * (X * YY % p) % p
+    M = (3 * XX + A * (ZZ * ZZ % p)) % p
+    X3 = (M * M - 2 * S) % p
+    Y3 = (M * ((S - X3) % p) - 8 * (YY * YY % p)) % p
+    return X3, Y3, 2 * (Y * Z % p) % p
+
+
+def _jac_add_affine(X, Y, Z, x2, y2, A, p):
+    """(X : Y : Z) + (x2, y2) in Jacobian coordinates, row by row.
+    O + (x2, y2) is (x2 : y2 : 1), P + (-P) comes out as O (Z = 0) by
+    itself, and the rows where the two points are equal (H = r = 0) are
+    doubled instead; on a CM curve each inert prime meets that once in its
+    giant steps, after R = O at t = 0."""
+    ZZ = Z * Z % p
+    H = (x2 * ZZ - X) % p
+    r = (y2 * (ZZ * Z % p) - Y) % p
+    HH = H * H % p
+    HHH = H * HH % p
+    V = X * HH % p
+    X3 = (r * r - HHH - 2 * V) % p
+    Y3 = (r * ((V - X3) % p) - Y * HHH) % p
+    Z3 = Z * H % p
+    same = np.flatnonzero(H == 0)
+    if len(same):
+        same = same[(r[same] == 0) & (Z[same] != 0)]
+        X3[same], Y3[same], Z3[same] = _jac_double(x2[same], y2[same], 1, A[same], p[same])
+    at_o = Z == 0
+    if at_o.any():
+        return np.where(at_o, x2, X3), np.where(at_o, y2, Y3), np.where(at_o, 1, Z3)
+    return X3, Y3, Z3
+
+
+def _jac_mul(k, table_x, table_y, A, p):
+    """[k]P for k >= 1 per row in Jacobian coordinates, from the affine
+    table_x[j - 1], table_y[j - 1] = [j]P (j = 1..s), by fixed windows of
+    b bits with 2^b <= s: b doublings, then one addition of [digit]P."""
+    b = len(table_x).bit_length() - 1
+    cols = np.arange(len(p))
+    X, Y, Z = np.ones_like(p), np.ones_like(p), np.zeros_like(p)
+    for shift in range((int(k.max()).bit_length() - 1) // b * b, -1, -b):
+        if Z.any():
+            for _ in range(b):
+                X, Y, Z = _jac_double(X, Y, Z, A, p)
+        digit = (k >> shift) & ((1 << b) - 1)
+        on = digit > 0
+        if on.any():
+            j = np.maximum(digit - 1, 0)
+            X2, Y2, Z2 = _jac_add_affine(X, Y, Z, table_x[j, cols], table_y[j, cols], A, p)
+            X, Y, Z = np.where(on, X2, X), np.where(on, Y2, Y), np.where(on, Z2, Z)
+    return X, Y, Z
+
+
+def _pow_mod(base, e, p):
+    """base^e mod p, row by row, by square-and-multiply."""
+    out = np.ones_like(base)
+    for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+        out = out * out % p
+        out = np.where((e >> bit) & 1 == 1, out * base % p, out)
+    return out
+
+
+def _inverse_columns(Z, p):
+    """The inverse mod p of every entry of Z, whose column c is taken mod
+    p[c] and has no zero: Montgomery's simultaneous inversion down each
+    column, with one Fermat power p - 2 for the whole column."""
+    prefix = np.empty_like(Z)
+    prefix[0] = Z[0]
+    for j in range(1, len(Z)):
+        prefix[j] = prefix[j - 1] * Z[j] % p
+    inv = _pow_mod(prefix[-1], p - 2, p)
+    out = np.empty_like(Z)
+    for j in range(len(Z) - 1, 0, -1):
+        out[j] = inv * prefix[j - 1] % p
+        inv = inv * Z[j] % p
+    out[0] = inv
+    return out
 
 
 def is_on_curve(curve: Curve, pt: Point, p: int) -> bool:
@@ -686,10 +955,14 @@ CM_J_INVARIANTS = {
 }
 
 
+_CM_DISC_BY_J = {j: D for D, j in CM_J_INVARIANTS.items()}
+
+
 def cm_disc_for(curve: Curve, disc: Optional[int] = None) -> Optional[int]:
-    """disc when one is given, else the catalog's CM discriminant of the
-    curve (None for a non-CM or uncatalogued curve).  A given disc must be
-    a class-number-one discriminant whose j-invariant is the curve's."""
+    """disc when one is given, else the class-number-one discriminant whose
+    j-invariant is the curve's (None when j is none of the 13).  A given
+    disc must be a class-number-one discriminant whose j-invariant is the
+    curve's."""
     if disc is not None:
         if disc not in CM_J_INVARIANTS:
             raise ValueError(f"D = {disc} is not a class-number-one discriminant")
@@ -698,10 +971,7 @@ def cm_disc_for(curve: Curve, disc: Optional[int] = None) -> Optional[int]:
                 f"D = {disc} needs j = {CM_J_INVARIANTS[disc]}, but the curve has j = {curve.j}"
             )
         return disc
-    for entry in CATALOG:
-        if entry.curve.ainvs() == curve.ainvs():
-            return entry.cm_disc
-    return None
+    return _CM_DISC_BY_J.get(curve.j)
 
 
 def noncm_family(family: str, u: int) -> Curve:

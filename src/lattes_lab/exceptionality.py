@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .elliptic import (
     CATALOG_BY_NAME,
     Curve,
-    _frobenius_trace,
+    _frobenius_traces,
     cm_disc_for,
     count_points,
     curve_hash,
@@ -59,8 +59,9 @@ class TraceRecord:
 
 def trace_record(curve: Curve, p: int, disc: Optional[int] = None) -> TraceRecord:
     """The trace record at a good prime.  The splitting symbol is filled in
-    from the CM discriminant when one is known (catalog lookup or explicit
-    disc); for non-CM curves it is left out rather than inferred."""
+    from the CM discriminant when one is known (explicit disc, or the
+    class-number-one discriminant of the curve's j); for non-CM curves it
+    is left out rather than inferred."""
     disc = cm_disc_for(curve, disc)
     ap = frobenius_trace(curve, p)
     splitting = None
@@ -74,12 +75,14 @@ def map_primes(fn: Callable[[list[int]], list], primes: Sequence[int], workers: 
     values of a list of primes in order.
 
     With workers > 1 and more than 8 primes, the primes are dealt
-    round-robin into workers * 4 chunks that run in a process pool, so fn
-    must pickle (a module-level function or a partial of one).  Results are
-    keyed by p, so the outcome is identical for any worker count."""
+    round-robin into one chunk per worker, which run in a process pool, so
+    fn must pickle (a module-level function or a partial of one).  One long
+    chunk suits the a_p batch, whose fixed cost per call is spread over
+    more primes.  Results are keyed by p, so the outcome is identical for
+    any worker count."""
     primes = list(primes)
     if workers > 1 and len(primes) > 8:
-        nchunks = min(len(primes), workers * 4)
+        nchunks = min(len(primes), workers)
         chunks = [primes[i::nchunks] for i in range(nchunks)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(fn, chunks))
@@ -89,10 +92,6 @@ def map_primes(fn: Callable[[list[int]], list], primes: Sequence[int], workers: 
     for chunk, values in zip(chunks, parts):
         out.update(zip(chunk, values))
     return out
-
-
-def _trace_chunk(curve: Curve, primes: list[int]) -> list[int]:
-    return [_frobenius_trace(curve, p) for p in primes]
 
 
 def frobenius_scan(
@@ -120,7 +119,7 @@ def frobenius_scan(
         else:
             todo.append(p)
     if todo:
-        out.update(map_primes(partial(_trace_chunk, curve), todo, workers))
+        out.update(map_primes(partial(_frobenius_traces, curve), todo, workers))
         if cache is not None:
             for p in todo:
                 cache.put(curve, p, out[p])

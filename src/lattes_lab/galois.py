@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .elliptic import Curve, _frobenius_trace, count_points, division_poly, rational_roots
+from .elliptic import Curve, _frobenius_traces, count_points, division_poly, rational_roots
 from .exceptionality import map_primes
 from .intmath import check_int64_modulus, is_prime, prime_divisors
 from .polyrat import _fp_gcd, _int_clear
@@ -317,12 +317,14 @@ def _coprime_chunk(curve: Curve, k: int, primes: list[int]) -> list[bool]:
         alive = [p for p in alive if p not in hit]
     decided = rest == 1
     verdicts = dict.fromkeys(primes, False)
+    traced = []
     for p in alive:
         if decided and p not in rooted:
             verdicts[p] = True
         else:
-            ap = _frobenius_trace(curve, p)
-            verdicts[p] = gcd((p + 1) ** 2 - ap * ap, k) == 1
+            traced.append(p)
+    for p, ap in zip(traced, _frobenius_traces(curve, traced)):
+        verdicts[p] = gcd((p + 1) ** 2 - ap * ap, k) == 1
     return [verdicts[p] for p in primes]
 
 
@@ -337,8 +339,9 @@ def coprime_verdicts(
     degree d = 3, 4, 12, measured at 15-27, 19-38 and 116-151 us per prime
     from p = 500 to 10^6 (2-CPU Xeon VM, numpy 2.4).  a_p from
     `frobenius_trace` decides every other ell at once, at 85 us by the
-    character sum below p = 2000 and 140-300 us by Shanks-Mestre above,
-    where the root test already takes 285-493 us for psi_7 and 2.4-4.1 ms
+    character sum below p = 2000 and 20-70 us above by Shanks-Mestre
+    batched over the chunk's primes (`elliptic._shanks_mestre_batch`),
+    where the root test already takes 350-460 us for psi_7 and 2.5-3.4 ms
     for psi_11.  So a prime that survives the root tests takes a_p if k
     has a prime factor ell >= 7, if p = 5 divides k, or if k = 0; the
     sign of k does not matter.  Every p is checked once, before any work

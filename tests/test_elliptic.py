@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lattes_lab import elliptic, polyrat
@@ -28,7 +29,7 @@ from lattes_lab.elliptic import (
     torsion_classify_Ed,
     torsion_x_rational,
 )
-from lattes_lab.intmath import check_int64_modulus, kronecker, primes_upto
+from lattes_lab.intmath import check_int64_modulus, is_prime, kronecker, primes_upto, sqrt_mod
 from lattes_lab.polyrat import GF, Poly, QQ, RatMap, format_ratmap, poly_gcd
 from lattes_lab.quadorder import CLASS_NUMBER_ONE_DISCS
 
@@ -471,22 +472,60 @@ def _bsgs(curve, p):
     return elliptic._shanks_mestre(F.coerce(-27 * curve.c4), F.coerce(-54 * curve.c6), p)
 
 
-def test_shanks_mestre_matches_the_character_sum_on_the_catalog():
+def _spy_scalar(monkeypatch) -> list[int]:
+    """The primes that reach the scalar Shanks-Mestre, in call order."""
+    fell = []
+    real = elliptic._shanks_mestre
+    monkeypatch.setattr(elliptic, "_shanks_mestre", lambda a, b, p: fell.append(p) or real(a, b, p))
+    return fell
+
+
+def _spy_batch_fits(monkeypatch, fell: list[int]) -> list[int]:
+    """The primes whose fits the arrays' draws looked up: every such call
+    comes before the first scalar call of a sub-batch."""
+    fitted = []
+    real = elliptic._traces_fitting
+
+    def spy(p, T, on_curve, on_twist):
+        if not fell:
+            fitted.append(p)
+        return real(p, T, on_curve, on_twist)
+
+    monkeypatch.setattr(elliptic, "_traces_fitting", spy)
+    return fitted
+
+
+def test_shanks_mestre_matches_the_character_sum_on_the_catalog(monkeypatch):
+    # the scalar route from p = 230 to 5000, and the batch route at every
+    # good prime from the crossover to 10^4, one chunk per curve
+    fell = _spy_scalar(monkeypatch)
     for entry in CATALOG:
-        for p in entry.curve.good_primes(5000):
-            if p >= 230:
-                assert _bsgs(entry.curve, p) == count_points(entry.curve, p)[1], (entry.name, p)
+        c = entry.curve
+        sums = {p: count_points(c, p)[1] for p in c.good_primes(10**4) if p >= 230}
+        for p in sums:
+            if p <= 5000:
+                assert _bsgs(c, p) == sums[p], (entry.name, p)
+        big = [p for p in sums if p >= elliptic._BSGS_FROM]
+        fell.clear()
+        assert elliptic._shanks_mestre_batch(c, big) == [sums[p] for p in big], entry.name
+        # the arrays settle nearly every prime (3% or less fall back on the catalog)
+        assert len(fell) < len(big) / 20, (entry.name, len(fell))
 
 
 def test_shanks_mestre_matches_the_character_sum_near_1e5_and_1e6():
-    # 21 seeded primes per scale, seven for each curve
+    # 21 seeded primes per scale, seven for each curve; the batch route then
+    # takes each curve's 14 primes as one chunk of mixed sizes
     rng = random.Random(20260)
     curves = [Curve(0, 0, 0, 1, 1), Curve(0, 0, 0, 1, 0), Curve(0, 0, 0, -1, 0)]
+    chunks = [{}, {}, {}]
     for lo in (10**5, 10**6 - 2 * 10**4):
         window = [p for p in elliptic.primes_upto(lo + 2 * 10**4) if p >= lo]
         for i, p in enumerate(rng.sample(window, 21)):
             c = curves[i % 3]
-            assert _bsgs(c, p) == count_points(c, p)[1], (c, p)
+            chunks[i % 3][p] = count_points(c, p)[1]
+            assert _bsgs(c, p) == chunks[i % 3][p], (c, p)
+    for c, traces in zip(curves, chunks):
+        assert elliptic._shanks_mestre_batch(c, list(traces)) == list(traces.values()), c
 
 
 def test_shanks_mestre_settles_full_two_torsion_through_the_twist(monkeypatch):
@@ -512,6 +551,136 @@ def test_shanks_mestre_settles_full_two_torsion_through_the_twist(monkeypatch):
             assert _bsgs(c, p) == count_points(c, p)[1], (c, p)
             ambiguous += calls[0] > 1
     assert ambiguous > 100 and len(settled_by_both) > 100
+
+
+def test_shanks_mestre_batch_matches_the_scalar_route_near_2_31():
+    # near p = 2**31 a product of two residues fits int64 and a product of
+    # three does not, so every reduction the group law skips shows here
+    c = Curve(0, 0, 0, 1, 1)
+    ps = [p for p in range(2**31 - 1, 2**31 - 300, -2) if is_prime(p)][:3]
+    assert elliptic._shanks_mestre_batch(c, ps) == [_bsgs(c, p) for p in ps]
+
+
+def test_batch_sends_rows_with_f_zero_to_the_scalar_route(monkeypatch):
+    # x = 0 is a root of x^3 - 1296 x, the short model of y^2 = x^3 - x
+    c = Curve(0, 0, 0, -1, 0)
+    ps = [p for p in c.good_primes(3000) if p >= elliptic._BSGS_FROM]
+    monkeypatch.setattr(elliptic, "_batch_x", lambda p, draw: np.zeros_like(p))
+    fell = _spy_scalar(monkeypatch)
+    fitted = _spy_batch_fits(monkeypatch, fell)
+    assert elliptic._shanks_mestre_batch(c, ps) == [count_points(c, p)[1] for p in ps]
+    assert fell == ps and fitted == []
+
+
+def test_batch_sends_small_orders_to_the_scalar_route(monkeypatch):
+    # x = 0 on y^2 = x^3 + 46656, the short model of y^2 = x^3 + 1, is a
+    # point of order 3, which the baby steps meet as [3]P = O; x = 2907 on
+    # the short model of [1,-1,1,-122,1721] is the image of (81, y), of
+    # order 12, whose [6]P has y = 0 (s = 10 or 11 baby steps here)
+    fell = _spy_scalar(monkeypatch)
+    fitted = _spy_batch_fits(monkeypatch, fell)
+    for c, x in ((Curve(0, 0, 0, 0, 1), 0), (Curve(1, -1, 1, -122, 1721), 2907)):
+        ps = [p for p in c.good_primes(3000) if p >= elliptic._BSGS_FROM]
+        monkeypatch.setattr(elliptic, "_batch_x", lambda p, draw: np.full_like(p, x))
+        fell.clear()
+        assert elliptic._shanks_mestre_batch(c, ps) == [count_points(c, p)[1] for p in ps], x
+        # the draw itself is refused: no order from it reaches the lcms
+        assert fell == ps and fitted == [], x
+
+
+def test_batch_additions_that_meet_h_zero_stay_on_the_arrays(monkeypatch):
+    # R + Q for R = O, R = Q (a doubling), R = -Q (giving O) and a generic R,
+    # with R in Jacobian coordinates scaled by a random Z, against _ec_add
+    p, a = 10007, 3
+    rng = random.Random(5)
+    pts = []
+    while len(pts) < 2:
+        x = rng.randrange(p)
+        y = sqrt_mod((x**3 + a * x + 7) % p, p)
+        if y:
+            pts.append((x, y))
+    Q = pts[0]
+    cases = [None, Q, (Q[0], p - Q[1]), pts[1]]
+    jacobian = []
+    for R in cases:
+        z = rng.randrange(1, p)
+        jacobian.append((1, 1, 0) if R is None else (R[0] * z * z % p, R[1] * z**3 % p, z))
+    X, Y, Z = (np.array(v, dtype=np.int64) for v in zip(*jacobian))
+    n = len(cases)
+    X3, Y3, Z3 = elliptic._jac_add_affine(
+        X, Y, Z, np.full(n, Q[0]), np.full(n, Q[1]), np.full(n, a), np.full(n, p)
+    )
+    for R, x3, y3, z3 in zip(cases, X3.tolist(), Y3.tolist(), Z3.tolist()):
+        expected = elliptic._ec_add(R, Q, a, p)
+        if expected is None:
+            assert z3 == 0, R
+        else:
+            zi = pow(z3, -1, p)
+            assert (x3 * zi * zi % p, y3 * zi**3 % p) == expected, R
+    # on a CM curve every inert prime has a_p = 0, so its giant steps meet
+    # R = O at t = 0 and then R = -W + (-W), a doubling; such rows stay on
+    # the arrays
+    d4 = CATALOG_BY_NAME["d4"].curve
+    inert = [p for p in d4.good_primes(4000) if p >= elliptic._BSGS_FROM and p % 4 == 3]
+    fell = _spy_scalar(monkeypatch)
+    assert elliptic._shanks_mestre_batch(d4, inert) == [0] * len(inert)
+    assert len(fell) < len(inert) / 10
+
+
+def test_batch_sends_rows_still_open_after_its_draws_to_the_scalar_route(monkeypatch):
+    # E(F_p) contains Z/2 x Z/2, so one point often leaves several a
+    c = Curve(0, 0, 0, -1, 0)
+    ps = [p for p in c.good_primes(4000) if p >= elliptic._BSGS_FROM]
+    expected = [count_points(c, p)[1] for p in ps]
+    fell = _spy_scalar(monkeypatch)
+    assert elliptic._shanks_mestre_batch(c, ps) == expected
+    settled_by_the_arrays = set(ps) - set(fell)
+    # with one draw, every row that several a fit goes to the scalar route;
+    # the draw's own fits all come before the first scalar call
+    fell.clear()
+    open_after_one = []
+    real_fits = elliptic._traces_fitting
+
+    def fits_spy(p, T, on_curve, on_twist):
+        fits = real_fits(p, T, on_curve, on_twist)
+        if not fell and len(fits) > 1:
+            open_after_one.append(p)
+        return fits
+
+    monkeypatch.setattr(elliptic, "_traces_fitting", fits_spy)
+    monkeypatch.setattr(elliptic, "_BATCH_DRAWS", 1)
+    assert elliptic._shanks_mestre_batch(c, ps) == expected
+    assert len(open_after_one) > 10 and set(open_after_one) <= set(fell)
+    # and the second and third draws settle most of them
+    assert len(settled_by_the_arrays & set(open_after_one)) > len(open_after_one) / 2
+
+
+def test_batch_splits_a_long_list_and_keeps_its_order(monkeypatch):
+    c = Curve(0, 0, 0, -1, 0)
+    ps = [p for p in c.good_primes(3000) if p >= elliptic._BSGS_FROM][:50]
+    order = ps[::-1] + ps[:3]  # descending, with repeats
+    sizes = []  # rows of each sub-batch's first draw
+    real_draw = elliptic._batch_draw
+
+    def draw_spy(a, b, p, T, draws):
+        if not draws.any():
+            sizes.append(len(p))
+        return real_draw(a, b, p, T, draws)
+
+    monkeypatch.setattr(elliptic, "_batch_draw", draw_spy)
+    monkeypatch.setattr(elliptic, "_BATCH_ROWS", 16)
+    # x = 0 (f = 0) at p = 1 mod 4 sends those rows to the scalar route
+    monkeypatch.setattr(elliptic, "_batch_x", lambda p, d: np.where(p % 4 == 1, 0, 1 + d))
+    fell = _spy_scalar(monkeypatch)
+    assert elliptic._shanks_mestre_batch(c, order) == [count_points(c, p)[1] for p in order]
+    assert sizes == [12, 13, 12, 13]
+    assert sorted(fell) == [p for p in ps if p % 4 == 1]
+
+
+def test_batch_raises_when_no_trace_fits(monkeypatch):
+    monkeypatch.setattr(elliptic, "_traces_fitting", lambda p, T, e, t: [])
+    with pytest.raises(ArithmeticError, match="no trace fits"):
+        elliptic._shanks_mestre_batch(Curve(0, 0, 0, 1, 1), [10007, 10009])
 
 
 def _brute_order(P, a, p):
@@ -591,7 +760,8 @@ def test_cm_disc_for_checks_a_given_D_against_j():
         assert cm_disc_for(entry.curve) == entry.cm_disc
     twist = cm_model(-11, 2)
     assert cm_disc_for(twist, -11) == -11
-    assert cm_disc_for(twist) is None  # no --D: the catalog only
+    assert cm_disc_for(twist) == -11  # no --D: looked up by j, in or out of the catalog
+    assert cm_disc_for(Curve(0, 0, 0, 1, 1)) is None  # j = 6912/31
     assert cm_disc_for(Curve(0, 0, 0, -11, 14), -16) == -16  # j = 287496
     with pytest.raises(ValueError, match="j = "):
         cm_disc_for(Curve(0, 0, 0, 1, 1), -11)

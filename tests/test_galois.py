@@ -210,9 +210,9 @@ def test_coprime_verdicts_root_tests_ell_2_3_5_only(monkeypatch):
         expected[k] = good, [gcd((p + 1) ** 2 - traces[p] ** 2, k) == 1 for p in good]
         odd[k] = [p for p in good if (p + 1 - traces[p]) % 2]
     built, counted = [], []
-    real_poly, real_trace = galois._torsion_poly, galois._frobenius_trace
+    real_poly, real_traces = galois._torsion_poly, galois._frobenius_traces
     monkeypatch.setattr(galois, "_torsion_poly", lambda c, ell: built.append(ell) or real_poly(c, ell))
-    monkeypatch.setattr(galois, "_frobenius_trace", lambda c, p: counted.append(p) or real_trace(c, p))
+    monkeypatch.setattr(galois, "_frobenius_traces", lambda c, ps: counted.extend(ps) or real_traces(c, ps))
     routes = {}
     for k, (good, verdicts) in expected.items():
         built.clear()

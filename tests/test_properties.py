@@ -61,6 +61,20 @@ def test_shanks_mestre_matches_the_character_sum(curve, primes):
             assert frobenius_trace(curve, p) == count_points(curve, p)[1], p
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    curve=curves(),
+    # one chunk of mixed sizes on both sides of the crossover, in any order
+    # and with repeats
+    primes=st.lists(st.sampled_from([p for p in primes_upto(3 * 10**4) if p >= 5]), min_size=1, max_size=8),
+)
+def test_batch_traces_match_the_scalar_route_and_the_character_sum(curve, primes):
+    good = [p for p in primes if curve.has_good_reduction(p)]
+    traces = elliptic._frobenius_traces(curve, good)
+    assert traces == [count_points(curve, p)[1] for p in good]
+    assert traces == [frobenius_trace(curve, p) for p in good]
+
+
 # -- polynomial kernels against their plain references ---------------------------
 
 KERNELS = settings(max_examples=80, derandomize=True, database=None, deadline=None)

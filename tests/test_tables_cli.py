@@ -135,6 +135,13 @@ def test_cli_scan_accepts_the_D_of_a_twist(capsys):
     assert out[3] == "| 7 | -1 | 0 | 2 | No |"
 
 
+def test_cli_scan_finds_the_D_of_a_twist_by_j(capsys):
+    # without --D the twist's symbol column comes from its j = -2^15
+    assert run_cli("scan", "[0,0,0,-1056,13552]", "--k", "6", "--pmax", "20", "--format", "csv") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:5] == ["p,symbol,ap,gcd,permutes", "5,+1,3,3,no", "7,-1,0,2,no", "13,-1,0,2,no", "17,-1,0,6,no"]
+
+
 def test_cli_density(capsys):
     assert run_cli("density", "[0,0,0,-264,1694]", "--k", "6", "--pmax", "500") == 0
     assert capsys.readouterr().out.strip().startswith("0 ")
