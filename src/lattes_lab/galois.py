@@ -4,7 +4,7 @@ by enumeration, subgroup-restricted densities, the diagonal witness that
 makes C_m nonempty, the bridge between the trace and torsion views of
 ell | A_p, the complete k = 2 verdict from the 2-division cubic, and
 empirical density scans over prime ranges, decided by the torsion root
-test for ell = 2, 3, 5 and by a_p for every other ell.
+test for ell = 2, 3 and by a_p for every other ell.
 """
 
 from __future__ import annotations
@@ -185,9 +185,9 @@ _BLOCK_ELEMS = 1 << 20
 # the largest degree d whose d x 2d square fits in one block; psi_37
 # (d = 684) is the last psi_ell below it
 _MAX_ROOT_DEGREE = 724
-# the ell that coprime_verdicts decides by the root test, at every p != ell
+# the ell that coprime_verdicts decides by the root test, at every p
 # (its docstring gives the per-prime costs behind the choice)
-_ROOT_TEST_ELLS = (2, 3, 5)
+_ROOT_TEST_ELLS = (2, 3)
 
 
 def _torsion_degree(ell: int) -> int:
@@ -307,24 +307,18 @@ def _coprime_chunk(curve: Curve, k: int, primes: list[int]) -> list[bool]:
     for ell in rooted:
         while rest % ell == 0:
             rest //= ell
-    # the root test removes the primes where some ell | A_p; a survivor
-    # takes a_p if some ell | k had no root test there (ell >= 7, or p = ell),
-    # or if k = 0, whose gcd |A_p| the root test cannot decide
+    # the root test removes the primes (all >= 5, so never ell) where some
+    # ell | A_p; the survivors take a_p if k has a prime factor ell >= 5, or
+    # if k = 0, whose gcd |A_p| the root test cannot decide
     alive = list(primes)
     for ell in rooted:
-        tested = [p for p in alive if p != ell]
-        hit = {p for p, root in zip(tested, _root_test(curve, ell, tested)) if root}
-        alive = [p for p in alive if p not in hit]
-    decided = rest == 1
+        alive = [p for p, root in zip(alive, _root_test(curve, ell, alive)) if not root]
     verdicts = dict.fromkeys(primes, False)
-    traced = []
-    for p in alive:
-        if decided and p not in rooted:
-            verdicts[p] = True
-        else:
-            traced.append(p)
-    for p, ap in zip(traced, _frobenius_traces(curve, traced)):
-        verdicts[p] = gcd((p + 1) ** 2 - ap * ap, k) == 1
+    if rest == 1:
+        verdicts.update(dict.fromkeys(alive, True))
+    else:
+        for p, ap in zip(alive, _frobenius_traces(curve, alive)):
+            verdicts[p] = gcd((p + 1) ** 2 - ap * ap, k) == 1
     return [verdicts[p] for p in primes]
 
 
@@ -334,19 +328,19 @@ def coprime_verdicts(
     """gcd(A_p, k) == 1 for each good prime p in `primes`, in order.
 
     A_p = (p+1)^2 - a_p^2 = |E(F_p)| * |E^d(F_p)|.  Each prime ell | k in
-    (2, 3, 5) is decided at every p != ell by the root test of
-    `torsion_roots`, which never needs a_p: O(d^2 log p) for psi_ell of
-    degree d = 3, 4, 12, measured at 15-27, 19-38 and 116-151 us per prime
-    from p = 500 to 10^6 (2-CPU Xeon VM, numpy 2.4).  a_p from
-    `frobenius_trace` decides every other ell at once, at 85 us by the
-    character sum below p = 2000 and 20-70 us above by Shanks-Mestre
-    batched over the chunk's primes (`elliptic._shanks_mestre_batch`),
-    where the root test already takes 350-460 us for psi_7 and 2.5-3.4 ms
-    for psi_11.  So a prime that survives the root tests takes a_p if k
-    has a prime factor ell >= 7, if p = 5 divides k, or if k = 0; the
-    sign of k does not matter.  Every p is checked once, before any work
-    (ValueError for p >= 2**31, p < 5, a composite p or bad reduction).
-    Output is identical for any worker count."""
+    (2, 3) is decided at every p by the root test of `torsion_roots`,
+    which never needs a_p: O(d^2 log p) for psi_ell of degree d = 3, 4,
+    measured at 15-27 and 19-38 us per prime from p = 500 to 10^6 (2-CPU
+    Xeon VM, numpy 2.4).  a_p from `frobenius_trace` decides every other
+    ell at once, at 85 us by the character sum below p = 2000 and 20-70 us
+    above by Shanks-Mestre batched over the chunk's primes
+    (`elliptic._shanks_mestre_batch`), where the root test already takes
+    116-151 us for psi_5, 350-460 us for psi_7 and 2.5-3.4 ms for psi_11.
+    So a prime that survives the root tests takes a_p if k has a prime
+    factor ell >= 5, or if k = 0; the sign of k does not matter.  Every p
+    is checked once, before any work (ValueError for p >= 2**31, p < 5, a
+    composite p or bad reduction).  Output is identical for any worker
+    count."""
     primes = list(primes)
     if not primes:
         return []

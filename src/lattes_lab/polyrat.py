@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import gcd as int_gcd, lcm as int_lcm
+from math import gcd as int_gcd, isqrt, lcm as int_lcm
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -313,7 +313,8 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     # the product of two nonempty integer coefficient lists; long factors by
     # Kronecker substitution: a(2^(8w)) * b(2^(8w)) as one big-int product,
     # each coefficient in w bytes plus the bias 2^(8w-1), where every input
-    # and output coefficient is below 2^(8w-1) in absolute value
+    # and output coefficient is below 2^(8w-1) in absolute value; a square
+    # (a is b) packs once and takes CPython's cheaper squaring path
     n, m = len(a), len(b)
     if min(n, m) < _KRONECKER_MIN:
         out = [0] * (n + m - 1)
@@ -322,8 +323,8 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         return out
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + min(n, m).bit_length())
+    abits = max(map(abs, a)).bit_length()
+    bits = abits + (abits if a is b else max(map(abs, b)).bit_length()) + min(n, m).bit_length()
     w = bits // 8 + 1
     half = 1 << (8 * w - 1)
     slot = b"\0" * (w - 1) + b"\x80"  # half in one slot, little-endian
@@ -333,7 +334,9 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
                 - int.from_bytes(slot * len(cs), "little"))
 
     r = n + m - 1
-    buf = (pack(a) * pack(b) + int.from_bytes(slot * r, "little")).to_bytes(r * w, "little")
+    pa = pack(a)
+    prod = pa * pa if a is b else pa * pack(b)
+    buf = (prod + int.from_bytes(slot * r, "little")).to_bytes(r * w, "little")
     return [int.from_bytes(buf[i : i + w], "little") - half for i in range(0, r * w, w)]
 
 
@@ -341,20 +344,21 @@ def format_poly(f: Poly, var: str = "x") -> str:
     """Human-readable form, descending powers, e.g. 'x^4 - 16x'."""
     if f.is_zero:
         return "0"
+    den = f.den
     parts = []
     for i in range(f.degree, -1, -1):
         if not f.ints[i]:
             continue
-        c = Fraction(f.ints[i], f.den)
+        c = str(f.ints[i]) if den == 1 else str(Fraction(f.ints[i], den))
         if i == 0:
-            term = str(c)
+            term = c
         else:
             xpow = var if i == 1 else f"{var}^{i}"
-            if c == 1:
+            if c == "1":
                 term = xpow
-            elif c == -1:
+            elif c == "-1":
                 term = f"-{xpow}"
-            elif "/" in str(c):
+            elif "/" in c:
                 term = f"({c}){xpow}"
             else:
                 term = f"{c}{xpow}"
@@ -703,10 +707,21 @@ def _horner_pair(num: Poly, den: Poly, p: int) -> np.ndarray:
     return _horner_rows(cs, p)
 
 
+# int64 elements in the power table of _horner_rows, at most B x p
+_HORNER_TABLE_ELEMS = 1 << 20
+
+
+def _horner_block(n: int, p: int) -> int:
+    """The block length B of _horner_rows for n coefficients mod p: about
+    sqrt(n), with B (p-1)^2 < 2^63 so that a block's matmul sums fit in
+    int64, and B p within the power table's element budget."""
+    return max(1, min(isqrt(n - 1) + 1, (2**63 - 1) // (p - 1) ** 2, _HORNER_TABLE_ELEMS // p))
+
+
 def _horner_rows(cs: np.ndarray, p: int) -> np.ndarray:
     # row i: sum_j cs[j, i] x^j at x = 0..p-1, for int64 cs in [0, p) and
     # p < 2^31.  On F_p, x^j = x^((j-1) mod (p-1) + 1) for j >= 1, so
-    # exponents from p on are folded below p first: at most p Horner steps.
+    # exponents from p on are folded below p first: at most p coefficients.
     # The fold changes degrees: a value at infinity must not come from it.
     if len(cs) > p:
         folded = cs[:p].copy()
@@ -714,12 +729,27 @@ def _horner_rows(cs: np.ndarray, p: int) -> np.ndarray:
             block = cs[j : j + p - 1]
             folded[1 : 1 + len(block)] += block
         cs = folded % p
+    # blocked Horner (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973):
+    # with pw[j] = x^j for j < B and y = x^B, f = sum_t f_t(x) y^t over
+    # blocks f_t of B coefficients; each f_t at every x is one int64
+    # matrix product, and Horner runs in y over the blocks, top block
+    # first.  B = 1 is plain Horner in x.  np.dot, not @: the matmul
+    # gufunc adds 128 KiB to the peak RSS of a process the first time.
+    n = len(cs)
+    b = _horner_block(n, p)
     xs = np.arange(p, dtype=np.int64)
-    acc = np.empty((cs.shape[1], p), dtype=np.int64)
-    acc[:] = cs[-1][:, None]
-    for c in cs[-2::-1, :, None]:
-        acc *= xs
-        acc += c
+    pw = np.empty((b, p), dtype=np.int64)
+    pw[0] = 1
+    for j in range(1, b):
+        np.multiply(pw[j - 1], xs, out=pw[j])
+        pw[j] %= p
+    y = pw[-1] * xs % p
+    rows = cs.T
+    top = (n - 1) // b * b
+    acc = np.dot(rows[:, top:], pw[: n - top]) % p
+    for j in range(top - b, -1, -b):
+        acc *= y
+        acc += np.dot(rows[:, j : j + b], pw) % p
         acc %= p
     return acc
 

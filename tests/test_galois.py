@@ -181,7 +181,7 @@ def test_root_test_matches_the_character_sum():
 
 def test_root_test_for_larger_ell():
     # psi_11 and psi_13 (degrees 60 and 84), which coprime_verdicts never
-    # builds: it takes a_p for every ell >= 7
+    # builds: it takes a_p for every ell >= 5
     for name in ("noncm-e", "d4"):
         curve = CATALOG_BY_NAME[name].curve
         good = [p for p in curve.good_primes(400) if p > 13]
@@ -192,16 +192,16 @@ def test_root_test_for_larger_ell():
             assert torsion_roots(curve, ell, good) == expected, (name, ell)
 
 
-def test_coprime_verdicts_root_tests_ell_2_3_5_only(monkeypatch):
+def test_coprime_verdicts_root_tests_ell_2_3_only(monkeypatch):
     curve = CATALOG_BY_NAME["noncm-e"].curve
     cases = {
-        10: (100, 3000),  # root tests for 2 and 5 decide every p
-        -6: (100, 3000),
-        14: (100, 3000),  # psi_7, psi_11, psi_101 (degree 5100) are never
-        22: (1900, 3000),  # built: survivors of ell = 2 take a_p
+        -6: (100, 3000),  # root tests for 2 and 3 decide every p
+        10: (100, 3000),  # psi_5, psi_7, psi_11, psi_101 (degree 5100) are
+        14: (100, 3000),  # never built: survivors of ell = 2 take a_p
+        22: (1900, 3000),
         202: (100, 3000),
         0: (100, 1000),  # gcd(A_p, 0) = |A_p| needs a_p at every p
-        5: (5, 400),  # psi_5 loses its leading term at p = 5
+        5: (5, 400),  # from p = 5 on, where psi_5 loses its leading term
     }
     expected, odd = {}, {}
     for k, (lo, hi) in cases.items():
@@ -219,13 +219,12 @@ def test_coprime_verdicts_root_tests_ell_2_3_5_only(monkeypatch):
         counted.clear()
         assert coprime_verdicts(curve, k, good) == verdicts, k
         routes[k] = set(built), list(counted)
-    assert routes[10] == ({2, 5}, [])
     assert routes[-6] == ({2, 3}, [])
-    for k in (14, 22, 202):
+    for k in (10, 14, 22, 202):
         assert routes[k] == ({2}, odd[k]), k
         assert 0 < len(odd[k]) < len(expected[k][0]) / 2
     assert routes[0] == (set(), expected[0][0])
-    assert expected[5][0][0] == 5 and routes[5] == ({5}, [5])
+    assert expected[5][0][0] == 5 and routes[5] == (set(), expected[5][0])
     assert empirical_density(curve, -6, 1000) == empirical_density(curve, 6, 1000)
 
 
@@ -241,7 +240,7 @@ def test_empirical_density_matches_the_character_sum():
 
 def test_density_never_factors_k(monkeypatch, capsys):
     # k = 1000000007 * 1000000009: trial division would run up to 10^9, but
-    # the verdict route only strips 2, 3 and 5 from k
+    # the verdict route only strips 2 and 3 from k
     k = 1000000016000000063
     curve = Curve(0, 0, 0, 1, 1)
     good = curve.good_primes(3000)

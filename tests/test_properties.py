@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lattes_lab import elliptic, polyrat
@@ -28,7 +30,7 @@ def curves(draw) -> Curve:
 
 
 # k = 0, +-1 and signed products of primes from {2, 3, 5, 7, 11}: every
-# mix of root-tested ell (2, 3, 5) and ell that take a_p (7, 11)
+# mix of root-tested ell (2, 3) and ell that take a_p (5, 7, 11)
 KS = (0, 1, -1, 2, -3, 5, 7, 11, -6, 10, 14, 15, 22, 25, -35, 77, 2310)
 
 
@@ -36,7 +38,7 @@ KS = (0, 1, -1, 2, -3, 5, 7, 11, -6, 10, 14, 15, 22, 25, -35, 77, 2310)
 @given(
     curve=curves(),
     # primes on both sides of p = 2000, where frobenius_trace turns from the
-    # character sum to Shanks-Mestre; p = 5 is where psi_5 takes no root test
+    # character sum to Shanks-Mestre; p = 5 is where psi_5 loses its leading term
     low=st.lists(st.sampled_from([p for p in PRIMES if p < 2000]), min_size=1, max_size=6),
     high=st.lists(st.sampled_from([p for p in PRIMES if p > 2000]), min_size=1, max_size=3),
     with_5=st.booleans(),
@@ -113,6 +115,8 @@ int_lists = st.lists(signed, min_size=1, max_size=3 * polyrat._KRONECKER_MIN)
 def test_kronecker_multiply_matches_schoolbook(a, b):
     assert polyrat._int_mul(a, b) == schoolbook(a, b)
     assert polyrat._int_mul(b, a) == schoolbook(a, b)
+    # a square passes one list twice and packs it once
+    assert polyrat._int_mul(a, a) == schoolbook(a, a)
 
 
 def test_kronecker_multiply_at_the_slot_limits():
@@ -124,6 +128,8 @@ def test_kronecker_multiply_at_the_slot_limits():
             for sign in (1, -1):
                 a, b = [2**ba - 1] * n, [sign * (2**bb - 1)] * (n - 5)
                 assert polyrat._int_mul(a, b) == schoolbook(a, b), (ba, bb, sign)
+        a = [-(2**ba - 1)] * n
+        assert polyrat._int_mul(a, a) == schoolbook(a, a), ba
 
 
 @KERNELS
@@ -170,6 +176,64 @@ def test_folded_horner_matches_plain_horner(p, num, den):
     else:
         want.append(fn[-1] * pow(fd[-1], -1, p) % p if len(fn) == len(fd) else 0)
     assert f.value_table() == want
+
+
+def per_coefficient_horner(cs, p):
+    # the kernel that blocked Horner replaced: the same fold, then one
+    # multiply, add and reduction over all x per coefficient
+    if len(cs) > p:
+        folded = cs[:p].copy()
+        for j in range(p, len(cs), p - 1):
+            block = cs[j : j + p - 1]
+            folded[1 : 1 + len(block)] += block
+        cs = folded % p
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.empty((cs.shape[1], p), dtype=np.int64)
+    acc[:] = cs[-1][:, None]
+    for c in cs[-2::-1, :, None]:
+        acc *= xs
+        acc += c
+        acc %= p
+    return acc
+
+
+@pytest.mark.parametrize("p", [2, 3, 1009, 65537])
+def test_blocked_horner_matches_the_per_coefficient_loop(p):
+    # B^2 coefficients fill B blocks; B^2 + 1 leave a partial top block, and
+    # so do most other lengths.  p and 3p fold once and several times.  At
+    # p = 65537 the power table's budget caps B at 15, and the lengths p
+    # and 3p are left out: each costs p^2 multiply-adds a row (over 10 s a
+    # call on a 2-CPU VM).
+    rng = np.random.default_rng(p)
+    b = polyrat._horner_block(p, p)
+    lengths = {1, 2, 9, 10, 25, 26, b * b, b * b + 1}
+    if p < 65537:
+        lengths |= {p, 3 * p}
+    else:
+        assert b == polyrat._horner_block(b * b + 1, p) == polyrat._HORNER_TABLE_ELEMS // p == 15
+    for n in sorted(lengths):
+        for rows in (1, 2):
+            cs = rng.integers(0, p, size=(n, rows), dtype=np.int64)
+            assert np.array_equal(polyrat._horner_rows(cs, p), per_coefficient_horner(cs, p)), (n, rows)
+
+
+def test_horner_block_size_rule(monkeypatch):
+    big = 2**31 - 1
+    assert polyrat._horner_block(1, 2) == polyrat._horner_block(1, big) == 1
+    assert polyrat._horner_block(10**4, 1009) == 100  # isqrt(n - 1) + 1
+    # the power table stays within its element budget: B = 1 at p = 10^6
+    assert polyrat._horner_block(10**6, 10**6) * 10**6 <= polyrat._HORNER_TABLE_ELEMS
+    for p in (2, 3, 1009, 65537, 10**6 + 3, big):
+        for n in (1, 2, 10**3, 10**9):
+            b = polyrat._horner_block(n, p)
+            assert b >= 1 and b * (p - 1) ** 2 < 2**63
+            assert b == 1 or b * p <= polyrat._HORNER_TABLE_ELEMS
+    # the int64 bound holds by itself, whatever the budget
+    monkeypatch.setattr(polyrat, "_HORNER_TABLE_ELEMS", 2**80)
+    assert polyrat._horner_block(10**9, big) == 2
+    for p in (3, 1009, 65537, 10**6 + 3, big):
+        b = polyrat._horner_block(10**12, p)
+        assert b >= 1 and b * (p - 1) ** 2 < 2**63, p
 
 
 EUCLID_PRIMES = [3, 1009, 65537, 2147483629, 2147483647]
