@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .intmath import (
+    _non_primes,
     check_int64_modulus,
     factorize,
     is_prime,
@@ -151,6 +152,15 @@ class Curve:
             raise ValueError("reduction is supported for primes p >= 5 only")
         if not self.has_good_reduction(p):
             raise ValueError(f"bad reduction at {p} for {self}")
+
+    def _require_all_good(self, primes: Sequence[int]):
+        """_require_good for every p in primes by one sieve pass, raising
+        its ValueError for the first offending p in the given order."""
+        composite = _non_primes({p for p in primes if p >= 5})
+        bad_modulus = self._bad_modulus
+        for p in primes:
+            if p < 5 or p in composite or bad_modulus % p == 0:
+                self._require_good(p)
 
     def coeffs_mod(self, p: int) -> tuple[int, ...]:
         F = GF(p)

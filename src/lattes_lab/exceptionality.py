@@ -12,7 +12,6 @@ flat-file cache ("curvehash,p,ap" lines) makes repeated scans cheap.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,12 +34,12 @@ from .elliptic import (
 )
 from .intmath import (
     CongruenceCondition,
+    _non_primes,
     check_int64_modulus,
     is_prime,
     kronecker,
     prime_divisors,
     prime_stream,
-    primes_between,
 )
 from .quadorder import prime_above, prime_elements, quad_order, splitting_type
 
@@ -109,8 +108,7 @@ def frobenius_scan(
     primes = sorted(primes)
     if primes:
         check_int64_modulus(primes[-1])
-    for p in primes:
-        curve._require_good(p)
+    curve._require_all_good(primes)
     out: dict[int, int] = {}
     todo = []
     for p in primes:
@@ -192,25 +190,6 @@ class TraceCache:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-
-
-# a cache's rows are sieved in windows of this width, so a row far beyond
-# the others costs one more window and no more memory
-_SIEVE_WINDOW = 1 << 20
-
-
-def _non_primes(ns: set[int]) -> set[int]:
-    """The members of ns that are not prime, by one segmented sieve per
-    window of width 2**20 that holds a member, from its least member to its
-    largest."""
-    ordered = sorted(ns)
-    out = set(ns)
-    i = 0
-    while i < len(ordered):
-        j = bisect_right(ordered, ordered[i] | (_SIEVE_WINDOW - 1))
-        out.difference_update(primes_between(ordered[i], ordered[j - 1] + 1))
-        i = j
-    return out
 
 
 # -- permutation verdicts -------------------------------------------------------

@@ -179,11 +179,16 @@ def k2_verdict(curve: Curve) -> tuple[bool, str, Optional[Fraction]]:
 
 # -- the torsion root test ------------------------------------------------------
 
-# int64 elements per batched array: blocks of primes are sized so that the
-# largest temporary (primes x d x 2d) stays near 8 MiB
+# blocks of n primes for the root test are sized so that its (d, n) rows hold
+# at most _ROW_ELEMS int64 elements (256 KiB, measured fastest for d = 3..24
+# at p near 10^6), and its largest array, the table of x^(d+j) mod f for
+# j < d (d x d x n), at most _BLOCK_ELEMS (8 MiB), or one prime
+_ROW_ELEMS = 1 << 15
 _BLOCK_ELEMS = 1 << 20
-# the largest degree d whose d x 2d square fits in one block; psi_37
-# (d = 684) is the last psi_ell below it
+# the largest degree the root test takes; psi_37 (d = 684) is the last
+# psi_ell below it.  Its table is d^2 elements a prime (3.6 MiB) and a
+# square makes about 2d numpy passes, about 0.25 s a prime near 10^6, so
+# psi_41 (d = 840) and beyond are refused to keep the cost bounded
 _MAX_ROOT_DEGREE = 724
 # the ell that coprime_verdicts decides by the root test, at every p
 # (its docstring gives the per-prime costs behind the choice)
@@ -211,11 +216,14 @@ def torsion_roots(curve: Curve, ell: int, primes: Iterable[int]) -> list[bool]:
     prime p != ell in `primes`: exactly when ell | A_p, since every such
     root is the x-coordinate of a point of order ell on E or on its twist.
 
-    The test is gcd(f, x^p - x) != 1 for the monic reduction f of degree
-    d = (ell^2 - 1)/2 (3 for ell = 2): x^p mod f comes from
-    square-and-multiply batched over blocks of primes in int64 arrays, and
-    the gcd is taken per prime.  Raises ValueError for d > 724 (ell > 37),
-    whose d x 2d square would not fit in one block."""
+    The test is gcd(F, x^p - x) != 1 for F(x) = c^(d-1) f(x / c) mod p,
+    where f is psi_ell of degree d = (ell^2 - 1)/2 (3 for ell = 2) and c
+    its leading coefficient: F is monic with c times the roots of f.  Every
+    step runs on blocks of primes at once, one int64 row per coefficient:
+    x^p mod F by square-and-multiply (`_x_power_minus_x`) and the gcd
+    decision by one remainder sequence (`_share_root`).  Every p is checked
+    before any work, by one sieve pass.  Raises ValueError for d > 724
+    (ell > 37)."""
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     if _torsion_degree(ell) > _MAX_ROOT_DEGREE:
@@ -224,10 +232,10 @@ def torsion_roots(curve: Curve, ell: int, primes: Iterable[int]) -> list[bool]:
     if not primes:
         return []
     check_int64_modulus(max(primes))
-    for p in primes:
-        if p == ell:
-            raise ValueError("p and ell must differ")
-        curve._require_good(p)
+    if ell in primes:
+        curve._require_all_good(primes[: primes.index(ell)])
+        raise ValueError("p and ell must differ")
+    curve._require_all_good(primes)
     return _root_test(curve, ell, primes)
 
 
@@ -236,67 +244,131 @@ def _root_test(curve: Curve, ell: int, primes: list[int]) -> list[bool]:
         return []
     cs = _torsion_poly(curve, ell)
     d = len(cs) - 1
-    step = _BLOCK_ELEMS // (2 * d * d)
+    step = max(1, min(_ROW_ELEMS // d, _BLOCK_ELEMS // (d * d)))
     out: list[bool] = []
     for i in range(0, len(primes), step):
-        out += _has_root_block(cs, primes[i : i + step])
+        ps = np.array(primes[i : i + step], dtype=np.int64)
+        f = _monic_residues(cs, ps)
+        out += _share_root(f, _x_power_minus_x(f, ps), ps).tolist()
     return out
 
 
-def _has_root_block(cs: list[int], block: list[int]) -> list[bool]:
-    d = len(cs) - 1
-    ps = np.array(block, dtype=np.int64)
-    pc = ps[:, None]
-    inv = np.array([pow(cs[-1], -1, p) for p in block], dtype=np.int64)[:, None]
-    low = np.array([[c % p for c in cs[:-1]] for p in block], dtype=np.int64)
-    monic = low * inv % pc  # f = x^d + monic[:, d-1] x^(d-1) + ... + monic[:, 0]
-    xd = -monic % pc  # x^d mod f
-    # xpow[:, j] = x^(d+j) mod f for j = 0..d-2, the rows that fold a square
-    # of degree 2d-2 back below d
-    xpow = np.empty((len(block), d - 1, d), dtype=np.int64)
-    xpow[:, 0] = xd
-    for j in range(1, d - 1):
-        xpow[:, j] = _times_x(xpow[:, j - 1], xd, pc)
-    r = np.zeros((len(block), d), dtype=np.int64)
-    r[:, 0] = 1
-    for b in range(int(ps.max()).bit_length() - 1, -1, -1):
-        r = _square_mod(r, xpow, pc)
-        odd = ((ps >> b) & 1).astype(bool)[:, None]
-        r = np.where(odd, _times_x(r, xd, pc), r)
-    out = []
-    for p, f, g in zip(block, monic.tolist(), r.tolist()):
-        g[1] = (g[1] - 1) % p  # x^p - x mod f
-        while g and g[-1] == 0:
-            g.pop()
-        if not g:  # f divides x^p - x: every root lies in F_p
-            out.append(True)
-            continue
-        common, _ = _fp_gcd(f + [1], g, p)
-        out.append(len(common) > 1)
+def _monic_residues(cs: list[int], ps: np.ndarray) -> np.ndarray:
+    """The (d + 1, n) coefficients of F(x) = c^(d-1) f(x / c) mod ps[j],
+    column by column, for f = sum cs[i] x^i of degree d whose leading
+    coefficient c is a unit mod every p: F is monic, its roots are c times
+    those of f, and it takes no inverse mod p."""
+    out = np.empty((len(cs), len(ps)), dtype=np.int64)
+    for row, c in zip(out, cs):
+        if -(1 << 63) <= c < 1 << 63:
+            np.remainder(c, ps, out=row)
+        else:
+            row[:] = [c % p for p in ps.tolist()]
+    scale, lead = out[-1].copy(), out[-1].copy()
+    for row in out[-3::-1]:  # row i takes c^(d-1-i)
+        row *= scale
+        row %= ps
+        scale *= lead
+        scale %= ps
+    out[-1] = 1
     return out
 
 
-def _times_x(r: np.ndarray, xd: np.ndarray, pc: np.ndarray) -> np.ndarray:
-    """x * r mod f, row by row (each product stays below p^2 + p)."""
-    out = np.empty_like(r)
-    out[:, 0] = 0
-    out[:, 1:] = r[:, :-1]
-    return (out + r[:, -1:] * xd) % pc
+def _x_power_minus_x(f: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """x^p - x mod f, column by column: f is (d + 1, n) and monic, with
+    its coefficients mod ps[j] in column j; the result is (d, n).
+
+    Left-to-right square-and-multiply over the bits of p, every column at
+    once.  A product of two residues is at most (p - 1)^2, so one residue
+    plus `group` products fits in int64, and a sum is reduced mod p only
+    once per `group` products (group >= 2 for every p < 2^31)."""
+    d, n = len(f) - 1, len(ps)
+    pmax = int(ps.max())
+    group = (2**63 - 1 - pmax) // (pmax - 1) ** 2
+    # xpow[j] = x^(d+j) mod f for j < d: the rows that fold x * r^2, of
+    # degree below 2d, back below d
+    xpow = np.empty((d, d, n), dtype=np.int64)
+    xpow[0] = -f[:d] % ps
+    for j in range(1, d):
+        xpow[j, 0] = 0
+        xpow[j, 1:] = xpow[j - 1, :-1]
+        xpow[j] += xpow[j - 1, -1] * xpow[0]
+        xpow[j] %= ps
+    # r starts as x^m for the leading bits m of p that stay below d, so
+    # their squares are skipped
+    low = max(pmax.bit_length() - (d.bit_length() - 1), 0)
+    r = np.zeros((d, n), dtype=np.int64)
+    r[ps >> low, np.arange(n)] = 1
+    bits = ((ps >> np.arange(low)[:, None]) & 1).astype(bool)
+    for b in range(low - 1, -1, -1):
+        r = _square_step(r, bits[b], xpow, ps, group)
+    r[1] -= 1
+    r[1] %= ps
+    return r
 
 
-def _square_mod(r: np.ndarray, xpow: np.ndarray, pc: np.ndarray) -> np.ndarray:
-    """r^2 mod f, row by row; every product is reduced below p before any
-    sum, so sums of d terms stay far below 2^63."""
-    n, d = r.shape
-    pc3 = pc[:, :, None]
-    prod = r[:, :, None] * r[:, None, :] % pc3
-    # shift row i of prod right by i (the skew of a d x 2d block read as
-    # d x (2d-1)), so that column sums are the coefficients of r^2
-    skew = np.zeros((n, d, 2 * d), dtype=np.int64)
-    skew[:, :, :d] = prod
-    shifted = skew.reshape(n, 2 * d * d)[:, : d * (2 * d - 1)].reshape(n, d, 2 * d - 1)
-    sq = shifted.sum(axis=1) % pc
-    return (sq[:, :d] + (sq[:, d:, None] * xpow % pc3).sum(axis=1)) % pc
+def _square_step(
+    r: np.ndarray, odd: np.ndarray, xpow: np.ndarray, ps: np.ndarray, group: int
+) -> np.ndarray:
+    """x^odd * r^2 mod f, column by column, for (d, n) residues r."""
+    d = len(r)
+    # acc[k + 1] sums the x^k products of r^2 and acc[0] stays zero, so the
+    # coefficients of x * r^2 are acc[k]: odd columns read one row lower
+    acc = np.zeros((2 * d + 1, r.shape[1]), dtype=np.int64)
+    for i in range(d):
+        if i and i % group == 0:
+            acc %= ps
+        acc[i + 1 : i + d + 1] += r[i] * r
+    count = (d - 1) % group + 1  # products in each sum since it was reduced
+    shifted = np.where(odd, acc[:-1], acc[1:])
+    lo, hi = shifted[:d], shifted[d:]
+    hi %= ps
+    for j in range(d):
+        if count == group:
+            lo %= ps
+            count = 0
+        lo += hi[j] * xpow[j]
+        count += 1
+    lo %= ps
+    return lo
+
+
+def _share_root(f: np.ndarray, g: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Whether gcd(f, g) over F_p is not constant, column by column: f is
+    (m + 1, n) with a nonzero leading row and g is (m, n), both holding
+    residues mod ps[j] in column j.
+
+    One pseudo-remainder sequence runs on every column at once, with no
+    inverse: for b of degree m' with leading coefficient lb != 0,
+    lb * a - t * x^e * b clears the lead t of a, and scaling by the unit lb
+    keeps the gcd.  While each remainder is one degree below its divisor,
+    a remainder that vanishes leaves that divisor, of degree >= 1, as the
+    gcd, and a nonzero constant at the end means coprime (g = 0: f splits).
+    A column whose remainder drops further but not to 0 takes `_fp_gcd` on
+    its f and g."""
+    share = np.zeros(len(ps), dtype=bool)
+    live = np.ones(len(ps), dtype=bool)  # columns on the one-degree sequence
+    a, b = f, g
+    while True:
+        ends = live & (b[-1] == 0)
+        if ends.any():
+            zero = ~b.any(axis=0)
+            share |= ends & zero
+            for i in np.flatnonzero(ends & ~zero):
+                rest = g[:, i].tolist()
+                while not rest[-1]:
+                    rest.pop()
+                share[i] = len(_fp_gcd(f[:, i].tolist(), rest, int(ps[i]))[0]) > 1
+            live &= ~ends
+        if len(b) == 1 or not live.any():
+            return share
+        lb, t = b[-1], a[-1]
+        a = lb * a[:-1]
+        a[1:] -= t * b[:-1]
+        a %= ps
+        rem = lb * a[:-1] - a[-1] * b[:-1]
+        rem %= ps
+        a, b = b, rem
 
 
 def _coprime_chunk(curve: Curve, k: int, primes: list[int]) -> list[bool]:
@@ -330,23 +402,23 @@ def coprime_verdicts(
     A_p = (p+1)^2 - a_p^2 = |E(F_p)| * |E^d(F_p)|.  Each prime ell | k in
     (2, 3) is decided at every p by the root test of `torsion_roots`,
     which never needs a_p: O(d^2 log p) for psi_ell of degree d = 3, 4,
-    measured at 15-27 and 19-38 us per prime from p = 500 to 10^6 (2-CPU
-    Xeon VM, numpy 2.4).  a_p from `frobenius_trace` decides every other
-    ell at once, at 85 us by the character sum below p = 2000 and 20-70 us
-    above by Shanks-Mestre batched over the chunk's primes
-    (`elliptic._shanks_mestre_batch`), where the root test already takes
-    116-151 us for psi_5, 350-460 us for psi_7 and 2.5-3.4 ms for psi_11.
-    So a prime that survives the root tests takes a_p if k has a prime
-    factor ell >= 5, or if k = 0; the sign of k does not matter.  Every p
-    is checked once, before any work (ValueError for p >= 2**31, p < 5, a
+    measured at 2-3 and 3-4 us per prime from p = 500 to 10^6 on blocks
+    of 300 primes (2-CPU Xeon VM, numpy 2.4).  a_p from `frobenius_trace`
+    decides every other ell at once, at 51 us by the character sum below
+    p = 2000 and 16-34 us above by Shanks-Mestre batched over 4096 primes
+    (`elliptic._shanks_mestre_batch`).  On as many primes psi_5 takes
+    17-20 us, 1 us more than the batch near 10^4 and 10^5; psi_7 takes
+    52-64 us and psi_11 224-279 us on 300.  So a prime that survives the
+    root tests takes a_p if k has a prime factor ell >= 5, or if k = 0;
+    the sign of k does not matter.  Every p is checked once, before any
+    work, by one sieve pass (ValueError for p >= 2**31, p < 5, a
     composite p or bad reduction).  Output is identical for any worker
     count."""
     primes = list(primes)
     if not primes:
         return []
     check_int64_modulus(max(primes))
-    for p in primes:
-        curve._require_good(p)
+    curve._require_all_good(primes)
     return _coprime_verdicts(curve, k, primes, workers)
 
 

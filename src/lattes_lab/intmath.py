@@ -10,6 +10,7 @@ emitted in ascending order.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd, isqrt
@@ -258,6 +259,25 @@ def primes_between(lo: int, hi: int) -> list[int]:
     if hi <= lo:
         return []
     return list(compress(range(lo, hi), _sieve_segment(lo, hi)))
+
+
+# _non_primes sieves in windows of this width, so a member far beyond the
+# others costs one more window and no more memory
+_SIEVE_WINDOW = 1 << 20
+
+
+def _non_primes(ns: set[int]) -> set[int]:
+    """The members of ns that are not prime, by one segmented sieve per
+    window of width 2**20 that holds a member, from its least member to its
+    largest."""
+    ordered = sorted(ns)
+    out = set(ns)
+    i = 0
+    while i < len(ordered):
+        j = bisect_right(ordered, ordered[i] | (_SIEVE_WINDOW - 1))
+        out.difference_update(primes_between(ordered[i], ordered[j - 1] + 1))
+        i = j
+    return out
 
 
 def prime_flags(limit: int) -> bytearray:

@@ -393,8 +393,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
 
 # the divisor length from which _fp_gcd runs its Euclid steps on int64 rows
 # (measured crossover 16-24 coefficients); shorter divisors stay on lists,
-# where numpy's per-call overhead would dominate: the root test's psi_ell for
-# ell <= 5 has at most 13 coefficients
+# where numpy's per-call overhead would dominate
 _ROW_EUCLID_MIN = 24
 
 
@@ -713,9 +712,10 @@ _HORNER_TABLE_ELEMS = 1 << 20
 
 def _horner_block(n: int, p: int) -> int:
     """The block length B of _horner_rows for n coefficients mod p: about
-    sqrt(n), with B (p-1)^2 < 2^63 so that a block's matmul sums fit in
-    int64, and B p within the power table's element budget."""
-    return max(1, min(isqrt(n - 1) + 1, (2**63 - 1) // (p - 1) ** 2, _HORNER_TABLE_ELEMS // p))
+    sqrt(n), with (B + 1) (p-1)^2 < 2^63 so that a block's matmul sums plus
+    the product acc * y fit in int64 unreduced, and B p within the power
+    table's element budget.  B = 1 fits for every p < 2^31."""
+    return max(1, min(isqrt(n - 1) + 1, (2**63 - 1) // (p - 1) ** 2 - 1, _HORNER_TABLE_ELEMS // p))
 
 
 def _horner_rows(cs: np.ndarray, p: int) -> np.ndarray:
@@ -749,7 +749,7 @@ def _horner_rows(cs: np.ndarray, p: int) -> np.ndarray:
     acc = np.dot(rows[:, top:], pw[: n - top]) % p
     for j in range(top - b, -1, -b):
         acc *= y
-        acc += np.dot(rows[:, j : j + b], pw) % p
+        acc += np.dot(rows[:, j : j + b], pw)
         acc %= p
     return acc
 

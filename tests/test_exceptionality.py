@@ -29,7 +29,7 @@ from lattes_lab.exceptionality import (
     verify_d11_obstruction,
     verify_noncm_counterexample,
 )
-from lattes_lab.galois import coprime_verdicts
+from lattes_lab.galois import coprime_verdicts, torsion_roots
 from lattes_lab.intmath import primes_upto
 
 D4 = CATALOG_BY_NAME["d4"].curve
@@ -346,19 +346,50 @@ def test_cache_save_replaces_the_file_whole(tmp_path, monkeypatch):
     assert TraceCache(str(path)).get(D4, 13) == -6 and os.listdir(tmp_path) == ["traces.txt"]
 
 
+def test_one_sieve_pass_raises_the_per_prime_message():
+    # a composite, a bad prime and p < 5 at the front, in the middle and at
+    # the end of a long list, with a later composite: each entry point
+    # raises the message of the per-prime check for the first offender
+    # (frobenius_scan sorts its primes first)
+    d7 = CATALOG_BY_NAME["d7"].curve
+    primes = d7.good_primes(20000)
+    entries = (
+        lambda ps: frobenius_scan(d7, ps),
+        lambda ps: coprime_verdicts(d7, 6, ps),
+        lambda ps: torsion_roots(d7, 2, ps),
+    )
+    for offender in (1001, 7, 3):
+        with pytest.raises(ValueError) as want:
+            d7._require_good(offender)
+        for at in (0, 1000, len(primes)):
+            for entry in entries:
+                with pytest.raises(ValueError) as got:
+                    entry(primes[:at] + [offender] + primes[at:] + [20001])
+                assert str(got.value) == str(want.value), (offender, at)
+    # torsion_roots checks p = ell in its place in the list
+    with pytest.raises(ValueError, match="not prime"):
+        torsion_roots(d7, 5, [11, 1001, 5])
+    with pytest.raises(ValueError, match="must differ"):
+        torsion_roots(d7, 5, [11, 5, 1001])
+
+
 def test_each_prime_is_checked_once(monkeypatch):
-    # below the crossover the character sum is reached through count_points,
-    # which checks p again (a one-witness Miller-Rabin test there)
-    checked = []
-    real = elliptic.is_prime
+    # the entry points check all their primes by one sieve pass; below the
+    # crossover the character sum is reached through count_points, which
+    # checks p again (a one-witness Miller-Rabin test there)
+    sieved, checked = [], []
+    real_sieve, real = elliptic._non_primes, elliptic.is_prime
+    monkeypatch.setattr(elliptic, "_non_primes", lambda ns: sieved.append(sorted(ns)) or real_sieve(ns))
     monkeypatch.setattr(elliptic, "is_prime", lambda n: checked.append(n) or real(n))
     primes = D4.good_primes(3000)
-    twice = sorted(primes + [p for p in primes if p < elliptic._BSGS_FROM])
+    small = [p for p in primes if p < elliptic._BSGS_FROM]
     scan(D4, 6, primes)
-    assert sorted(checked) == twice
+    assert sieved == [primes] and sorted(checked) == small
+    sieved.clear()
     checked.clear()
     coprime_verdicts(D4, 0, primes)
-    assert sorted(checked) == twice
+    assert sieved == [primes] and sorted(checked) == small
+    sieved.clear()
     checked.clear()
     frobenius_trace(D4, 2003)
-    assert checked == [2003]
+    assert sieved == [] and checked == [2003]

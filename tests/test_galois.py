@@ -2,10 +2,18 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
 from lattes_lab import cli, galois, intmath
-from lattes_lab.elliptic import CATALOG, CATALOG_BY_NAME, Curve, count_points, torsion_x_rational
+from lattes_lab.elliptic import (
+    CATALOG,
+    CATALOG_BY_NAME,
+    Curve,
+    count_points,
+    frobenius_trace,
+    torsion_x_rational,
+)
 from lattes_lab.galois import (
     Mat2Zm,
     SubgroupSpec,
@@ -192,6 +200,51 @@ def test_root_test_for_larger_ell():
             assert torsion_roots(curve, ell, good) == expected, (name, ell)
 
 
+def test_root_test_near_the_int64_limit():
+    # primes just below 2^31, where a sum holds two products at most before
+    # it is reduced: the smallest group of the square step
+    for name in ("k2-s3", "d11"):
+        curve = CATALOG_BY_NAME[name].curve
+        good = [p for p in intmath.primes_between(2**31 - 2500, 2**31) if curve._bad_modulus % p][-50:]
+        assert len(good) == 50 and (2**63 - 1 - good[-1]) // (good[-1] - 1) ** 2 == 2
+        traces = {p: frobenius_trace(curve, p) for p in good}
+        for ell in (2, 3):
+            expected = [((p + 1) ** 2 - traces[p] ** 2) % ell == 0 for p in good]
+            assert True in expected and False in expected
+            assert torsion_roots(curve, ell, good) == expected, (name, ell)
+
+
+def test_share_root_falls_back_only_on_a_degree_drop(monkeypatch):
+    # four columns of degree 4 mod primes near 10^6: a random pair, a pair
+    # with the common root 7 and g of full degree, g = 0, and g = (x - 3)^2
+    # with a zero lead against f with the root 3; only the last one leaves
+    # the one-degree sequence
+    calls = []
+    real = galois._fp_gcd
+    monkeypatch.setattr(galois, "_fp_gcd", lambda a, b, p: calls.append(p) or real(a, b, p))
+    rng = random.Random(4)
+    ps = [1000003, 1000033, 1000037, 1000039]
+
+    def monic(deg, p):
+        return [rng.randrange(p) for _ in range(deg)] + [1]
+
+    def times_root(r, cs, p):  # (x - r) * cs
+        return [(b - r * a) % p for a, b in zip(cs + [0], [0] + cs)]
+
+    fs = [monic(4, ps[0]), times_root(7, monic(3, ps[1]), ps[1]), monic(4, ps[2])]
+    fs.append(times_root(3, monic(3, ps[3]), ps[3]))
+    gs = [
+        [rng.randrange(1, ps[0]) for _ in range(4)],
+        times_root(7, [rng.randrange(1, ps[1]) for _ in range(3)], ps[1]),
+        [0, 0, 0, 0],
+        [9, ps[3] - 6, 1, 0],
+    ]
+    f = np.array(fs, dtype=np.int64).T
+    g = np.array(gs, dtype=np.int64).T
+    assert galois._share_root(f, g, np.array(ps, dtype=np.int64)).tolist() == [False, True, True, True]
+    assert calls == [ps[3]]
+
+
 def test_coprime_verdicts_root_tests_ell_2_3_only(monkeypatch):
     curve = CATALOG_BY_NAME["noncm-e"].curve
     cases = {
@@ -279,7 +332,7 @@ def test_coprime_verdicts_rejects_bad_input(monkeypatch):
     with pytest.raises(ValueError):
         torsion_roots(d7, 9, [5])  # ell not prime
     with pytest.raises(ValueError):
-        torsion_roots(d7, 41, [5])  # psi_41 (degree 840) exceeds one block
+        torsion_roots(d7, 41, [5])  # psi_41 (degree 840) is past the degree limit
     with pytest.raises(ValueError):
         torsion_roots(d7, 5, [5])  # p = ell
     seen = []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lattes_lab import elliptic, polyrat
+from lattes_lab import elliptic, galois, polyrat
 from lattes_lab.elliptic import Curve, count_points, frobenius_trace
 from lattes_lab.galois import coprime_verdicts
 from lattes_lab.intmath import primes_upto
@@ -223,17 +223,20 @@ def test_horner_block_size_rule(monkeypatch):
     assert polyrat._horner_block(10**4, 1009) == 100  # isqrt(n - 1) + 1
     # the power table stays within its element budget: B = 1 at p = 10^6
     assert polyrat._horner_block(10**6, 10**6) * 10**6 <= polyrat._HORNER_TABLE_ELEMS
+    # a block's sum plus acc * y, (B + 1) products, fits in int64 unreduced
     for p in (2, 3, 1009, 65537, 10**6 + 3, big):
         for n in (1, 2, 10**3, 10**9):
             b = polyrat._horner_block(n, p)
-            assert b >= 1 and b * (p - 1) ** 2 < 2**63
+            assert b >= 1 and (b + 1) * (p - 1) ** 2 < 2**63
             assert b == 1 or b * p <= polyrat._HORNER_TABLE_ELEMS
-    # the int64 bound holds by itself, whatever the budget
+    # the int64 bound holds by itself, whatever the budget, and is tight
     monkeypatch.setattr(polyrat, "_HORNER_TABLE_ELEMS", 2**80)
-    assert polyrat._horner_block(10**9, big) == 2
-    for p in (3, 1009, 65537, 10**6 + 3, big):
+    assert polyrat._horner_block(10**9, big) == 1
+    assert polyrat._horner_block(10**9, 2**30 + 3) == 6
+    for p in (3, 1009, 65537, 10**6 + 3, 2**30 + 3, big):
         b = polyrat._horner_block(10**12, p)
-        assert b >= 1 and b * (p - 1) ** 2 < 2**63, p
+        assert b >= 1 and (b + 1) * (p - 1) ** 2 < 2**63, p
+        assert b == 10**6 or (b + 2) * (p - 1) ** 2 >= 2**63, p
 
 
 EUCLID_PRIMES = [3, 1009, 65537, 2147483629, 2147483647]
@@ -264,6 +267,53 @@ def test_row_euclid_matches_list_euclid(p, seed, da, db, dg):
     assert rest == [] and common == list_euclid(a, b, p)
     if seed % 2:
         assert len(common) > dg
+
+
+def share_root_case(rng, p, m, kind):
+    # (f, g) mod p, f of degree m and g of m coefficients: "common" plants a
+    # factor of degree >= 1 (g may lose its top degrees), "zero" has g = 0,
+    # "drop" gives g a zero lead, and "random" pairs are almost always
+    # coprime; small p also drop degrees further down the sequence
+    def poly(deg):
+        return [rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)]
+
+    f = poly(m)
+    if kind == "common":
+        h = poly(rng.randint(1, m - 1))
+        f = [c % p for c in schoolbook(h, poly(m - len(h) + 1))]
+        g = [c % p for c in schoolbook(h, poly(rng.randint(0, m - len(h))))]
+    elif kind == "zero":
+        g = []
+    elif kind == "drop":
+        g = poly(rng.randint(0, m - 2))
+    else:
+        g = [rng.randrange(p) for _ in range(m)]
+    return f, g + [0] * (m - len(g))
+
+
+@KERNELS
+@given(
+    seed=st.integers(0, 2**32),
+    m=st.integers(2, 14),
+    kinds=st.lists(st.sampled_from(["common", "zero", "drop", "random"]), min_size=1, max_size=12),
+)
+def test_share_root_matches_fp_gcd(seed, m, kinds):
+    # one batched remainder sequence over columns mod different primes
+    # against Euclid on lists, column by column
+    rng = random.Random(seed)
+    ps = [rng.choice([5, 7, 11, 101, 65537, 2147483629, 2147483647]) for _ in kinds]
+    cases = [share_root_case(rng, p, m, kind) for p, kind in zip(ps, kinds)]
+    f = np.array([c[0] for c in cases], dtype=np.int64).T
+    g = np.array([c[1] for c in cases], dtype=np.int64).T
+    expected = []
+    for (a, b), p in zip(cases, ps):
+        while b and not b[-1]:
+            b = b[:-1]
+        expected.append(not b or len(polyrat._fp_gcd(a, b, p)[0]) > 1)
+    got = galois._share_root(f, g, np.array(ps, dtype=np.int64))
+    assert got.tolist() == expected
+    for kind, share in zip(kinds, got):
+        assert share or kind not in ("common", "zero")
 
 
 @KERNELS
