@@ -374,10 +374,13 @@ def lemma_ab_tallies(ell: int, bound: int) -> dict[tuple[int, int], tuple[int, i
 
     Those are exactly the elements with a = 1, b = 0 (mod 3) and norm
     N = a^2 - ab + b^2 <= bound that is a prime p or the square of an inert
-    prime q, with ell excluded.  One walk visits every such a + b*w
-    row by row and tests N against one sieve.  The symbol is real exactly
-    when ell^((N-1)/3) = 1 (mod pi); ell is rational, so that power is
-    taken mod p at a split pi and mod q at an inert -q.
+    prime q, with ell excluded.  One walk visits every such a + b*w with
+    b >= 0 row by row and tests N against one sieve; a hit with b > 0 also
+    counts its conjugate (a - b) - b*w, which has the same norm and lies in
+    the class ((a - b) mod ell, -b mod ell), and the row b = 0 is its own
+    conjugate.  The symbol is real exactly when ell^((N-1)/3) = 1 (mod pi);
+    ell is rational, so that power is taken mod p at a split pi and mod q
+    at an inert -q, the same for pi and its conjugate.
     """
     _check_bound(bound)
     # kind[N]: 1 for a split prime norm p, 2 for an inert norm q^2, else 0
@@ -390,20 +393,24 @@ def lemma_ab_tallies(ell: int, bound: int) -> dict[tuple[int, int], tuple[int, i
         kind[ell] = 0
     tallies: dict[tuple[int, int], list[int]] = {}
     bmax = isqrt(4 * bound // 3)
-    for b in range(-(bmax - bmax % 3), bmax + 1, 3):
+    for b in range(0, bmax + 1, 3):
         # a^2 - ab + b^2 <= bound  <=>  (2a - b)^2 <= 4*bound - 3b^2
         t = isqrt(4 * bound - 3 * b * b)
         lo = (b - t + 1) // 2
-        bb, cb = b * b, b % ell
+        bb, cb, cbar = b * b, b % ell, -b % ell
         for a in range(lo + (1 - lo) % 3, (b + t) // 2 + 1, 3):
             n = a * (a - b) + bb
             k = kind[n]
             if not k:
                 continue
-            modulus = n if k == 1 else isqrt(n)
+            real = pow(ell, (n - 1) // 3, n if k == 1 else isqrt(n)) == 1
             tally = tallies.setdefault((a % ell, cb), [0, 0])
             tally[0] += 1
-            tally[1] += pow(ell, (n - 1) // 3, modulus) == 1
+            tally[1] += real
+            if b:
+                tally = tallies.setdefault(((a - b) % ell, cbar), [0, 0])
+                tally[0] += 1
+                tally[1] += real
     return {c: (n, r) for c, (n, r) in tallies.items()}
 
 

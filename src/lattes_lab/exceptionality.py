@@ -19,6 +19,7 @@ from functools import partial
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
+from .eisenstein import lemma_ab_witness
 from .elliptic import (
     CATALOG_BY_NAME,
     Curve,
@@ -41,7 +42,7 @@ from .intmath import (
     prime_divisors,
     prime_stream,
 )
-from .quadorder import prime_above, prime_elements, quad_order, splitting_type
+from .quadorder import congruent, prime_above, prime_elements, quad_order, splitting_type
 
 # -- trace records -------------------------------------------------------------
 
@@ -406,8 +407,6 @@ def _element_constraints(D: int, k: int):
         w = quad_order(-3).omega
         one3 = quad_order(-3).element(1)
         constraints = [(w, quad_order(-3).element(2)), (one3, quad_order(-3).element(3))]
-        from .eisenstein import lemma_ab_witness  # local import to avoid a cycle
-
         for ell in prime_divisors(k):
             if ell == 2:
                 continue
@@ -429,8 +428,6 @@ def _element_constraints(D: int, k: int):
 
 def _non_unit_residue(D: int, lam):
     """The first small element invertible mod lam and not congruent to +-1."""
-    from .quadorder import congruent
-
     order = quad_order(D)
     one = order.element(1)
     zero = order.element(0)

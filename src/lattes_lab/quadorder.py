@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from itertools import islice
-from math import isqrt
+from itertools import chain, compress, islice
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Optional
 
 from .elliptic import Curve, count_points
-from .intmath import _sqrt_mod_prime, is_prime, kronecker, primes_between
+from .intmath import _sieve_segment, _sqrt_mod_prime, is_prime, kronecker, prime_divisors
 
 CLASS_NUMBER_ONE_DISCS = (-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163)
 
@@ -313,14 +313,81 @@ def cornacchia(D: int, p: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _primes_by_doubling(limit: int) -> Iterator[int]:
-    """The primes <= limit, ascending, sieved in segments [lo, 2*lo), so a
-    caller that stops early pays only for the segments it reached."""
+def _primes_by_doubling(limit: int) -> Iterator[tuple[int, bytearray]]:
+    """The sieve of [2, limit] in segments [lo, 2*lo), ascending, as pairs
+    (lo, flags) with flags[i] = 1 exactly when lo + i is prime, so a caller
+    that stops early pays only for the segments it reached."""
     lo, hi = 2, 1024
     while lo <= limit:
         hi = min(hi, limit + 1)
-        yield from primes_between(lo, hi)
+        yield lo, _sieve_segment(lo, hi)
         lo, hi = hi, 2 * hi
+
+
+# the norm-class mask enumerates the ell^2 classes mod ell for each prime ell
+# up to _MASK_ELL_MAX that a modulus divides, while the mask's period stays
+# at most _MASK_PERIOD_MAX; at the CLI bounds (k <= 50) the period is at most
+# 163 * 47 (k = 47), and the other moduli are left to the exact test
+_MASK_ELL_MAX = 256
+_MASK_PERIOD_MAX = 1 << 16
+
+
+@functools.lru_cache(maxsize=None)
+def _split_residues(D: int) -> bytes:
+    """f[r] = 1 exactly when (D/p) = 1 for the primes p = r (mod |D|): the
+    symbol (D/.) of a discriminant is periodic mod |D| (Cox, Primes of the
+    Form x^2 + ny^2, section 1)."""
+    return bytes(kronecker(D, r - D) == 1 for r in range(-D))
+
+
+def _meets(a: int, b: int, tests, s: int, n: int) -> bool:
+    # z = target (mod m) iff N(m) divides both coordinates of
+    # (z - target)*conj(m) = z*conj(m) - target*conj(m)
+    return all(
+        (a * c - n * b * d - ta) % nm == 0 and (a * d + b * c + s * b * d - tb) % nm == 0
+        for c, d, ta, tb, nm in tests
+    )
+
+
+def _norm_class_mask(order: QuadOrder, tests) -> tuple[int, bytes]:
+    """(L, mask) such that every split prime that is N(z) for some z meeting
+    the tests has mask[p % L] = 1.
+
+    A modulus m divides a rational prime ell iff N(m) divides both
+    coordinates of ell*conj(m); then z = target (mod m) depends only on z
+    mod ell, and so does N(z) mod ell, so the ell^2 classes a + b*w mod ell
+    give the exact set of norm residues mod ell.  The mask joins those sets
+    with the split condition mod |D|.  An all-zero mask proves that no
+    element meets the tests."""
+    s, n = order.s, order.n
+    by_ell: dict[int, list] = {}
+    for test in tests:
+        c, d, _, _, nm = test
+        r = isqrt(nm)
+        ell = r if r * r == nm else nm
+        if ell <= _MASK_ELL_MAX and is_prime(ell) and ell * c % nm == 0 and ell * d % nm == 0:
+            by_ell.setdefault(ell, []).append(test)
+    period = -order.D
+    classes = []
+    for ell in sorted(by_ell):
+        norms = {
+            (a * a + s * a * b + n * b * b) % ell
+            for a in range(ell)
+            for b in range(ell)
+            if _meets(a, b, by_ell[ell], s, n)
+        }
+        if not norms:
+            return 1, bytes(1)
+        joined = lcm(period, ell)
+        if joined <= _MASK_PERIOD_MAX:
+            period = joined
+            classes.append((ell, norms))
+    split = _split_residues(order.D)
+    absD = -order.D
+    mask = bytes(
+        split[r % absD] and all(r % ell in norms for ell, norms in classes) for r in range(period)
+    )
+    return period, mask
 
 
 def prime_elements(
@@ -334,13 +401,14 @@ def prime_elements(
     norm_solutions.
 
     The constraints are checked at the call (ValueError).  The walk over
-    the split primes is lazy: a caller that stops early solves the norm
-    equation only at the primes up to the last element it read.
+    the split primes is lazy: a caller that stops early sieves only the
+    segments up to the norm of the last element it read.  Within a segment
+    only the primes in the classes of the norm-class mask (_norm_class_mask)
+    reach the norm equation and the exact test; a mask that admits no class
+    prime to its period L leaves only primes dividing L, and no sieve runs.
     """
     order = quad_order(D)
     s, n = order.s, order.n
-    # z = target (mod m) iff N(m) divides both coordinates of
-    # (z - target)*conj(m) = z*conj(m) - target*conj(m)
     tests = []
     for target, modulus in constraints:
         if modulus.is_zero:
@@ -350,18 +418,35 @@ def prime_elements(
         mc = modulus.conj()
         tc = target * mc
         tests.append((mc.a, mc.b, tc.a, tc.b, modulus.norm()))
+    period, mask = _norm_class_mask(order, tests)
+    # a class r with gcd(r, L) > 1 holds at most the prime dividing both,
+    # so only the classes prime to L are sliced out of each segment
+    residues = [r for r in range(period) if mask[r] and gcd(r, period) == 1]
+    few = [p for p in prime_divisors(period) if mask[p % period] and p <= norm_bound]
+
+    def solve(p: int) -> Iterator[QuadInt]:
+        sols = _split_prime_solutions(order, p) if p > 2 else norm_solutions(D, p)
+        for a, b in sols:
+            if _meets(a, b, tests, s, n):
+                yield order.element(a, b)
 
     def walk() -> Iterator[QuadInt]:
-        for p in _primes_by_doubling(norm_bound):
-            if kronecker(D, p) != 1:
-                continue
-            sols = _split_prime_solutions(order, p) if p > 2 else norm_solutions(D, p)
-            for a, b in sols:
-                if all(
-                    (a * c - n * b * d - ta) % nm == 0 and (a * d + b * c + s * b * d - tb) % nm == 0
-                    for c, d, ta, tb, nm in tests
-                ):
-                    yield order.element(a, b)
+        if not residues:
+            for p in few:
+                yield from solve(p)
+            return
+        for lo, flags in _primes_by_doubling(norm_bound):
+            hi = lo + len(flags)
+            # the primes of each admissible class r mod L, by one strided slice
+            offsets = [(r - lo) % period for r in residues]
+            cands = sorted(
+                chain(
+                    (p for p in few if lo <= p < hi),
+                    *(compress(range(lo + o, hi, period), flags[o::period]) for o in offsets),
+                )
+            )
+            for p in cands:
+                yield from solve(p)
 
     return walk()
 

@@ -1,4 +1,6 @@
 import random
+from itertools import compress
+from math import isqrt
 
 import pytest
 
@@ -25,7 +27,7 @@ from lattes_lab.eisenstein import (
     symbol_tower_check,
     verify_lemma_ab,
 )
-from lattes_lab.intmath import primes_upto
+from lattes_lab.intmath import prime_flags, primes_upto
 from lattes_lab.quadorder import congruent, norm_solutions
 
 LAM13 = eis(-1, 3)
@@ -255,6 +257,38 @@ def test_lemma_ab_walk_matches_the_symbol_route(ell):
         assert lemma_ab_tallies(ell, bound) == ref
         if ell not in (13, 19):  # those two have fixed witnesses
             assert lemma_ab_witness(ell, bound) == _reference_pair(ell, ref)
+
+
+def _full_walk_tallies(ell, bound):
+    # the reference walk over every row b, negative ones included, with no
+    # conjugate pairing
+    kind = prime_flags(bound)
+    for q in compress(range(isqrt(bound) + 1), kind):
+        if q % 3 == 2 and q not in (2, ell):
+            kind[q * q] = 2
+    if ell <= bound:
+        kind[ell] = 0
+    tallies = {}
+    bmax = isqrt(4 * bound // 3)
+    for b in range(-(bmax - bmax % 3), bmax + 1, 3):
+        t = isqrt(4 * bound - 3 * b * b)
+        lo = (b - t + 1) // 2
+        for a in range(lo + (1 - lo) % 3, (b + t) // 2 + 1, 3):
+            n = a * (a - b) + b * b
+            k = kind[n]
+            if not k:
+                continue
+            modulus = n if k == 1 else isqrt(n)
+            tally = tallies.setdefault((a % ell, b % ell), [0, 0])
+            tally[0] += 1
+            tally[1] += pow(ell, (n - 1) // 3, modulus) == 1
+    return {c: (n, r) for c, (n, r) in tallies.items()}
+
+
+@pytest.mark.parametrize("ell", LEMMA_ELLS)
+def test_half_lattice_walk_matches_the_full_walk(ell):
+    # each hit with b > 0 stands for its conjugate too; b = 0 counts once
+    assert lemma_ab_tallies(ell, 10**5) == _full_walk_tallies(ell, 10**5)
 
 
 def test_lemma_ab_tallies_count_every_qualifying_prime():

@@ -143,11 +143,28 @@ def test_strategy_element_search_walks_the_split_primes_once(monkeypatch):
         (-11, 4, 3): [3001, 3067, 3089],
         (-3, 10, 2): [163, 313],
         (-11, 7, 10): [253999, 310363, 376583, 416623, 469907, 649471, 750803, 770053, 799313, 861221],
+        (-11, 35, 8): [1696979, 1941839, 5834189, 7299499, 9456269, 11569919, 12279089, 15436859],
     }
     for (D, k, count), want in rows.items():
         walks.clear()
         assert strategy_primes(D, k, count) == want, (D, k, count)
         assert walks == [131_072_000], (D, k, count)
+
+
+def test_strategy_element_search_solves_only_masked_primes(monkeypatch):
+    # without the norm-class mask the row solves the norm equation at all
+    # 498 532 split primes below its last norm; the mask must keep at most
+    # 1/20 of them, so a mask that admits every class cannot pass unnoticed
+    solved = []
+    solve = quadorder._split_prime_solutions
+
+    def spy(order, p):
+        solved.append(p)
+        return solve(order, p)
+
+    monkeypatch.setattr(quadorder, "_split_prime_solutions", spy)
+    assert strategy_primes(-11, 35, 8)[-1] == 15436859
+    assert 8 <= len(solved) <= 498_532 // 20, len(solved)
 
 
 def test_strategy_soundness_suite_50():

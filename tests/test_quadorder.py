@@ -4,7 +4,9 @@ import tracemalloc
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lattes_lab import quadorder
 from lattes_lab.elliptic import CATALOG_BY_NAME, count_points
 from lattes_lab.intmath import is_prime, kronecker, primes_upto
 from lattes_lab.quadorder import (
@@ -19,6 +21,7 @@ from lattes_lab.quadorder import (
     norm_solutions,
     parse_quadint,
     prime_above,
+    prime_elements,
     quad_order,
     splitting_type,
 )
@@ -261,6 +264,116 @@ def test_find_prime_element_cost_follows_the_norm_reached():
     assert max(z.norm() for z in res) < 5000
     assert elapsed < 1.0, elapsed
     assert peak < 4 * 2**20, peak
+
+
+def test_incompatible_constraints_fail_before_any_sieve(monkeypatch):
+    # z = 0 and z = 1 (mod 2) leave no class mod 2, so even a bound of 10^8
+    # must yield nothing without sieving a segment
+    segments = []
+    walk = quadorder._primes_by_doubling
+
+    def spy(limit):
+        for segment in walk(limit):
+            segments.append(segment[0])
+            yield segment
+
+    monkeypatch.setattr(quadorder, "_primes_by_doubling", spy)
+    O3 = quad_order(-3)
+    incompatible = [(O3.element(0), O3.element(2)), (O3.element(1), O3.element(2))]
+    start = time.perf_counter()
+    assert find_prime_element(-3, incompatible, 10**8, 5) == []
+    assert segments == []
+    assert time.perf_counter() - start < 0.5
+    # z = 0 (mod 2) makes N(z) even, and 2 is inert: no sieve either
+    assert find_prime_element(-3, incompatible[:1], 10**8, 1) == []
+    assert segments == []
+    # a satisfiable set walks the segments, through the same spy
+    assert find_prime_element(-3, incompatible[1:], 10**4, 1) == [O3.element(1, -2)]
+    assert segments == [2]
+
+
+def test_split_residues_follow_the_symbol():
+    # (D/.) is periodic mod |D|, at p = 2 and at the primes dividing D too
+    for D in CLASS_NUMBER_ONE_DISCS:
+        split = quadorder._split_residues(D)
+        for p in primes_upto(3000):
+            assert split[p % -D] == (kronecker(D, p) == 1), (D, p)
+
+
+def _unfiltered_prime_elements(D, constraints, norm_bound):
+    # prime_elements without the norm-class mask: every split prime up to the
+    # bound solves the norm equation, then meets the exact test
+    order = quad_order(D)
+    out = []
+    for p in primes_upto(norm_bound):
+        if kronecker(D, p) != 1:
+            continue
+        for a, b in norm_solutions(D, p):
+            z = order.element(a, b)
+            if all(congruent(z, t, mu) for t, mu in constraints):
+                out.append(z)
+    return out
+
+
+def _prime_modulus(order, ell, kind):
+    # an element above ell of the kind asked for, or None if ell is not of
+    # that kind in the order (or, in a non-maximal order, is not a norm)
+    want = {"split": 1, "ramified": 0, "inert": -1}[kind]
+    if kronecker(order.D, ell) != want:
+        return None
+    try:
+        return prime_above(order.D, ell)
+    except ValueError:
+        return None
+
+
+@st.composite
+def constraint_sets(draw):
+    D = draw(st.sampled_from(CLASS_NUMBER_ONE_DISCS))
+    order = quad_order(D)
+    small = st.integers(-12, 12)
+
+    def element():
+        return order.element(draw(small), draw(small))
+
+    constraints = []
+    kinds = ["split", "split pair", "rational", "ramified", "inert", "prime power", "composite", "shared", "any"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        target = element()
+        if kind == "rational":
+            constraints.append((target, order.element(draw(st.sampled_from([2, 3, 5, 7, 11, 13])))))
+        elif kind in ("split", "split pair", "ramified", "inert"):
+            ell = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 17, 19, 23, 43, 67, 163]))
+            lam = _prime_modulus(order, ell, kind.split()[0])
+            if lam is None:
+                continue
+            constraints.append((target, lam))
+            if kind == "split pair":
+                constraints.append((target.conj(), lam.conj()))
+        elif kind == "prime power":
+            constraints.append((target, order.element(draw(st.sampled_from([4, 9, 25])))))
+        elif kind == "composite":
+            m = order.element(draw(st.sampled_from([6, 10, 15, 21, 35])))
+            cofactor = element()
+            constraints.append((target, m if cofactor.is_zero else m * cofactor))
+        elif kind == "shared":
+            # two moduli with a common factor, compatible or not
+            q = draw(st.sampled_from([2, 3, 5]))
+            constraints.append((target, order.element(q)))
+            constraints.append((element(), order.element(q * draw(st.sampled_from([2, 3, 5])))))
+        else:
+            m = element()
+            if not m.is_zero:
+                constraints.append((target, m))
+    return D, constraints
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=constraint_sets(), bound=st.sampled_from([2 * 10**4, 2000, 50, 3, 2]))
+def test_prime_elements_match_the_unfiltered_walk(case, bound):
+    D, constraints = case
+    got = list(prime_elements(D, constraints, bound))
+    assert got == _unfiltered_prime_elements(D, constraints, bound), (D, constraints)
 
 
 def test_nonunit_divisibility_lemma():
