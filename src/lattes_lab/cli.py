@@ -17,6 +17,7 @@ from typing import Optional
 from .eisenstein import power_residue_symbol
 from .elliptic import cm_disc_for, cm_model, lattes_map, parse_curve, torsion_x_rational
 from .exceptionality import (
+    _CHUNK_PRIMES,
     TraceCache,
     render_scan_csv,
     render_scan_markdown,
@@ -31,12 +32,16 @@ from .tables import TABLE_IDS, check_table
 
 
 # Upper bounds on the flags that size a run: the sieve and the per-prime
-# arrays take O(pmax) memory, and --workers N starts N processes at once.
+# arrays take O(pmax) memory, and --workers N runs up to N processes at once.
 # 10^6 is the desk scale the package is built for; there one process peaks
 # at about 75 MiB RSS (count_points at p = 999983, or a whole density run
 # to 10^6), so WORKERS_MAX workers stay below 5 GiB.
 PMAX_MAX = 10**6
 WORKERS_MAX = 64
+WORKERS_HELP = (
+    f"upper bound on the processes: a prime range gets one per {_CHUNK_PRIMES} primes "
+    f"or part of it, so a range of at most {_CHUNK_PRIMES} primes runs in one process (default 1)"
+)
 # map and torsion build psi_k, of degree about k^2/2, over QQ: on a 2-CPU
 # host L_50 takes 1-13 s (catalog d4, d19, [0,0,0,1/7,-3/11]) and L_64 on
 # d19 32 s, so K_MAX keeps one call well under half a minute
@@ -88,25 +93,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="regenerate a bundled reference table and diff it")
     p.add_argument("table_id", choices=TABLE_IDS)
-    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1)
+    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1, help=WORKERS_HELP)
 
     p = sub.add_parser("scan", help="permutation-behavior scan over good primes")
     add_curve_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--pmax", type=_int_in(5, PMAX_MAX), required=True)
     p.add_argument("--format", choices=("md", "csv"), default="md")
-    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1)
+    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1, help=WORKERS_HELP)
     p.add_argument("--cache", default=None, help="flat-file a_p cache path")
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite", choices=tuple(SUITES) + ("all",))
-    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1)
+    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1, help=WORKERS_HELP)
 
     p = sub.add_parser("density", help="empirical density of permutation primes")
     add_curve_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--pmax", type=_int_in(None, PMAX_MAX), required=True)
-    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1)
+    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1, help=WORKERS_HELP)
 
     p = sub.add_parser("symbol", help="evaluate a power residue symbol in Z[w]")
     p.add_argument("--D", type=int, default=-3, help="order discriminant (must be -3)")

@@ -312,15 +312,18 @@ def count_points(curve: Curve, p: int) -> tuple[int, int]:
 
 # -- a_p by baby-step giant-step ---------------------------------------------
 
+# From p = 230 on, E or its quadratic twist has a point whose order has a
+# single multiple in the Hasse interval (Mestre's theorem, as given in
+# Schoof, "Counting points on elliptic curves over finite fields", 1995),
+# so the Shanks-Mestre search ends; below it only the character sum is
+# used.  The batch over a chunk of primes starts here.
+_MESTRE_FROM = 230
 # frobenius_trace takes the character sum below this p and Shanks-Mestre
-# above it.  Measured over the catalog curves on a 2-CPU Xeon VM (numpy
-# 2.4), the two cost within 10% of each other per prime from p = 1400 to
-# 2400 (80-130 us), and this is the middle of that band; at 10^4 the sum
-# takes 3x as long, at 10^6 over 100x.  It must stay above 229: from
-# p = 230 on, E or its quadratic twist has a point whose order has a single
-# multiple in the Hasse interval (Mestre's theorem, as given in Schoof,
-# "Counting points on elliptic curves over finite fields", 1995), so the
-# search below ends.
+# above it, one prime at a time.  Measured over the catalog curves on a
+# 2-CPU Xeon VM (numpy 2.4), the two cost within 10% of each other per
+# prime from p = 1400 to 2400 (80-130 us), and this is the middle of that
+# band; at 10^4 the sum takes 3x as long, at 10^6 over 100x.  It must not
+# fall below _MESTRE_FROM.
 _BSGS_FROM = 2000
 # random x drawn per prime before Shanks-Mestre gives up; each point
 # settles the order with high probability, so the cap is never reached at
@@ -342,10 +345,10 @@ def frobenius_trace(curve: Curve, p: int) -> int:
     ArithmeticError if no a_p is settled after 64 points.
 
     This route takes one prime at a time.  Scans and verdicts take a whole
-    chunk of primes through `_shanks_mestre_batch`, which runs the same
-    search on int64 arrays, keeps a trace by the same rule and sends the
-    rows it cannot settle here; near 10^6 it costs 40-70 us a prime
-    against about 310 us for this route.
+    chunk of primes through `_shanks_mestre_batch` from p = 230 on, which
+    runs the same search on int64 arrays, keeps a trace by the same rule
+    and sends the rows it cannot settle here; near 10^6 it costs 40-70 us
+    a prime against about 310 us for this route.
     """
     check_int64_modulus(p)
     curve._require_good(p)
@@ -368,11 +371,15 @@ def _frobenius_trace(curve: Curve, p: int) -> int:
 
 def _frobenius_traces(curve: Curve, primes: Sequence[int]) -> list[int]:
     """_frobenius_trace at each of a list of checked primes, in order: the
-    character sum below the crossover, and `_shanks_mestre_batch` for all
-    the primes above it at once."""
-    big = [p for p in primes if p >= _BSGS_FROM]
+    character sum below _MESTRE_FROM, and `_shanks_mestre_batch` for all
+    the primes from there on at once.  One prime at a time the sum is the
+    cheaper route up to _BSGS_FROM, but the batch spreads its fixed cost
+    over the chunk: the 253 good primes of [0,0,0,1,1] in [230, 2000) take
+    13 ms by the sum, 6 ms as a batch of their own, and 4 ms added to the
+    batch of its good primes in [2000, 2 10^4) (2-CPU Xeon VM, numpy 2.4)."""
+    big = [p for p in primes if p >= _MESTRE_FROM]
     traces = dict(zip(big, _shanks_mestre_batch(curve, big)))
-    return [traces[p] if p >= _BSGS_FROM else count_points(curve, p)[1] for p in primes]
+    return [traces[p] if p >= _MESTRE_FROM else count_points(curve, p)[1] for p in primes]
 
 
 def _shanks_mestre(a: int, b: int, p: int) -> int:
@@ -499,7 +506,8 @@ def _ec_mul(k: int, P: Point, a: int, p: int) -> Point:
 
 # _shanks_mestre_batch runs at most this many primes at a time, so that its
 # arrays stay bounded whatever the length of the list: the largest are the
-# baby table and the giant steps' match mask, (s + 1) x rows each, with
+# baby table's x and y, the factors of its Z (whose buffer then takes each
+# giant step's products) and the match mask, (s + 1) x rows each, with
 # s = 45 near 10^6 and s <= 305 below 2**31, and at most 2 x 4096 rows in
 # the pass that takes the second and third draws
 _BATCH_ROWS = 4096
@@ -512,7 +520,7 @@ _X_STRIDE = 0x5851F42D4C957F2D
 
 def _shanks_mestre_batch(curve: Curve, primes: Sequence[int]) -> list[int]:
     """a_p at each prime of `primes`, in order; every p must be at least
-    _BSGS_FROM and already checked by the caller.
+    _MESTRE_FROM and already checked by the caller.
 
     The search of `_shanks_mestre`, run on the short model for up to 4096
     primes at once on int64 arrays.  Each draw puts the point (f x, f^2) on
@@ -520,11 +528,12 @@ def _shanks_mestre_batch(curve: Curve, primes: Sequence[int]) -> list[int]:
     steps [1]P..[s]P, [w]P = 2[s]P + P, the multiple [p + 1 - lo w]P and
     the giant steps are taken in Jacobian coordinates, so no step inverts;
     the baby table is made affine with one Fermat inverse per prime
-    (Montgomery's simultaneous inversion), and each giant step (X : Y : Z)
-    is matched against it projectively, X = x Z^2 and Y = +-y Z^3.  An
-    addition of two equal points (H = r = 0) is taken as a doubling.  A row
-    keeps a trace by the scalar rule only: after a draw, exactly one a with
-    |a| <= 2 sqrt(p) fits the lcm of the orders seen on each side
+    (Montgomery's simultaneous inversion, run on the factors each step
+    multiplies Z by), and each giant step (X : Y : Z) is matched against it
+    projectively, X = x Z^2 and Y = +-y Z^3.  An addition of two equal
+    points (H = r = 0) is taken as a doubling.  A row keeps a trace by the
+    scalar rule only: after a draw, exactly one a with |a| <= 2 sqrt(p)
+    fits the lcm of the orders seen on each side
     (`_traces_fitting`).  Rows that several a fit take up to three draws.
     A row whose draw meets f = 0 or an order of at most 2s + 1, or that is
     still open after three draws, takes the scalar `_frobenius_trace`.
@@ -546,7 +555,7 @@ def _batch_traces(curve: Curve, ps: list[int]) -> dict[int, int]:
     a, b = _residues(-27 * curve.c4, ps), _residues(-54 * curve.c6, ps)
     P = np.array(ps, dtype=np.int64)
     T = np.array([isqrt(4 * p) for p in ps], dtype=np.int64)
-    lcms = [{1: 1, -1: 1} for _ in ps]  # as in _shanks_mestre, per row
+    lcms: dict[int, dict[int, int]] = {}  # as in _shanks_mestre, per open row
     traces: dict[int, int] = {}
     open_rows = list(range(len(ps)))
     for first, count in ((0, 1), (1, _BATCH_DRAWS - 1)):
@@ -557,7 +566,7 @@ def _batch_traces(curve: Curve, ps: list[int]) -> dict[int, int]:
         sides, steps, bad = (v.tolist() for v in _batch_draw(a[rows], b[rows], P[rows], T[rows], draws))
         still = []
         for k, r in enumerate(open_rows):
-            p, seen = ps[r], lcms[r]
+            p, seen = ps[r], lcms.pop(r, None) or {1: 1, -1: 1}
             for i in range(k * count, (k + 1) * count):
                 if bad[i]:
                     break
@@ -569,6 +578,7 @@ def _batch_traces(curve: Curve, ps: list[int]) -> dict[int, int]:
                 if not fits:
                     raise ArithmeticError(f"no trace fits the point orders at p={p}")
             else:
+                lcms[r] = seen
                 still.append(r)
         open_rows = still
     for p in ps:
@@ -608,34 +618,53 @@ def _batch_draw(a, b, p, T, draw):
     one = np.ones_like(p)
     s = isqrt(int(T.max())) + 1
     w = 2 * s + 1
-    # rows 0..s-1 hold [1]P..[s]P, row s holds [w]P = 2[s]P + P
-    X, Y, Z = (np.empty((s + 1, len(p)), dtype=np.int64) for _ in range(3))
-    X[0], Y[0], Z[0] = px, py, one
-    X[1], Y[1], Z[1] = _jac_double(px, py, one, A, p)
+    # rows 0..s-1 hold [1]P..[s]P, row s holds [w]P = 2[s]P + P.  Each baby
+    # step multiplies Z by one factor, 2Y for the doubling and H = x2 Z^2 - X
+    # for an addition.  fac keeps those factors instead of Z, so Z of row j
+    # is the product of fac[0..j], and 1/Z of row s - 1 gives 1/Z of every
+    # earlier row by one product each, on the way back: Montgomery's
+    # simultaneous inversion with the factors in place of a table of prefix
+    # products.  One Fermat power per prime inverts Z of rows s - 1 and s at
+    # once.  An addition that meets O or two equal points leaves the chain
+    # only after a zero factor, so a row is bad exactly when some Z is 0.
+    X, Y = (np.empty((s + 1, len(p)), dtype=np.int64) for _ in range(2))
+    fac = np.empty((s, len(p)), dtype=np.int64)
+    X[0], Y[0], fac[0] = px, py, one
+    X[1], Y[1], z = _jac_double(px, py, one, A, p)
+    fac[1] = z
     for j in range(2, s):
-        X[j], Y[j], Z[j] = _jac_add_affine(X[j - 1], Y[j - 1], Z[j - 1], px, py, A, p)
-    X[s], Y[s], Z[s] = _jac_add_affine(*_jac_double(X[s - 1], Y[s - 1], Z[s - 1], A, p), px, py, A, p)
-    bad |= (Z == 0).any(axis=0)
-    zinv = _inverse_columns(np.where(Z == 0, 1, Z), p)
-    zinv2 = zinv * zinv % pc
-    bx = X * zinv2 % pc
-    by = Y * (zinv2 * zinv % pc) % pc
+        fac[j] = (px * (z * z % p) - X[j - 1]) % p
+        X[j], Y[j], z = _jac_add_affine(X[j - 1], Y[j - 1], z, px, py, A, p)
+    X[s], Y[s], zw = _jac_add_affine(*_jac_double(X[s - 1], Y[s - 1], z, A, p), px, py, A, p)
+    bad |= (fac == 0).any(axis=0) | (zw == 0)
+    # the table made affine in place, (X, Y) -> (X / Z^2, Y / Z^3)
+    both = _pow_mod(np.where(bad, 1, z * zw % p), p - 2, p)
+    inv = both * z % p
+    for j in range(s, -1, -1):
+        inv2 = inv * inv % p
+        X[j] = X[j] * inv2 % p
+        Y[j] = Y[j] * (inv2 * inv % p) % p
+        inv = both * zw % p if j == s else inv * fac[j] % p
     # the orders n <= 2s + 1 that would spoil the search show as
     # [j]P = O or [w]P = O (Z = 0 above) and as y = 0 (n = 2j, where a match
     # would give only one of t = i w +- j); the other small orders give
     # several baby steps with one x, and a giant step then matches each
     # of them, each a true multiple
-    bad |= (by[:s] == 0).any(axis=0)
-    table_x, table_y = bx[:s], by[:s]
-    minus_wx, minus_wy = bx[s], (p - by[s]) % p
+    bad |= (Y[:s] == 0).any(axis=0)
+    table_x, table_y = X[:s], Y[:s]
+    minus_wx, minus_wy = X[s], (p - Y[s]) % p
     # giant steps R_i = [p + 1 - i w]P; R_i = +-[j]P puts t = i w +- j in the
     # list of traces, and R_i = O puts t = i w
     lo = -(int(T.max()) // w) - 1
     gx, gy, gz = _jac_mul(p + 1 - lo * w, table_x, table_y, A, p)
     found_r, found_t = [], []
+    # fac's buffer takes each giant step's products, so that no (s x rows)
+    # array is made per step
+    prod, match = fac, np.empty(table_x.shape, dtype=bool)
     for i in range(lo, int(T.max()) // w + 2):
         zz = gz * gz % p
-        js, rs = np.nonzero(table_x * zz % pc == gx)
+        np.remainder(np.multiply(table_x, zz, out=prod), pc, out=prod)
+        js, rs = np.nonzero(np.equal(prod, gx, out=match))
         if not gz.all():
             at_o = gz == 0
             keep = ~at_o[rs]
@@ -724,23 +753,6 @@ def _pow_mod(base, e, p):
     for bit in range(int(e.max()).bit_length() - 1, -1, -1):
         out = out * out % p
         out = np.where((e >> bit) & 1 == 1, out * base % p, out)
-    return out
-
-
-def _inverse_columns(Z, p):
-    """The inverse mod p of every entry of Z, whose column c is taken mod
-    p[c] and has no zero: Montgomery's simultaneous inversion down each
-    column, with one Fermat power p - 2 for the whole column."""
-    prefix = np.empty_like(Z)
-    prefix[0] = Z[0]
-    for j in range(1, len(Z)):
-        prefix[j] = prefix[j - 1] * Z[j] % p
-    inv = _pow_mod(prefix[-1], p - 2, p)
-    out = np.empty_like(Z)
-    for j in range(len(Z) - 1, 0, -1):
-        out[j] = inv * prefix[j - 1] % p
-        inv = inv * Z[j] % p
-    out[0] = inv
     return out
 
 

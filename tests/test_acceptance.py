@@ -4,11 +4,15 @@ Criteria 1-8 run the golden tables and the named suites that `lattes-lab
 verify` runs, at the bounds given in each criterion's docstring, and pass
 when the suites pass.  Criterion 9 (determinism) reruns the tables and
 every suite that takes a worker count with 8 workers, and requires the same
-results, and the same values from every process-pool call, as with 1
-worker.  Results are memoized per worker count, so nothing runs more than
-twice; the `verify all` test replays them through the CLI.
+results, and the same values from every map_primes call, as with 1 worker.
+Their prime ranges are mostly below map_primes' fork threshold, so the
+8-worker runs lower it to FORK_ABOVE primes, and every call above it must
+start a process pool with the chunks map_primes deals.  Results are
+memoized per worker count, so nothing runs more than twice; the `verify
+all` test replays them through the CLI.
 """
 
+import contextlib
 import hashlib
 import inspect
 from fractions import Fraction
@@ -16,6 +20,7 @@ from functools import partial, wraps
 from unittest import mock
 
 import pytest
+from conftest import pool_chunks, spy_pools
 
 from lattes_lab import cli, exceptionality, galois, suites
 from lattes_lab.exceptionality import map_primes
@@ -51,6 +56,9 @@ CRITERIA = {
 # sha256 of `lattes-lab verify all` stdout, at 1 and at 8 workers
 VERIFY_ALL_SHA256 = "27002e2dec91364ba3f5a383968c60c95887ecb332cc4f0263755e6780aad5c8"
 
+# map_primes' fork threshold in the runs with more than one worker
+FORK_ABOVE = 4
+
 _memo: dict = {}
 
 
@@ -59,26 +67,37 @@ def _takes_workers(fn) -> bool:
 
 
 def _run(name: str, workers: int = 1):
-    """(result, pool values) of a check: its result with `workers`
-    processes (1 for a check that takes no worker count), and every value
-    map_primes returned while it ran, in call order."""
+    """(result, pool values, pools, expected pools) of a check: its result
+    with `workers` processes (1 for a check that takes no worker count),
+    every value map_primes returned while it ran, in call order, the chunks
+    handed to each process pool it started, and the chunks that map_primes
+    deals to a pool for the same calls.  With more than one worker,
+    map_primes forks above FORK_ABOVE primes."""
     fn = CHECKS[name]
     takes = _takes_workers(fn)
     workers = workers if takes else 1
     if (name, workers) not in _memo:
-        pooled = []
+        pooled, expected = [], []
 
-        def recording(*args, **kwargs):
-            pooled.append(map_primes(*args, **kwargs))
+        def recording(fn, primes, workers=1):
+            primes = list(primes)
+            expected.append(pool_chunks(len(primes), workers))
+            pooled.append(map_primes(fn, primes, workers))
             return pooled[-1]
 
-        # galois imports map_primes by name, so both bindings are replaced
-        with (
-            mock.patch.object(exceptionality, "map_primes", recording),
-            mock.patch.object(galois, "map_primes", recording),
-        ):
+        with contextlib.ExitStack() as stack:
+
+            def patch(owner, attr, value):
+                stack.enter_context(mock.patch.object(owner, attr, value))
+
+            # galois imports map_primes by name, so both bindings are replaced
+            patch(exceptionality, "map_primes", recording)
+            patch(galois, "map_primes", recording)
+            if workers > 1:
+                patch(exceptionality, "_CHUNK_PRIMES", FORK_ABOVE)
+            handed = spy_pools(patch)
             result = fn(workers=workers) if takes else fn()
-        _memo[name, workers] = (result, pooled)
+        _memo[name, workers] = (result, pooled, handed, [n for n in expected if n])
     return _memo[name, workers]
 
 
@@ -156,17 +175,22 @@ def test_criterion_8_forward_direction():
 
 def test_criterion_9_determinism():
     """The tables and each suite that takes a worker count give equal
-    results, and every map_primes call equal values, with 1 and 8 workers."""
+    results, and every map_primes call equal values, with 1 and 8 workers;
+    with 8, each call above FORK_ABOVE primes runs a process pool with the
+    chunks map_primes deals."""
     names = [name for name, fn in CHECKS.items() if _takes_workers(fn)]
-    mismatches = [name for name in names if _run(name, 1) != _run(name, 8)]
-    # a check that reached no map_primes call would compare nothing
-    unpooled = [name for name in names if not _run(name, 8)[1]]
+    mismatches = [name for name in names if _run(name, 1)[:2] != _run(name, 8)[:2]]
+    # a check that reached no map_primes call, or no pool, would compare nothing
+    unpooled = [name for name in names if not _run(name, 8)[1] or not _run(name, 8)[2]]
+    misdealt = [name for name in names if _run(name, 8)[2] != _run(name, 8)[3]]
+    ok = not mismatches and not unpooled and not misdealt
+    pools = sum(len(_run(name, 8)[2]) for name in names)
     _report(
         "9 determinism",
-        not mismatches and not unpooled,
-        f"{len(names)} checks and their pool values identical with 1 and 8 workers"
-        if not mismatches and not unpooled
-        else f"differ: {mismatches}; no pool call: {unpooled}",
+        ok,
+        f"{len(names)} checks and their pool values identical with 1 and 8 workers, {pools} pools"
+        if ok
+        else f"differ: {mismatches}; no pool: {unpooled}; pools not as dealt: {misdealt}",
     )
 
 

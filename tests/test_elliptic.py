@@ -512,6 +512,33 @@ def test_shanks_mestre_matches_the_character_sum_on_the_catalog(monkeypatch):
         assert len(fell) < len(big) / 20, (entry.name, len(fell))
 
 
+def test_batch_takes_every_prime_from_mestres_bound(monkeypatch):
+    # from p = 230 to the scalar crossover the batch, not the character sum,
+    # gives a_p; only its fallback rows reach the sum, through
+    # _frobenius_trace.  The catalog, a long model with a1, a2, a3 != 0 and
+    # the -11 twist, at every good prime in [230, 2000)
+    assert elliptic._MESTRE_FROM == 230 <= elliptic._BSGS_FROM
+    curves = [entry.curve for entry in CATALOG]
+    curves += [Curve(1, -1, 1, -122, 1721), Curve(0, 0, 0, -1056, 13552)]
+    fell, summed = [], []
+    real_trace, real_sum = elliptic._frobenius_trace, elliptic.count_points
+    monkeypatch.setattr(elliptic, "_frobenius_trace", lambda c, p: fell.append(p) or real_trace(c, p))
+    monkeypatch.setattr(elliptic, "count_points", lambda c, p: summed.append(p) or real_sum(c, p))
+    total = fell_total = 0
+    for c in curves:
+        ps = [p for p in c.good_primes(elliptic._BSGS_FROM - 1) if p >= elliptic._MESTRE_FROM]
+        expected = [real_sum(c, p)[1] for p in ps]
+        fell.clear()
+        summed.clear()
+        assert elliptic._frobenius_traces(c, ps) == expected, c
+        assert summed == fell, c
+        total += len(ps)
+        fell_total += len(fell)
+    # the arrays settle nearly every prime (4% fall back), so the range
+    # cannot slide back to the sum unnoticed
+    assert total > 3000 and fell_total < total / 10, (total, fell_total)
+
+
 def test_shanks_mestre_matches_the_character_sum_near_1e5_and_1e6():
     # 21 seeded primes per scale, seven for each curve; the batch route then
     # takes each curve's 14 primes as one chunk of mixed sizes

@@ -2,8 +2,9 @@ import hashlib
 import os
 
 import pytest
+from conftest import pool_chunks
 
-from lattes_lab import elliptic, quadorder
+from lattes_lab import elliptic, exceptionality, quadorder
 from lattes_lab.elliptic import (
     CATALOG_BY_NAME,
     Curve,
@@ -19,6 +20,7 @@ from lattes_lab.exceptionality import (
     exceptionality_report,
     frobenius_scan,
     is_cubic_residue,
+    map_primes,
     permutes,
     render_scan_csv,
     render_scan_markdown,
@@ -303,7 +305,9 @@ def test_cached_scan_hashes_the_curve_once(tmp_path, monkeypatch):
     assert (tmp_path / "traces.txt").read_text() == rows
 
 
-def test_worker_determinism():
+def test_worker_determinism(monkeypatch, pools):
+    # jobs this small run in one process, so the fork threshold comes down
+    monkeypatch.setattr(exceptionality, "_CHUNK_PRIMES", 8)
     good = [p for p in primes_upto(300) if p >= 5]
     one = frobenius_scan(D4, good, workers=1)
     many = frobenius_scan(D4, good, workers=8)
@@ -311,9 +315,29 @@ def test_worker_determinism():
     rows1 = scan(D4, 3, good, workers=1)
     rows8 = scan(D4, 3, good, workers=8)
     assert rows1 == rows8
-    # both trace routes: the character sum below the crossover, Shanks-Mestre above
+    # both trace routes: the character sum below the batch's start, Shanks-Mestre above
     wide = D4.good_primes(6000)
     assert frobenius_scan(D4, wide, workers=2) == frobenius_scan(D4, wide, workers=1)
+    # 8 chunks for the 60 good primes, 7 of them in the pool, and 2 for `wide`
+    assert pools == [pool_chunks(len(good), 8)] * 2 + [pool_chunks(len(wide), 2)] == [7, 7, 1]
+
+
+def _pids(chunk):
+    return [os.getpid()] * len(chunk)
+
+
+def test_map_primes_forks_only_past_its_break_even(pools):
+    # min(workers, ceil(n / N)) chunks, dealt round-robin; the first runs
+    # in this process and the others in a pool, so at most N primes never fork
+    n = exceptionality._CHUNK_PRIMES
+    for size, workers, handed in ((n, 8, 0), (n + 1, 8, 1), (3 * n + 1, 8, 3), (3 * n + 1, 2, 1), (8 * n, 1, 0)):
+        pools.clear()
+        pids = map_primes(_pids, range(size), workers)
+        assert sorted(pids) == list(range(size)), (size, workers)
+        assert pools == ([handed] if handed else []) and pool_chunks(size, workers) == handed, (size, workers)
+        assert pids[0] == os.getpid() and 1 <= len(set(pids.values())) <= handed + 1, (size, workers)
+        if handed:
+            assert pids[1] != os.getpid(), (size, workers)
 
 
 @pytest.mark.parametrize(
@@ -391,21 +415,29 @@ def test_one_sieve_pass_raises_the_per_prime_message():
 
 
 def test_each_prime_is_checked_once(monkeypatch):
-    # the entry points check all their primes by one sieve pass; below the
-    # crossover the character sum is reached through count_points, which
-    # checks p again (a one-witness Miller-Rabin test there)
-    sieved, checked = [], []
-    real_sieve, real = elliptic._non_primes, elliptic.is_prime
+    # the entry points check all their primes by one sieve pass.  The
+    # character sum, reached through count_points, checks p again (a
+    # one-witness Miller-Rabin test there): below the batch's start, and at
+    # the batch's fallback rows below the scalar crossover
+    sieved, checked, fell = [], [], []
+    real_sieve, real, real_trace = elliptic._non_primes, elliptic.is_prime, elliptic._frobenius_trace
     monkeypatch.setattr(elliptic, "_non_primes", lambda ns: sieved.append(sorted(ns)) or real_sieve(ns))
     monkeypatch.setattr(elliptic, "is_prime", lambda n: checked.append(n) or real(n))
+    monkeypatch.setattr(elliptic, "_frobenius_trace", lambda c, p: fell.append(p) or real_trace(c, p))
     primes = D4.good_primes(3000)
-    small = [p for p in primes if p < elliptic._BSGS_FROM]
+    small = [p for p in primes if p < elliptic._MESTRE_FROM]
+
+    def summed():
+        return sorted(small + [p for p in fell if p < elliptic._BSGS_FROM])
+
     scan(D4, 6, primes)
-    assert sieved == [primes] and sorted(checked) == small
+    assert sieved == [primes] and sorted(checked) == summed()
+    assert fell and len(checked) < len(primes) / 2
     sieved.clear()
     checked.clear()
+    fell.clear()
     coprime_verdicts(D4, 0, primes)
-    assert sieved == [primes] and sorted(checked) == small
+    assert sieved == [primes] and sorted(checked) == summed()
     sieved.clear()
     checked.clear()
     frobenius_trace(D4, 2003)

@@ -5,7 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from lattes_lab import cli, galois, intmath
+from lattes_lab import cli, exceptionality, galois, intmath
 from lattes_lab.elliptic import (
     CATALOG,
     CATALOG_BY_NAME,
@@ -311,12 +311,16 @@ def test_density_never_factors_k(monkeypatch, capsys):
     assert capsys.readouterr().out == f"{Fraction(hits, len(small))} ({hits / len(small):.6f})\n"
 
 
-def test_empirical_density_is_worker_independent():
+def test_empirical_density_is_worker_independent(monkeypatch, pools):
+    # 3000 is below the fork threshold, so the threshold comes down to keep
+    # two chunks, one of them in the pool
+    monkeypatch.setattr(exceptionality, "_CHUNK_PRIMES", 64)
     for name, k in (("k2-c3", 2), ("noncm-f", 6), ("d19", 35)):
         curve = CATALOG_BY_NAME[name].curve
         assert empirical_density(curve, k, 3000, workers=1) == empirical_density(
             curve, k, 3000, workers=2
         )
+    assert pools == [1, 1, 1]
 
 
 def test_coprime_verdicts_rejects_bad_input(monkeypatch):
