@@ -3,9 +3,9 @@
 Subcommands: map, table, scan, verify, density, symbol, torsion, strategy.
 Exit codes: 0 on success/match, 1 on a verification failure or table
 mismatch, 2 on usage errors (bad flags, an unknown table id, unparseable
-curve or element, and --workers, --pmax, the --k of map, torsion and
-strategy, or the strategy --count beyond WORKERS_MAX, PMAX_MAX, K_MAX or
-COUNT_MAX).
+curve or element, --u or a --D other than its CM discriminant beside a
+curve spec, and --workers, --pmax, the --k of map, torsion and strategy,
+or the strategy --count beyond WORKERS_MAX, PMAX_MAX, K_MAX or COUNT_MAX).
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         # a curve is either an explicit [a1,a2,a3,a4,a6] or a CM model
         # selected by --D (with family parameter --u where one exists)
         p.add_argument("curve", nargs="?", default=None, help="curve spec [a1,a2,a3,a4,a6]")
-        p.add_argument("--D", type=int, default=None, help="CM discriminant of a model curve")
+        p.add_argument("--D", type=int, default=None, help="CM discriminant of the curve")
         p.add_argument("--u", default=None, help="family parameter for the CM model (default 1)")
 
     p = sub.add_parser("map", help="print L_k for a curve as a rational function")
@@ -93,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="regenerate a bundled reference table and diff it")
     p.add_argument("table_id", choices=TABLE_IDS)
-    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1, help=WORKERS_HELP)
 
     p = sub.add_parser("scan", help="permutation-behavior scan over good primes")
     add_curve_args(p)
@@ -132,12 +131,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_curve(args):
-    """The curve named by the arguments: an explicit coefficient spec, or
-    the CM model cm_model(D, u) when only --D (and optionally --u) is given."""
+    """The curve named by the arguments: an explicit coefficient spec, whose
+    CM discriminant a --D beside it must be, or the CM model cm_model(D, u)
+    when only --D (and optionally --u) is given."""
     from fractions import Fraction
 
     if args.curve is not None:
-        return parse_curve(args.curve)
+        if args.u is not None:
+            raise ValueError("--u selects a CM model with --D, not a curve spec")
+        curve = parse_curve(args.curve)
+        cm_disc_for(curve, args.D)  # raises for a --D that is not the curve's
+        return curve
     if args.D is None:
         raise ValueError("give a curve spec [a1,a2,a3,a4,a6] or select one with --D/--u")
     u = Fraction(args.u) if args.u is not None else Fraction(1)
@@ -151,7 +155,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    result = check_table(args.table_id, workers=args.workers)
+    result = check_table(args.table_id)
     print(result.rendered, end="")
     if result.ok:
         print("MATCH: regenerated table equals the golden copy")
@@ -165,15 +169,14 @@ def _cmd_table(args) -> int:
 def _cmd_scan(args) -> int:
     curve = _resolve_curve(args)
     cache = TraceCache(args.cache) if args.cache else None
-    disc = cm_disc_for(curve, args.D)
     good, bad = curve.primes_by_reduction(args.pmax)
-    rows = scan(curve, args.k, good, disc=disc, workers=args.workers, cache=cache)
+    rows = scan(curve, args.k, good, workers=args.workers, cache=cache)
     if cache is not None:
         cache.save()
     if args.format == "csv":
         print(render_scan_csv(rows), end="")
     else:
-        print(render_scan_markdown(rows, args.k, disc), end="")
+        print(render_scan_markdown(rows, args.k, cm_disc_for(curve)), end="")
     if bad:
         print(f"excluded primes (bad reduction): {bad}", file=sys.stderr)
     return 0

@@ -57,12 +57,11 @@ class TraceRecord:
     Ap: int
 
 
-def trace_record(curve: Curve, p: int, disc: Optional[int] = None) -> TraceRecord:
+def trace_record(curve: Curve, p: int) -> TraceRecord:
     """The trace record at a good prime.  The splitting symbol is filled in
-    from the CM discriminant when one is known (explicit disc, or the
-    class-number-one discriminant of the curve's j); for non-CM curves it
-    is left out rather than inferred."""
-    disc = cm_disc_for(curve, disc)
+    when the curve has a CM discriminant (`cm_disc_for`, by j); for other
+    curves it is left out rather than inferred."""
+    disc = cm_disc_for(curve)
     ap = frobenius_trace(curve, p)
     splitting = None
     if disc is not None:
@@ -216,9 +215,7 @@ class PermutationVerdict:
     method: str
 
 
-def permutes(
-    curve: Curve, k: int, p: int, method: str = "criterion", disc: Optional[int] = None
-) -> PermutationVerdict:
+def permutes(curve: Curve, k: int, p: int, method: str = "criterion") -> PermutationVerdict:
     """Whether L_k permutes P^1(F_p), by the gcd criterion
     (gcd((p+1)^2 - a_p^2, k) = 1), by brute force over all p+1 points, or
     by both with mandatory agreement."""
@@ -228,7 +225,7 @@ def permutes(
         raise ValueError("k must be >= 1")
     g = verdict_c = verdict_b = None
     if method in ("criterion", "both"):
-        rec = trace_record(curve, p, disc)
+        rec = trace_record(curve, p)
         g = gcd(rec.Ap, k)
         verdict_c = g == 1
     if method in ("bruteforce", "both"):
@@ -262,17 +259,17 @@ def scan(
     curve: Curve,
     k: int,
     primes: Iterable[int],
-    disc: Optional[int] = None,
     workers: int = 1,
     cache: Optional[TraceCache] = None,
 ) -> list[ScanRow]:
-    """One row per good prime: (p, (D/p), a_p, gcd(A_p, k), verdict).
+    """One row per good prime: (p, (D/p), a_p, gcd(A_p, k), verdict), D
+    the curve's CM discriminant by `cm_disc_for` (no symbol without one).
 
     Verdicts come from the gcd criterion; rows with p | k are annotated.
     Primes of bad reduction are rejected outright (by frobenius_scan) -
     callers filter with Curve.good_primes so nothing is silently skipped.
     """
-    disc = cm_disc_for(curve, disc)
+    disc = cm_disc_for(curve)
     primes = sorted(primes)
     traces = frobenius_scan(curve, primes, workers=workers, cache=cache)
     rows = []
@@ -548,7 +545,10 @@ class ObstructionReport:
 def verify_d11_obstruction(curve: Curve, pmax: int, workers: int = 1) -> ObstructionReport:
     """For every good prime 5 <= p <= pmax away from 11: inert primes must
     give 2 | A_p and split primes 3 | A_p, which forces gcd(A_p, k) > 1
-    whenever 6 | k.  Reports any violation (expected: none)."""
+    whenever 6 | k.  Reports any violation (expected: none); a curve
+    without CM by -11 raises ValueError."""
+    if cm_disc_for(curve) != -11:
+        raise ValueError(f"{curve} has no CM by -11 (j = {curve.j}, not -32768)")
     good, bad = curve.primes_by_reduction(pmax)
     good = [p for p in good if p != 11]
     skipped = tuple(sorted(set(bad) | ({11} if 11 <= pmax else set())))

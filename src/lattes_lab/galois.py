@@ -142,18 +142,20 @@ def diag_witness(a: int, m: int) -> Mat2Zm:
     return A
 
 
-def frobenius_congruence_check(curve: Curve, p: int, ell: int) -> bool:
-    """The bridge between the trace view and the torsion view of ell | A_p.
+def frobenius_congruence_check(curve: Curve, primes: Iterable[int], ell: int) -> list[bool]:
+    """The bridge between the trace view and the torsion view of ell | A_p,
+    one bool per prime of `primes`, in order.
 
     A_p = (p+1)^2 - a_p^2 = |E(F_p)| * |E^d(F_p)|, with a_p from the
     character sum, is divisible by the prime ell exactly when E or its
     quadratic twist has an F_p-point of order ell, that is, exactly when
     psi_ell (q for ell = 2) has a root in F_p.  Both sides are computed
-    independently and compared: the root test runs here whichever route
-    `coprime_verdicts` would take at p."""
-    root = torsion_roots(curve, ell, [p])[0]
-    _, ap = count_points(curve, p)
-    return root == (((p + 1) ** 2 - ap * ap) % ell == 0)
+    independently and compared: the root test runs here, once for the
+    whole list, whichever route `coprime_verdicts` would take at p."""
+    primes = list(primes)
+    roots = torsion_roots(curve, ell, primes)
+    aps = [count_points(curve, p)[1] for p in primes]
+    return [root == (((p + 1) ** 2 - ap * ap) % ell == 0) for p, ap, root in zip(primes, aps, roots)]
 
 
 def k2_verdict(curve: Curve) -> tuple[bool, str, Optional[Fraction]]:

@@ -185,14 +185,6 @@ def congruent(alpha: QuadInt, beta: QuadInt, mu: QuadInt) -> bool:
     return z.a % nm == 0 and z.b % nm == 0
 
 
-def exact_div(alpha: QuadInt, mu: QuadInt) -> QuadInt:
-    z = alpha * mu.conj()
-    nm = mu.norm()
-    if z.a % nm or z.b % nm:
-        raise ValueError(f"{alpha} not divisible by {mu}")
-    return QuadInt(alpha.order, z.a // nm, z.b // nm)
-
-
 def splitting_type(D: int, p: int) -> str:
     """'split', 'inert' or 'ramified' per the Kronecker symbol (D/p)."""
     if not is_prime(p):

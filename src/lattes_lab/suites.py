@@ -28,6 +28,7 @@ from .eisenstein import (
 from .elliptic import (
     CATALOG,
     CATALOG_BY_NAME,
+    cm_disc_for,
     eval_lattes_vs_group_law,
     lattes_map,
     torsion_x_rational,
@@ -118,10 +119,10 @@ def suite_deuring(pmax: int = 10000, workers: int = 1) -> SuiteResult:
     Hasse bound holds everywhere."""
     res = SuiteResult("deuring")
     for entry in CATALOG:
-        if entry.cm_disc is None:
-            continue
-        D = entry.cm_disc
         curve = entry.curve
+        D = cm_disc_for(curve)
+        if D is None:
+            continue
         good = [p for p in curve.good_primes(pmax) if p % abs(D) != 0]
         traces = frobenius_scan(curve, good, workers=workers)
         for p in good:

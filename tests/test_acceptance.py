@@ -2,9 +2,10 @@
 
 Criteria 1-8 run the golden tables and the named suites that `lattes-lab
 verify` runs, at the bounds given in each criterion's docstring, and pass
-when the suites pass.  Criterion 9 (determinism) reruns the tables and
-every suite that takes a worker count with 8 workers, and requires the same
-results, and the same values from every map_primes call, as with 1 worker.
+when the suites pass.  Criterion 9 (determinism) reruns every suite that
+takes a worker count with 8 workers, and requires the same results, and the
+same values from every map_primes call, as with 1 worker; the tables take
+none, since none of them scans enough primes to fork.
 Their prime ranges are mostly below map_primes' fork threshold, so the
 8-worker runs lower it to FORK_ABOVE primes, and every call above it must
 start a process pool with the chunks map_primes deals.  Results are
@@ -174,8 +175,8 @@ def test_criterion_8_forward_direction():
 
 
 def test_criterion_9_determinism():
-    """The tables and each suite that takes a worker count give equal
-    results, and every map_primes call equal values, with 1 and 8 workers;
+    """Each suite that takes a worker count gives equal results, and every
+    map_primes call equal values, with 1 and 8 workers;
     with 8, each call above FORK_ABOVE primes runs a process pool with the
     chunks map_primes deals."""
     names = [name for name, fn in CHECKS.items() if _takes_workers(fn)]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -193,8 +194,8 @@ def test_primes_by_reduction_matches_the_has_good_reduction_filter():
             p for p in primes
             if any(a.denominator % p == 0 for a in curve.ainvs()) or curve.discriminant.numerator % p == 0
         ]
-        assert curve.good_primes(10**4) == good and curve.bad_primes_in(10**4) == bad
-    assert {7, 11} <= set(fractional.bad_primes_in(100))
+        assert curve.good_primes(10**4) == good
+    assert {7, 11} <= set(fractional.primes_by_reduction(100)[1])
     with pytest.raises(ValueError, match="not prime"):
         fractional.has_good_reduction(9)
 
@@ -250,6 +251,18 @@ def test_count_points_hasse_and_errors():
         count_points(c, 2)  # bad reduction and p < 5
     with pytest.raises(ValueError):
         count_points(CATALOG_BY_NAME["d7"].curve, 7)
+
+
+def test_count_points_stops_at_its_cap_before_allocating(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("count_points allocated above its cap")
+
+    p = next(q for q in range(elliptic.COUNT_POINTS_MAX + 1, 2 * elliptic.COUNT_POINTS_MAX) if is_prime(q))
+    c = CATALOG_BY_NAME["d4"].curve
+    assert c.has_good_reduction(p)
+    monkeypatch.setattr(np, "arange", reached)
+    with pytest.raises(ValueError, match="frobenius_trace"):
+        count_points(c, p)
 
 
 def test_count_points_runs_the_int64_guard_first(monkeypatch):
@@ -778,13 +791,27 @@ def test_frobenius_trace_routes_and_checks(monkeypatch):
         elliptic.frobenius_trace(c, above)
 
 
+# the CM discriminant each catalog row carried as a field before the
+# lookup by j replaced it
+CATALOG_CM_DISCS = {
+    "d4": -4, "d8": -8, "d7": -7, "d12": -12, "d19": -19, "d27": -27, "d3": -3, "d11": -11,
+    "noncm-e": None, "noncm-f": None, "k2-s3": None, "k2-c3": None,
+}
+
+
+def test_cm_disc_for_gives_each_catalog_row_its_old_disc():
+    assert [f.name for f in dataclasses.fields(elliptic.CatalogEntry)] == ["name", "curve", "note"]
+    assert [entry.name for entry in CATALOG] == list(CATALOG_CM_DISCS)
+    for entry in CATALOG:
+        D = CATALOG_CM_DISCS[entry.name]
+        assert cm_disc_for(entry.curve) == D, entry.name
+        if D is not None:
+            assert entry.curve.j == CM_J_INVARIANTS[D]
+            assert cm_disc_for(entry.curve, D) == D
+
+
 def test_cm_disc_for_checks_a_given_D_against_j():
     assert tuple(CM_J_INVARIANTS) == CLASS_NUMBER_ONE_DISCS
-    for entry in CATALOG:
-        if entry.cm_disc is not None:
-            assert entry.curve.j == CM_J_INVARIANTS[entry.cm_disc]
-            assert cm_disc_for(entry.curve, entry.cm_disc) == entry.cm_disc
-        assert cm_disc_for(entry.curve) == entry.cm_disc
     twist = cm_model(-11, 2)
     assert cm_disc_for(twist, -11) == -11
     assert cm_disc_for(twist) == -11  # no --D: looked up by j, in or out of the catalog

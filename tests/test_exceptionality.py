@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import os
 
 import pytest
@@ -224,6 +225,27 @@ def test_verify_d11_obstruction():
     from lattes_lab.elliptic import cm_model
 
     assert verify_d11_obstruction(cm_model(-11, 2), 300).ok
+
+
+def test_verify_d11_obstruction_rejects_a_curve_without_cm_by_minus_11(monkeypatch):
+    # a wrong curve is a usage error, refused before any scan, not a list
+    # of violations that would read as a counterexample
+    def reached(*args, **kwargs):
+        raise AssertionError("a scan ran for a curve without CM by -11")
+
+    monkeypatch.setattr(exceptionality, "frobenius_scan", reached)
+    for curve in (Curve(0, 0, 0, 1, 1), D4):
+        with pytest.raises(ValueError, match="no CM by -11"):
+            verify_d11_obstruction(curve, 300)
+
+
+def test_the_cm_discriminant_is_read_from_the_curve():
+    # no entry point takes D: each looks it up by j
+    for fn in (scan, trace_record, permutes):
+        assert "disc" not in inspect.signature(fn).parameters, fn.__name__
+    twist = Curve(0, 0, 0, -1056, 13552)  # cm_model(-11, 2), outside the catalog
+    assert [r.symbol for r in scan(twist, 6, [5, 7])] == [1, -1]
+    assert trace_record(twist, 7).splitting == "inert"
 
 
 def test_verify_noncm_counterexample():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattes_lab import quadorder
-from lattes_lab.elliptic import CATALOG_BY_NAME, count_points
+from lattes_lab.elliptic import CATALOG_BY_NAME, cm_disc_for, count_points
 from lattes_lab.intmath import is_prime, kronecker, primes_upto
 from lattes_lab.quadorder import (
     CLASS_NUMBER_ONE_DISCS,
@@ -15,7 +15,6 @@ from lattes_lab.quadorder import (
     congruent,
     cornacchia,
     deuring_consistency,
-    exact_div,
     find_prime_element,
     format_quadint,
     norm_solutions,
@@ -80,14 +79,6 @@ def test_congruent_examples():
         congruent(lam, lam, O3.element(0))
     with pytest.raises(ValueError):
         congruent(lam, O11.element(1), O3.element(2))  # mixed orders
-
-
-def test_exact_div():
-    O3 = quad_order(-3)
-    z = O3.element(2, 3) * O3.element(-1, 5)
-    assert exact_div(z, O3.element(2, 3)) == O3.element(-1, 5)
-    with pytest.raises(ValueError):
-        exact_div(O3.element(1, 1), O3.element(2, 0))
 
 
 def test_splitting_type():
@@ -401,7 +392,7 @@ def test_trace_product_matches_Ap():
     (p+1)^2 - a_p^2 = N((pi-1)(pi+1)) for pi built from (t, s)."""
     for name in ("d4", "d7", "d19", "d11", "d3"):
         entry = CATALOG_BY_NAME[name]
-        D = entry.cm_disc
+        D = cm_disc_for(entry.curve)
         order = quad_order(D)
         for p in entry.curve.good_primes(500):
             if p % (-D) == 0 or splitting_type(D, p) != "split":

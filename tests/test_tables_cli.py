@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 from lattes_lab import cli, elliptic, exceptionality
 from lattes_lab.cli import COUNT_MAX, K_MAX, PMAX_MAX, WORKERS_MAX, main
 from lattes_lab.elliptic import Curve
-from lattes_lab.tables import TABLE_IDS, check_all_tables, check_table
+from lattes_lab.tables import PERM_TABLES, TABLE_IDS, check_all_tables, check_table
 
 
 def test_all_tables_regenerate():
@@ -14,6 +15,12 @@ def test_all_tables_regenerate():
     assert len(checks) == 16
     for c in checks:
         assert c.ok, (c.table_id, c.diffs)
+
+
+def test_tables_never_reach_the_pool():
+    # no worker count could change how a table is built: every table scans
+    # fewer primes than map_primes needs before it forks
+    assert max(len(spec.golden) for spec in PERM_TABLES.values()) <= exceptionality._CHUNK_PRIMES
 
 
 def test_table_ids_cover_registry():
@@ -115,16 +122,46 @@ def test_cli_model_selection_by_D_and_u(capsys):
     assert run_cli("torsion", "--k", "2") == 2  # neither curve nor --D given
 
 
-def test_cli_scan_rejects_a_D_that_contradicts_the_curve(monkeypatch, capsys):
+# the subcommands that take a curve, each with the rest of a small run
+CURVE_COMMANDS = {
+    "map": ["--k", "2"],
+    "scan": ["--k", "6", "--pmax", "40"],
+    "density": ["--k", "6", "--pmax", "500"],
+    "torsion": ["--k", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(CURVE_COMMANDS))
+def test_cli_rejects_a_D_that_contradicts_the_curve(monkeypatch, capsys, command):
     def reached(*args, **kwargs):
-        raise AssertionError("a sieve ran before the --D check")
+        raise AssertionError("a sieve or map ran before the --D check")
 
     monkeypatch.setattr(Curve, "primes_by_reduction", reached)
+    monkeypatch.setattr(Curve, "good_primes", reached)
+    monkeypatch.setattr(elliptic, "primes_upto", reached)
+    monkeypatch.setattr(cli, "lattes_map", reached)
+    monkeypatch.setattr(cli, "torsion_x_rational", reached)
+    monkeypatch.setattr(cli, "empirical_density", reached)
+    rest = CURVE_COMMANDS[command]
     # [0,0,0,1,1] has j = 6912/31 and no CM
-    assert run_cli("scan", "[0,0,0,1,1]", "--D=-11", "--k", "6", "--pmax", "40") == 2
+    assert run_cli(command, "[0,0,0,1,1]", "--D=-11", *rest) == 2
     assert "j = -32768" in capsys.readouterr().err
-    assert run_cli("scan", "[0,0,0,1,1]", "--D=-5", "--k", "6", "--pmax", "40") == 2
+    assert run_cli(command, "[0,0,0,1,1]", "--D=-5", *rest) == 2
     assert "class-number-one" in capsys.readouterr().err
+    # --u picks a member of the --D family and means nothing beside a spec
+    assert run_cli(command, "[0,0,0,-264,1694]", "--u", "2", *rest) == 2
+    assert "--u" in capsys.readouterr().err
+    assert run_cli(command, "[0,0,0,-264,1694]", "--D=-11", "--u", "1", *rest) == 2
+    assert "--u" in capsys.readouterr().err
+
+
+def test_cli_accepts_the_D_of_the_curve_spec(capsys):
+    # a consistent --D changes nothing, on every subcommand that takes one
+    for command, rest in CURVE_COMMANDS.items():
+        assert run_cli(command, "[0,0,0,-264,1694]", *rest) == 0
+        plain = capsys.readouterr()
+        assert run_cli(command, "[0,0,0,-264,1694]", "--D=-11", *rest) == 0
+        assert capsys.readouterr() == plain, command
 
 
 def test_cli_scan_accepts_the_D_of_a_twist(capsys):
@@ -165,7 +202,7 @@ def test_cli_density_rejects_a_prime_beyond_int64(monkeypatch, capsys):
         ["density", "[0,0,0,1,0]", "--k", "2", "--pmax", "500", "--workers", "0"],
         ["density", "[0,0,0,1,0]", "--k", "2", "--pmax", str(PMAX_MAX + 1)],
         ["verify", "d11", "--workers", str(WORKERS_MAX + 1)],
-        ["table", "d4-perm-k3", "--workers", "0"],
+        ["verify", "d11", "--workers", "0"],
         ["map", "[0,0,0,1,0]", "--k", str(K_MAX + 1)],
         ["map", "[0,0,0,1,0]", "--k", "0"],
         ["torsion", "[0,0,0,1,0]", "--k", str(K_MAX + 1)],
@@ -205,6 +242,44 @@ def test_cli_table_rejects_an_unknown_id_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr(cli, "check_table", reached)
     assert run_cli("table", "nope") == 2
     assert "argument table_id: invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_cli_table_takes_no_worker_count(monkeypatch, capsys):
+    def reached(*args, **kwargs):
+        raise AssertionError("a table was built for a refused flag")
+
+    monkeypatch.setattr(cli, "check_table", reached)
+    assert run_cli("table", "d4-perm-k3", "--workers", "2") == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+# every subcommand's arguments (positionals by name), in the order declared;
+# a flag added or removed shows up as a diff of this table
+CLI_ARGUMENTS = {
+    "map": ("curve", "--D", "--u", "--k"),
+    "table": ("table_id",),
+    "scan": ("curve", "--D", "--u", "--k", "--pmax", "--format", "--workers", "--cache"),
+    "verify": ("suite", "--workers"),
+    "density": ("curve", "--D", "--u", "--k", "--pmax", "--workers"),
+    "symbol": ("--D", "--alpha", "--modulus", "--n"),
+    "torsion": ("curve", "--D", "--u", "--k"),
+    "strategy": ("--D", "--k", "--count"),
+}
+
+
+def test_cli_flag_set_is_pinned():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        name: tuple(
+            opt
+            for action in p._actions
+            if not isinstance(action, argparse._HelpAction)
+            for opt in (action.option_strings or [action.dest])
+        )
+        for name, p in sub.choices.items()
+    }
+    assert got == CLI_ARGUMENTS
 
 
 def test_cli_bounds_admit_their_ends():
