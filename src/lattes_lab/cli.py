@@ -4,8 +4,10 @@ Subcommands: map, table, scan, verify, density, symbol, torsion, strategy.
 Exit codes: 0 on success/match, 1 on a verification failure or table
 mismatch, 2 on usage errors (bad flags, an unknown table id, unparseable
 curve or element, --u or a --D other than its CM discriminant beside a
-curve spec, and --workers, --pmax, the --k of map, torsion and strategy,
-or the strategy --count beyond WORKERS_MAX, PMAX_MAX, K_MAX or COUNT_MAX).
+curve spec, a --u other than 1 for a --D whose CM model is one curve, and
+--workers, --pmax, the --k of map, torsion and strategy, or the strategy
+--count beyond WORKERS_MAX, PMAX_MAX, K_MAX or COUNT_MAX).  symbol works
+in Z[w] (D = -3) and takes no --D.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ K_MAX = 50
 # strategy factors k by trial division and searches prime elements for
 # congruence constraints that grow with k, so K_MAX bounds its k as well;
 # COUNT_MAX is the count the strategy suite asks for.  Over every D and k,
-# the slowest rows at --count 50 are D = -11 with k = 35 and 37, about 2 s
-# each on a 2-CPU Xeon VM; a row that walks to the norm cap without 50
-# primes (D = -11, k = 41) fails in about 1.7 s
+# the slowest rows at --count 50 are D = -11 with k = 35 and 37, 0.8-1.4 s
+# each on a 2-CPU Xeon VM at under 40 MiB RSS; a row that walks to the norm
+# cap without 50 primes (D = -11, k = 41) fails in 0.9-1.3 s
 COUNT_MAX = 50
 
 
@@ -85,7 +87,9 @@ def _build_parser() -> argparse.ArgumentParser:
         # selected by --D (with family parameter --u where one exists)
         p.add_argument("curve", nargs="?", default=None, help="curve spec [a1,a2,a3,a4,a6]")
         p.add_argument("--D", type=int, default=None, help="CM discriminant of the curve")
-        p.add_argument("--u", default=None, help="family parameter for the CM model (default 1)")
+        p.add_argument(
+            "--u", default=None, help="family parameter of the CM models of D = -3, -11, -12, -27 (default 1)"
+        )
 
     p = sub.add_parser("map", help="print L_k for a curve as a rational function")
     add_curve_args(p)
@@ -113,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1, help=WORKERS_HELP)
 
     p = sub.add_parser("symbol", help="evaluate a power residue symbol in Z[w]")
-    p.add_argument("--D", type=int, default=-3, help="order discriminant (must be -3)")
     p.add_argument("--alpha", required=True, help="element a+b*w")
     p.add_argument("--modulus", required=True, help="prime element a+b*w")
     p.add_argument("--n", type=int, choices=(2, 3, 6), required=True)
@@ -203,10 +206,6 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_symbol(args) -> int:
-    if args.D != -3:
-        print("power residue symbols are implemented in the order of discriminant -3",
-              file=sys.stderr)
-        return 2
     alpha = parse_quadint(args.alpha, -3)
     modulus = parse_quadint(args.modulus, -3)
     print(power_residue_symbol(alpha, modulus, args.n))

@@ -914,12 +914,14 @@ def cm_model(D: int, u=1) -> Curve:
     """A rational model with CM by the order of discriminant D.
 
     D in {-3, -11, -12, -27} gives the one-parameter family in u; the other
-    supported discriminants return a fixed representative curve (u is
-    ignored for those).
+    supported discriminants return a fixed representative curve and take
+    no u other than 1 (ValueError).
     """
     u = _frac(u)
     if u == 0:
         raise ValueError("u must be nonzero")
+    if D in _FIXED_CM_CURVES and u != 1:
+        raise ValueError(f"the CM model of D = {D} is one curve and takes no u (got {u})")
     if D == -3:
         return Curve(0, 0, 0, 0, u)
     if D == -11:

@@ -35,12 +35,13 @@ from .elliptic import (
 )
 from .intmath import (
     CongruenceCondition,
+    _merge_congruences,
     _non_primes,
     check_int64_modulus,
     is_prime,
     kronecker,
     prime_divisors,
-    prime_stream,
+    primes_in_classes,
 )
 from .quadorder import congruent, prime_above, prime_elements, quad_order, splitting_type
 
@@ -467,8 +468,8 @@ _CHECK_CURVE_NAME = {
 }
 
 
-# the element search walks the split primes up to this norm, 2000 * 4**8,
-# before it gives up on a row
+# both routes walk the primes up to this bound, 2000 * 4**8 (the norm of a
+# prime element on the element search), before they give up on a row
 _STRATEGY_NORM_CAP = 131_072_000
 
 
@@ -482,7 +483,10 @@ def strategy_primes(D: int, k: int, count: int) -> list[int]:
     curve = CATALOG_BY_NAME[name].curve if name else None
     conds = _congruence_recipe(D, k)
     if conds is not None:
-        stream = prime_stream(conds)
+        # every recipe merges: its moduli are coprime, but for 7 | k on
+        # D = -7 and -28, where both classes read -2 = 5 (mod 7)
+        r, m = _merge_congruences(conds)
+        stream = primes_in_classes(m, [r], _STRATEGY_NORM_CAP)
     else:
         search_D = -3 if D in (-3, -27) else D
         elements = prime_elements(search_D, _element_constraints(D, k), _STRATEGY_NORM_CAP)

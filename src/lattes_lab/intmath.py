@@ -1,9 +1,10 @@
 """Exact integer arithmetic: primality, Kronecker symbols, modular square
-roots, and congruence-constrained prime streams.
+roots, and sieves, among them one walk over the primes in given residue
+classes that both prime-selection routes read.
 
 Everything works on plain Python integers and is deterministic: primality
 uses a strong-pseudoprime witness set proven correct below 2**64, modular
-square roots are tie-broken to the root in [0, p/2], and prime streams are
+square roots are tie-broken to the root in [0, p/2], and prime walks are
 emitted in ascending order.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional
 
@@ -200,27 +201,6 @@ def _merge_congruences(conds: Iterable[CongruenceCondition]) -> Optional[tuple[i
     return r, m
 
 
-def prime_stream(conds: Iterable[CongruenceCondition]) -> Iterator[int]:
-    """Ascending primes satisfying every condition (empty if incompatible)."""
-    merged = _merge_congruences(list(conds))
-    if merged is None:
-        return
-    r, m = merged
-    g = gcd(r, m)
-    if g > 1:
-        # every member of the class is divisible by g: at most one prime
-        if is_prime(g) and g % m == r:
-            yield g
-        return
-    n = r if r >= 2 else r + m * ((2 - r + m - 1) // m)
-    if m == 1:
-        n = 2
-    while True:
-        if is_prime(n):
-            yield n
-        n += m
-
-
 def primes_in_congruence(conds: Iterable[CongruenceCondition], limit: int) -> list[int]:
     """Ascending primes p <= limit satisfying every condition.
 
@@ -229,12 +209,36 @@ def primes_in_congruence(conds: Iterable[CongruenceCondition], limit: int) -> li
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    out = []
-    for p in prime_stream(conds):
-        if p > limit:
-            break
-        out.append(p)
-    return out
+    merged = _merge_congruences(conds)
+    if merged is None:
+        return []
+    r, m = merged
+    return list(primes_in_classes(m, [r], limit))
+
+
+def primes_in_classes(period: int, residues: Iterable[int], limit: int) -> Iterator[int]:
+    """The primes p <= limit with p % period in residues, ascending, lazily:
+    a caller that stops early sieves only the windows it reached.
+
+    A class sharing a factor with the period holds at most one prime, one
+    dividing the period; the classes prime to it are read from each window
+    of _prime_windows by one strided slice apiece, and when no such class
+    is admitted no window is sieved."""
+    admitted = {r % period for r in residues}
+    coprime = [r for r in admitted if gcd(r, period) == 1]
+    few = [q for q in prime_divisors(period) if q % period in admitted and q <= limit]
+    if not coprime:
+        yield from few
+        return
+    for lo, flags in _prime_windows(limit):
+        hi = lo + len(flags)
+        offsets = [(r - lo) % period for r in coprime]
+        yield from sorted(
+            chain(
+                (q for q in few if lo <= q < hi),
+                *(compress(range(lo + o, hi, period), flags[o::period]) for o in offsets),
+            )
+        )
 
 
 def primes_upto(limit: int) -> list[int]:
@@ -261,9 +265,20 @@ def primes_between(lo: int, hi: int) -> list[int]:
     return list(compress(range(lo, hi), _sieve_segment(lo, hi)))
 
 
-# _non_primes sieves in windows of this width, so a member far beyond the
-# others costs one more window and no more memory
+# _non_primes and _prime_windows sieve in windows of at most this width, so
+# a far member or a high limit costs more windows and no more memory
 _SIEVE_WINDOW = 1 << 20
+
+
+def _prime_windows(limit: int) -> Iterator[tuple[int, bytearray]]:
+    """The sieve of [2, limit] in ascending windows (lo, flags), flags[i] = 1
+    exactly when lo + i is prime: [2, 1024), then windows that double in
+    width up to _SIEVE_WINDOW and stay at that width."""
+    lo, hi = 2, 1024
+    while lo <= limit:
+        hi = min(hi, limit + 1)
+        yield lo, _sieve_segment(lo, hi)
+        lo, hi = hi, hi + min(hi, _SIEVE_WINDOW)
 
 
 def _non_primes(ns: set[int]) -> set[int]:

@@ -18,12 +18,12 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from itertools import chain, compress, islice
-from math import gcd, isqrt, lcm
+from itertools import islice
+from math import isqrt, lcm
 from typing import Iterable, Iterator, Optional
 
 from .elliptic import Curve, count_points
-from .intmath import _sieve_segment, _sqrt_mod_prime, is_prime, kronecker, prime_divisors
+from .intmath import _sqrt_mod_prime, is_prime, kronecker, primes_in_classes
 
 CLASS_NUMBER_ONE_DISCS = (-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163)
 
@@ -305,17 +305,6 @@ def cornacchia(D: int, p: int) -> Optional[tuple[int, int]]:
     return None
 
 
-def _primes_by_doubling(limit: int) -> Iterator[tuple[int, bytearray]]:
-    """The sieve of [2, limit] in segments [lo, 2*lo), ascending, as pairs
-    (lo, flags) with flags[i] = 1 exactly when lo + i is prime, so a caller
-    that stops early pays only for the segments it reached."""
-    lo, hi = 2, 1024
-    while lo <= limit:
-        hi = min(hi, limit + 1)
-        yield lo, _sieve_segment(lo, hi)
-        lo, hi = hi, 2 * hi
-
-
 # the norm-class mask enumerates the ell^2 classes mod ell for each prime ell
 # up to _MASK_ELL_MAX that a modulus divides, while the mask's period stays
 # at most _MASK_PERIOD_MAX; at the CLI bounds (k <= 50) the period is at most
@@ -394,10 +383,11 @@ def prime_elements(
 
     The constraints are checked at the call (ValueError).  The walk over
     the split primes is lazy: a caller that stops early sieves only the
-    segments up to the norm of the last element it read.  Within a segment
-    only the primes in the classes of the norm-class mask (_norm_class_mask)
-    reach the norm equation and the exact test; a mask that admits no class
-    prime to its period L leaves only primes dividing L, and no sieve runs.
+    windows up to the norm of the last element it read.  Only the primes in
+    the classes of the norm-class mask (_norm_class_mask) reach the norm
+    equation and the exact test, read by intmath.primes_in_classes; a mask
+    that admits no class prime to its period L leaves only primes dividing
+    L, and no sieve runs.
     """
     order = quad_order(D)
     s, n = order.s, order.n
@@ -411,10 +401,7 @@ def prime_elements(
         tc = target * mc
         tests.append((mc.a, mc.b, tc.a, tc.b, modulus.norm()))
     period, mask = _norm_class_mask(order, tests)
-    # a class r with gcd(r, L) > 1 holds at most the prime dividing both,
-    # so only the classes prime to L are sliced out of each segment
-    residues = [r for r in range(period) if mask[r] and gcd(r, period) == 1]
-    few = [p for p in prime_divisors(period) if mask[p % period] and p <= norm_bound]
+    classes = [r for r in range(period) if mask[r]]
 
     def solve(p: int) -> Iterator[QuadInt]:
         sols = _split_prime_solutions(order, p) if p > 2 else norm_solutions(D, p)
@@ -423,22 +410,8 @@ def prime_elements(
                 yield order.element(a, b)
 
     def walk() -> Iterator[QuadInt]:
-        if not residues:
-            for p in few:
-                yield from solve(p)
-            return
-        for lo, flags in _primes_by_doubling(norm_bound):
-            hi = lo + len(flags)
-            # the primes of each admissible class r mod L, by one strided slice
-            offsets = [(r - lo) % period for r in residues]
-            cands = sorted(
-                chain(
-                    (p for p in few if lo <= p < hi),
-                    *(compress(range(lo + o, hi, period), flags[o::period]) for o in offsets),
-                )
-            )
-            for p in cands:
-                yield from solve(p)
+        for p in primes_in_classes(period, classes, norm_bound):
+            yield from solve(p)
 
     return walk()
 

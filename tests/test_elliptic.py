@@ -420,6 +420,16 @@ def test_cm_model():
         cm_model(-3, 0)
 
 
+def test_cm_model_without_a_family_takes_only_u_1():
+    # D = -4, -7, -8, -19 have one model each: u = 1 (the default) gives it,
+    # any other u is an error rather than the same curve again
+    for D in (-4, -7, -8, -19):
+        assert cm_model(D) == cm_model(D, 1) == Curve(*elliptic._FIXED_CM_CURVES[D])
+        for u in (2, -1, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="takes no u"):
+                cm_model(D, u)
+
+
 def test_noncm_families():
     assert noncm_family("E", 1) == Curve(0, 0, 0, -9, 12)
     assert noncm_family("F", 1) == Curve(0, 0, 0, -60, 180)

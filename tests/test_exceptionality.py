@@ -5,7 +5,7 @@ import os
 import pytest
 from conftest import pool_chunks
 
-from lattes_lab import elliptic, exceptionality, quadorder
+from lattes_lab import elliptic, exceptionality, intmath, quadorder
 from lattes_lab.elliptic import (
     CATALOG_BY_NAME,
     Curve,
@@ -126,16 +126,18 @@ def test_strategy_primes_soundness_sample():
 
 
 def test_strategy_element_search_walks_the_split_primes_once(monkeypatch):
-    # each row reads one ascending walk of prime elements, up to the norm cap
+    # each row reads one ascending walk of primes, up to the norm cap: the
+    # element-search rows and the congruence row (-11, 3) alike
     walks = []
-    walk = quadorder._primes_by_doubling
+    walk = intmath._prime_windows
 
     def spy(limit):
         walks.append(limit)
         return walk(limit)
 
-    monkeypatch.setattr(quadorder, "_primes_by_doubling", spy)
+    monkeypatch.setattr(intmath, "_prime_windows", spy)
     rows = {
+        (-11, 3, 3): [13, 79, 211],
         (-19, 3, 3): [5, 11, 17],
         (-43, 2, 3): [11, 13, 17],
         (-11, 2, 3): [3001, 3067, 3089],
@@ -152,6 +154,15 @@ def test_strategy_element_search_walks_the_split_primes_once(monkeypatch):
         walks.clear()
         assert strategy_primes(D, k, count) == want, (D, k, count)
         assert walks == [131_072_000], (D, k, count)
+
+
+def test_strategy_congruence_route_stops_at_the_norm_cap(monkeypatch):
+    # p = 7 (mod 12) holds 311 primes below 10^4, so with the cap at
+    # 10^4 the row cannot reach 2000 primes and must fail, not walk on
+    monkeypatch.setattr(exceptionality, "_STRATEGY_NORM_CAP", 10**4)
+    assert strategy_primes(-4, 3, 5) == [7, 19, 31, 43, 67]
+    with pytest.raises(ArithmeticError, match="exhausted"):
+        strategy_primes(-4, 3, 2000)
 
 
 def test_strategy_element_search_solves_only_masked_primes(monkeypatch):

@@ -1,4 +1,6 @@
+import math
 import random
+from bisect import bisect_right
 from math import isqrt
 
 import pytest
@@ -10,6 +12,7 @@ from lattes_lab.intmath import (
     is_prime,
     kronecker,
     prime_flags,
+    primes_in_classes,
     primes_in_congruence,
     prime_divisors,
     primes_between,
@@ -216,6 +219,37 @@ def test_primes_in_congruence_against_sieve_filter():
     conds = [CongruenceCondition(3, 4), CongruenceCondition(1, 3)]
     expected = [p for p in primes_upto(100000) if p % 4 == 3 and p % 3 == 1]
     assert primes_in_congruence(conds, 100000) == expected
+
+
+def test_primes_in_classes_against_sieve_filter():
+    # the walk against a filter of one sieve, for every kind of class set:
+    # period 1, prime and composite periods up to 163 * 47, classes sharing
+    # a factor with the period (which hold at most that prime), residues
+    # outside [0, period) and no residue at all; the limits run from -3 to 3,
+    # across the first window's end and across the window edges at 2**20
+    # (where windows stop doubling) and 2**21
+    top = 2**21 + 1
+    sieved = primes_upto(top)
+    rng = random.Random(18)
+    periods = (1, 2, 3, 7, 11, 12, 30, 385, 2 * 3 * 5 * 7 * 11, 163 * 47)
+    small = list(range(-3, 4)) + [1023, 1024, 1025]
+    edges = [2**20 - 1, 2**20, 2**20 + 1, 2**21 - 1, 2**21, top]
+    cases = []
+    for period in periods:
+        every = list(range(period))
+        shared = [r for r in every if r and math.gcd(r, period) > 1]
+        cases += [
+            (period, []),
+            (period, every),
+            (period, rng.sample(every, min(3, period)) + rng.sample(shared, min(2, len(shared)))),
+            (period, [r - period for r in rng.sample(every, min(2, period))] + prime_divisors(period)),
+        ]
+    for i, (period, residues) in enumerate(cases):
+        admitted = {r % period for r in residues}
+        want = [p for p in sieved if p % period in admitted]
+        for limit in small + [edges[i % len(edges)]]:
+            got = list(primes_in_classes(period, residues, limit))
+            assert got == want[: bisect_right(want, limit)], (period, residues, limit)
 
 
 def test_congruence_condition_normalizes():

@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattes_lab import quadorder
+from lattes_lab import exceptionality, intmath, quadorder
 from lattes_lab.elliptic import CATALOG_BY_NAME, cm_disc_for, count_points
 from lattes_lab.intmath import is_prime, kronecker, primes_upto
 from lattes_lab.quadorder import (
@@ -259,16 +259,16 @@ def test_find_prime_element_cost_follows_the_norm_reached():
 
 def test_incompatible_constraints_fail_before_any_sieve(monkeypatch):
     # z = 0 and z = 1 (mod 2) leave no class mod 2, so even a bound of 10^8
-    # must yield nothing without sieving a segment
+    # must yield nothing without sieving a window
     segments = []
-    walk = quadorder._primes_by_doubling
+    walk = intmath._prime_windows
 
     def spy(limit):
         for segment in walk(limit):
             segments.append(segment[0])
             yield segment
 
-    monkeypatch.setattr(quadorder, "_primes_by_doubling", spy)
+    monkeypatch.setattr(intmath, "_prime_windows", spy)
     O3 = quad_order(-3)
     incompatible = [(O3.element(0), O3.element(2)), (O3.element(1), O3.element(2))]
     start = time.perf_counter()
@@ -278,9 +278,24 @@ def test_incompatible_constraints_fail_before_any_sieve(monkeypatch):
     # z = 0 (mod 2) makes N(z) even, and 2 is inert: no sieve either
     assert find_prime_element(-3, incompatible[:1], 10**8, 1) == []
     assert segments == []
-    # a satisfiable set walks the segments, through the same spy
+    # a satisfiable set walks the windows, through the same spy
     assert find_prime_element(-3, incompatible[1:], 10**4, 1) == [O3.element(1, -2)]
     assert segments == [2]
+
+
+def test_prime_elements_walk_memory_is_one_window():
+    # the -11, k = 47 strategy constraints admit one norm class of 517; the
+    # whole walk to 2**24 sieves windows of at most 2**20 bytes, where one
+    # sieve of [2**23, 2**24) alone would take 8 MiB
+    walk = prime_elements(-11, exceptionality._element_constraints(-11, 47), 2**24)
+    tracemalloc.start()
+    try:
+        norms = [z.norm() for z in walk]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert norms[0] == 936197 and 2**23 < norms[-1] <= 2**24
+    assert peak < 4 * 2**20, peak
 
 
 def test_split_residues_follow_the_symbol():

@@ -91,9 +91,9 @@ def test_cli_scan_worker_and_cache_determinism(tmp_path, capsys):
 
 
 def test_cli_symbol(capsys):
-    assert run_cli("symbol", "--D=-3", "--alpha", "5", "--modulus=-1+3*w", "--n", "6") == 0
+    assert run_cli("symbol", "--alpha", "5", "--modulus=-1+3*w", "--n", "6") == 0
     assert capsys.readouterr().out.strip() == "-1"
-    assert run_cli("symbol", "--D=-3", "--alpha", "5*w", "--modulus=-1+3*w", "--n", "6") == 0
+    assert run_cli("symbol", "--alpha", "5*w", "--modulus=-1+3*w", "--n", "6") == 0
     assert capsys.readouterr().out.strip() == "-w^2"
     assert run_cli("symbol", "--D=-4", "--alpha", "5", "--modulus", "3", "--n", "2") == 2
 
@@ -120,6 +120,17 @@ def test_cli_model_selection_by_D_and_u(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1].endswith(",no")
     assert run_cli("torsion", "--k", "2") == 2  # neither curve nor --D given
+
+
+def test_cli_rejects_u_for_a_model_without_a_family(capsys, monkeypatch):
+    # --D=-4 names one curve, so --u 2 is a usage error before any map is built
+    def unreachable(*args):
+        raise AssertionError("map built")
+
+    monkeypatch.setattr(cli, "lattes_map", unreachable)
+    for u in ("2", "5"):
+        assert run_cli("map", "--D=-4", "--u", u, "--k", "2") == 2
+        assert "takes no u" in capsys.readouterr().err
 
 
 # the subcommands that take a curve, each with the rest of a small run
@@ -261,7 +272,7 @@ CLI_ARGUMENTS = {
     "scan": ("curve", "--D", "--u", "--k", "--pmax", "--format", "--workers", "--cache"),
     "verify": ("suite", "--workers"),
     "density": ("curve", "--D", "--u", "--k", "--pmax", "--workers"),
-    "symbol": ("--D", "--alpha", "--modulus", "--n"),
+    "symbol": ("--alpha", "--modulus", "--n"),
     "torsion": ("curve", "--D", "--u", "--k"),
     "strategy": ("--D", "--k", "--count"),
 }
