@@ -5,9 +5,10 @@ Exit codes: 0 on success/match, 1 on a verification failure or table
 mismatch, 2 on usage errors (bad flags, an unknown table id, unparseable
 curve or element, --u or a --D other than its CM discriminant beside a
 curve spec, a --u other than 1 for a --D whose CM model is one curve, and
---workers, --pmax, the --k of map, torsion and strategy, or the strategy
---count beyond WORKERS_MAX, PMAX_MAX, K_MAX or COUNT_MAX).  symbol works
-in Z[w] (D = -3) and takes no --D.
+the --workers of scan and density, --pmax, the --k of map, torsion and
+strategy, or the strategy --count beyond WORKERS_MAX, PMAX_MAX, K_MAX or
+COUNT_MAX).  verify runs each suite at its documented bounds and takes
+no flag.  symbol works in Z[w] (D = -3) and takes no --D.
 """
 
 from __future__ import annotations
@@ -106,9 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1, help=WORKERS_HELP)
     p.add_argument("--cache", default=None, help="flat-file a_p cache path")
 
-    p = sub.add_parser("verify", help="run a named verification suite")
+    p = sub.add_parser("verify", help="run a named verification suite at its documented bounds")
     p.add_argument("suite", choices=tuple(SUITES) + ("all",))
-    p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1, help=WORKERS_HELP)
 
     p = sub.add_parser("density", help="empirical density of permutation primes")
     add_curve_args(p)
@@ -186,7 +186,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result = run_suite(args.suite, workers=args.workers)
+    result = run_suite(args.suite)
     for line in result.lines:
         print(line)
     if result.ok:

@@ -21,7 +21,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .eisenstein import lemma_ab_witness
 from .elliptic import (
+    CATALOG,
     CATALOG_BY_NAME,
+    CM_J_INVARIANTS,
     Curve,
     _frobenius_traces,
     cm_disc_for,
@@ -453,18 +455,14 @@ def _non_unit_residue(D: int, lam):
 
 
 # check curve per strategy discriminant: the catalog curve of the same CM
-# field (the strategies constrain splitting data, which only sees the field)
+# field (the strategies constrain splitting data, which only sees the field),
+# of discriminant D if the catalog has one, else of D/4, for each
+# class-number-one D (the keys of CM_J_INVARIANTS); -43, -67, -163 get none
+_CATALOG_NAME_BY_DISC = {cm_disc_for(e.curve): e.name for e in CATALOG}
 _CHECK_CURVE_NAME = {
-    -4: "d4",
-    -16: "d4",
-    -8: "d8",
-    -7: "d7",
-    -28: "d7",
-    -12: "d12",
-    -19: "d19",
-    -27: "d27",
-    -3: "d3",
-    -11: "d11",
+    D: name
+    for D in CM_J_INVARIANTS
+    if (name := _CATALOG_NAME_BY_DISC.get(D) or (D % 4 == 0 and _CATALOG_NAME_BY_DISC.get(D // 4)))
 }
 
 
@@ -546,7 +544,17 @@ class ObstructionReport:
         return not self.violations
 
 
-def verify_d11_obstruction(curve: Curve, pmax: int, workers: int = 1) -> ObstructionReport:
+def _obstruction_report(
+    curve: Curve, pmax: int, good: list[int], skipped: Iterable[int], divisor: Callable[[int], int]
+) -> ObstructionReport:
+    """The report of a scan of `good`: p is a violation when divisor(p), the
+    factor the obstruction forces at p, does not divide A_p."""
+    traces = frobenius_scan(curve, good)
+    violations = tuple(p for p in good if ((p + 1) ** 2 - traces[p] ** 2) % divisor(p))
+    return ObstructionReport(curve, pmax, len(good), tuple(sorted(skipped)), violations)
+
+
+def verify_d11_obstruction(curve: Curve, pmax: int) -> ObstructionReport:
     """For every good prime 5 <= p <= pmax away from 11: inert primes must
     give 2 | A_p and split primes 3 | A_p, which forces gcd(A_p, k) > 1
     whenever 6 | k.  Reports any violation (expected: none); a curve
@@ -555,23 +563,14 @@ def verify_d11_obstruction(curve: Curve, pmax: int, workers: int = 1) -> Obstruc
         raise ValueError(f"{curve} has no CM by -11 (j = {curve.j}, not -32768)")
     good, bad = curve.primes_by_reduction(pmax)
     good = [p for p in good if p != 11]
-    skipped = tuple(sorted(set(bad) | ({11} if 11 <= pmax else set())))
-    traces = frobenius_scan(curve, good, workers=workers)
-    violations = []
-    for p in good:
-        ap = traces[p]
-        Ap = (p + 1) ** 2 - ap * ap
-        kind = splitting_type(-11, p)
-        if kind == "inert" and Ap % 2 != 0:
-            violations.append(p)
-        elif kind == "split" and p != 3 and Ap % 3 != 0:
-            violations.append(p)
-    return ObstructionReport(curve, pmax, len(good), skipped, tuple(violations))
+    skipped = set(bad) | ({11} if 11 <= pmax else set())
+    # every good p is split or inert: 11, the one ramified prime, is skipped
+    return _obstruction_report(
+        curve, pmax, good, skipped, lambda p: 2 if splitting_type(-11, p) == "inert" else 3
+    )
 
 
-def verify_noncm_counterexample(
-    family: str, u: int, pmax: int, workers: int = 1
-) -> ObstructionReport:
+def verify_noncm_counterexample(family: str, u: int, pmax: int) -> ObstructionReport:
     """For the non-CM families E (y^2 = x^3 - 9u^2 x + 12u^3, constant 3)
     and F (y^2 = x^3 - 60u^2 x + 180u^3, constant 10): at every good prime,
     2 | A_p when the constant is a cubic residue mod p and 3 | A_p when it
@@ -582,27 +581,18 @@ def verify_noncm_counterexample(
     for k in (2, 3, 6):
         if torsion_x_rational(curve, k):
             raise ArithmeticError(f"family {family}, u={u}: unexpected rational torsion x")
-    good, skipped = curve.primes_by_reduction(pmax)
-    skipped = tuple(skipped)
-    traces = frobenius_scan(curve, good, workers=workers)
-    violations = []
-    for p in good:
-        ap = traces[p]
-        Ap = (p + 1) ** 2 - ap * ap
-        if is_cubic_residue(constant, p):
-            if Ap % 2 != 0:
-                violations.append(p)
-        elif Ap % 3 != 0:
-            violations.append(p)
-    return ObstructionReport(curve, pmax, len(good), skipped, tuple(violations))
+    good, bad = curve.primes_by_reduction(pmax)
+    return _obstruction_report(
+        curve, pmax, good, bad, lambda p: 2 if is_cubic_residue(constant, p) else 3
+    )
 
 
 # -- exceptionality reports -------------------------------------------------------
 
 _OBSTRUCTED_J = {
-    Fraction(-32768): "cm-disc-11",
-    Fraction(-5184): "noncm-family-e",
-    Fraction(-138240): "noncm-family-f",
+    CM_J_INVARIANTS[-11]: "cm-disc-11",
+    noncm_family("E", 1).j: "noncm-family-e",
+    noncm_family("F", 1).j: "noncm-family-f",
 }
 
 
@@ -631,7 +621,6 @@ def exceptionality_report(
     k: int,
     pmax: int,
     witness_threshold: int = 5,
-    workers: int = 1,
 ) -> ExceptionalityReport:
     """Desk-scale evidence for or against exceptionality of L_k.
 
@@ -646,8 +635,10 @@ def exceptionality_report(
     torsion = torsion_x_rational(curve, k) if k >= 2 else set()
     good, bad = curve.primes_by_reduction(pmax)
     bad = tuple(bad)
-    rows = scan(curve, k, good, workers=workers)
-    witnesses = tuple(r.p for r in rows if r.permutes)
+    # galois imports map_primes from this module, so it is imported here
+    from .galois import coprime_verdicts
+
+    witnesses = tuple(p for p, ok in zip(good, coprime_verdicts(curve, k, good)) if ok)
     obstruction = None
     if k % 6 == 0:
         obstruction = _OBSTRUCTED_J.get(curve.j)

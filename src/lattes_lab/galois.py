@@ -396,9 +396,7 @@ def _coprime_chunk(curve: Curve, k: int, primes: list[int]) -> list[bool]:
     return [verdicts[p] for p in primes]
 
 
-def coprime_verdicts(
-    curve: Curve, k: int, primes: Iterable[int], workers: int = 1
-) -> list[bool]:
+def coprime_verdicts(curve: Curve, k: int, primes: Iterable[int]) -> list[bool]:
     """gcd(A_p, k) == 1 for each good prime p in `primes`, in order.
 
     A_p = (p+1)^2 - a_p^2 = |E(F_p)| * |E^d(F_p)|.  Each prime ell | k in
@@ -416,17 +414,16 @@ def coprime_verdicts(
     root tests takes a_p if k has a prime factor ell >= 5, or if k = 0;
     the sign of k does not matter.  Every p is checked once, before any
     work, by one sieve pass (ValueError for p >= 2**31, p < 5, a
-    composite p or bad reduction).  Output is identical for any worker
-    count."""
+    composite p or bad reduction).  The primes run in this process."""
     primes = list(primes)
     if not primes:
         return []
     check_int64_modulus(max(primes))
     curve._require_all_good(primes)
-    return _coprime_verdicts(curve, k, primes, workers)
+    return _coprime_verdicts(curve, k, primes)
 
 
-def _coprime_verdicts(curve: Curve, k: int, primes: list[int], workers: int) -> list[bool]:
+def _coprime_verdicts(curve: Curve, k: int, primes: list[int], workers: int = 1) -> list[bool]:
     """coprime_verdicts for primes the caller has checked."""
     verdicts = map_primes(partial(_coprime_chunk, curve, k), primes, workers)
     return [verdicts[p] for p in primes]

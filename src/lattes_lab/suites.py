@@ -3,13 +3,16 @@
 Each suite runs a batch of cross-checks (criterion vs brute force, trace
 constraints, reciprocity laws, obstruction scans, densities) and returns a
 SuiteResult with one line per subcheck and the first counterexample when
-something fails.  The CLI `verify` subcommand and the acceptance tests
-both drive these.
+something fails.  A suite takes no parameters: its bounds and seeds are
+literals in its body, named in its docstring, and the acceptance criteria
+document the same ones.  Its prime ranges run in one process: at these
+bounds map_primes would fork only for suite_density's two scans to 10^5,
+and a second process gains nothing there.  The CLI `verify` subcommand and
+the acceptance tests both drive these.
 """
 
 from __future__ import annotations
 
-import inspect
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,6 +32,7 @@ from .elliptic import (
     CATALOG,
     CATALOG_BY_NAME,
     cm_disc_for,
+    cm_model,
     eval_lattes_vs_group_law,
     lattes_map,
     torsion_x_rational,
@@ -60,15 +64,16 @@ class SuiteResult:
         self.lines.append(message)
 
 
-def suite_perm_equivalence(pmax: int = 200, kmax: int = 10, workers: int = 1) -> SuiteResult:
+def suite_perm_equivalence() -> SuiteResult:
     """Criterion verdict equals brute-force verdict for every catalog
-    curve, every good prime 5 <= p <= pmax, every k in 2..kmax."""
+    curve, every good prime 5 <= p <= 200, every k in 2..10."""
     res = SuiteResult("perm-equivalence")
+    pmax, kmax = 200, 10
     total = 0
     for entry in CATALOG:
         curve = entry.curve
         good = curve.good_primes(pmax)
-        traces = frobenius_scan(curve, good, workers=workers)
+        traces = frobenius_scan(curve, good)
         for k in range(2, kmax + 1):
             L = lattes_map(curve, k)
             for p in good:
@@ -87,17 +92,14 @@ def suite_perm_equivalence(pmax: int = 200, kmax: int = 10, workers: int = 1) ->
     return res
 
 
-def suite_lattes_oracle(
-    pmax: int = 100, kmax: int = 6, points: int = 20, seed: int = 20240811
-) -> SuiteResult:
-    """x([k]P) = L_k(x(P)) for random points, plus the symbolic composition
-    identities L_{mn} = L_m o L_n for mn <= 8."""
+def suite_lattes_oracle() -> SuiteResult:
+    """x([k]P) = L_k(x(P)) for 20 random points per catalog curve, p <= 100
+    and k <= 6 (seed 20240811), plus the symbolic composition identities
+    L_{mn} = L_m o L_n for mn <= 8."""
     res = SuiteResult("lattes-oracle")
-    rng = random.Random(seed)
-    checked = 0
+    rng = random.Random(20240811)
     for entry in CATALOG:
-        bad = eval_lattes_vs_group_law(entry.curve, pmax, kmax, points, rng)
-        checked += 1
+        bad = eval_lattes_vs_group_law(entry.curve, 100, 6, 20, rng)
         res.check(bad is None, f"{entry.name}: group-law mismatch at {bad}")
         for m, n in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2)):
             lm, ln, lmn = (
@@ -113,8 +115,8 @@ def suite_lattes_oracle(
     return res
 
 
-def suite_deuring(pmax: int = 10000, workers: int = 1) -> SuiteResult:
-    """CM trace constraints for every CM catalog curve up to pmax: inert
+def suite_deuring() -> SuiteResult:
+    """CM trace constraints for every CM catalog curve up to 10^4: inert
     primes give a_p = 0, split primes solve 4p - a_p^2 = |D| s^2, and the
     Hasse bound holds everywhere."""
     res = SuiteResult("deuring")
@@ -123,8 +125,8 @@ def suite_deuring(pmax: int = 10000, workers: int = 1) -> SuiteResult:
         D = cm_disc_for(curve)
         if D is None:
             continue
-        good = [p for p in curve.good_primes(pmax) if p % abs(D) != 0]
-        traces = frobenius_scan(curve, good, workers=workers)
+        good = [p for p in curve.good_primes(10**4) if p % abs(D) != 0]
+        traces = frobenius_scan(curve, good)
         for p in good:
             ap = traces[p]
             res.check(ap * ap <= 4 * p, f"{entry.name}: Hasse fails at {p}")
@@ -147,12 +149,14 @@ def _primary_split_primes(norm_bound: int):
     return out
 
 
-def suite_reciprocity(seed: int = 20240811, pairs: int = 200, tower: int = 1000) -> SuiteResult:
-    """Cubic law on random primary pairs, sextic law on random E-primary
-    pairs (norms <= 10^4), the symbol tower, the hard-coded lemma
-    witnesses, and the E_d point-count formula for norms <= 500."""
+def suite_reciprocity() -> SuiteResult:
+    """Cubic law on 200 random primary pairs, sextic law on 200 random
+    E-primary pairs (norms <= 10^4), the symbol tower on 1000 random
+    inputs (seed 20240811), the hard-coded lemma witnesses, and the E_d
+    point-count formula for norms <= 500."""
     res = SuiteResult("reciprocity")
-    rng = random.Random(seed)
+    rng = random.Random(20240811)
+    pairs, tower = 200, 1000
     split_primaries = _primary_split_primes(10000)
     inert_primaries = [eis(q) for q in primes_upto(99) if q % 3 == 2 and q != 2]
     pool = split_primaries + [z.conj() for z in split_primaries] + inert_primaries
@@ -198,15 +202,14 @@ def suite_reciprocity(seed: int = 20240811, pairs: int = 200, tower: int = 1000)
     return res
 
 
-def suite_d11(pmax: int = 10000, workers: int = 1) -> SuiteResult:
+def suite_d11() -> SuiteResult:
     """The 6 | k obstruction for curves with CM by discriminant -11:
-    2 | A_p at inert primes and 3 | A_p at split primes, for u in 1..3."""
-    from .elliptic import cm_model
-
+    2 | A_p at inert primes and 3 | A_p at split primes up to 10^4, for
+    u in 1..3."""
     res = SuiteResult("d11")
     for u in (1, 2, 3):
         curve = cm_model(-11, u)
-        report = verify_d11_obstruction(curve, pmax, workers=workers)
+        report = verify_d11_obstruction(curve, 10**4)
         res.check(
             report.ok, f"u={u}: violations at {report.violations[:5]}"
         )
@@ -224,16 +227,16 @@ def suite_d11(pmax: int = 10000, workers: int = 1) -> SuiteResult:
     return res
 
 
-def suite_noncm(pmax: int = 10000, workers: int = 1) -> SuiteResult:
+def suite_noncm() -> SuiteResult:
     """The non-CM counterexample families E and F for u in 1..3: the cubic
-    residue dichotomy forces gcd(A_p, 6) > 1 at every good prime.  The
-    torsion side is not a check of this suite: verify_noncm_counterexample
-    raises ArithmeticError (the CLI exits 1) before its scan if a k-torsion
-    x is rational for some k in {2, 3, 6}."""
+    residue dichotomy forces gcd(A_p, 6) > 1 at every good prime up to
+    10^4.  The torsion side is not a check of this suite:
+    verify_noncm_counterexample raises ArithmeticError (the CLI exits 1)
+    before its scan if a k-torsion x is rational for some k in {2, 3, 6}."""
     res = SuiteResult("noncm")
     for family in ("E", "F"):
         for u in (1, 2, 3):
-            report = verify_noncm_counterexample(family, u, pmax, workers=workers)
+            report = verify_noncm_counterexample(family, u, 10**4)
             res.check(report.ok, f"{family}, u={u}: violations {report.violations[:5]}")
             res.log(
                 f"family {family}, u={u}: {report.checked} primes, 0 violations"
@@ -243,16 +246,17 @@ def suite_noncm(pmax: int = 10000, workers: int = 1) -> SuiteResult:
     return res
 
 
-def suite_torsion_forward(pmax: int = 1000, kmax: int = 12, workers: int = 1) -> SuiteResult:
-    """The easy direction: a rational k-torsion x-coordinate leaves no
-    permutation prime at all in [5, pmax]."""
+def suite_torsion_forward() -> SuiteResult:
+    """The easy direction: for every catalog curve and k <= 12, a rational
+    k-torsion x-coordinate leaves no permutation prime at all in [5, 1000]."""
     res = SuiteResult("torsion")
+    pmax = 1000
     for entry in CATALOG:
         curve = entry.curve
         good = curve.good_primes(pmax)
-        traces = frobenius_scan(curve, good, workers=workers)
+        traces = frobenius_scan(curve, good)
         hit = []
-        for k in range(2, kmax + 1):
+        for k in range(2, 13):
             if not torsion_x_rational(curve, k):
                 continue
             witnesses = [p for p in good if gcd((p + 1) ** 2 - traces[p] ** 2, k) == 1]
@@ -265,28 +269,29 @@ def suite_torsion_forward(pmax: int = 1000, kmax: int = 12, workers: int = 1) ->
     return res
 
 
-def suite_strategies(count: int = 50) -> SuiteResult:
-    """Prime-selection soundness: the first `count` strategy primes pass
-    the gcd criterion for the rows with rational congruence recipes."""
+def suite_strategies() -> SuiteResult:
+    """Prime-selection soundness: the first 50 strategy primes pass the
+    gcd criterion for the rows with rational congruence recipes."""
     res = SuiteResult("strategies")
     for D, k in ((-4, 3), (-4, 5), (-8, 3), (-7, 3), (-12, 5), (-11, 3), (-11, 9)):
         try:
-            ps = strategy_primes(D, k, count)
+            ps = strategy_primes(D, k, 50)
             res.log(f"D={D}, k={k}: first {len(ps)} primes sound, up to {ps[-1]}")
         except ArithmeticError as exc:
             res.check(False, f"D={D}, k={k}: {exc}")
     return res
 
 
-def suite_density(pmax: int = 100000, tolerance: Fraction = Fraction(1, 50), workers: int = 1) -> SuiteResult:
-    """Empirical k = 2 densities against the Galois predictions, within
-    `tolerance` exactly, plus the exact enumerated densities of C_m."""
+def suite_density() -> SuiteResult:
+    """Empirical k = 2 densities to 10^5 against the Galois predictions,
+    within 1/50 exactly, plus the exact enumerated densities of C_m and
+    the k = 6 density 0 of the -11 curve to 10^4."""
     res = SuiteResult("density")
     for name, target in (("k2-s3", Fraction(1, 3)), ("k2-c3", Fraction(2, 3))):
-        d = empirical_density(CATALOG_BY_NAME[name].curve, 2, pmax, workers=workers)
+        d = empirical_density(CATALOG_BY_NAME[name].curve, 2, 10**5)
         delta = abs(float(d) - float(target))
         res.check(
-            abs(d - target) <= tolerance,
+            abs(d - target) <= Fraction(1, 50),
             f"{name}: density {float(d):.4f} vs {target} off by {delta:.4f}",
         )
         res.log(f"{name}: empirical {float(d):.4f} vs predicted {target} (|diff| {delta:.4f})")
@@ -297,7 +302,7 @@ def suite_density(pmax: int = 100000, tolerance: Fraction = Fraction(1, 50), wor
         "C_2 density in the order-3 subgroup != 2/3",
     )
     res.log("exact densities: full GL_2(Z/2) gives 1/3, C3 subgroup gives 2/3")
-    d11 = empirical_density(CATALOG_BY_NAME["d11"].curve, 6, 10000, workers=workers)
+    d11 = empirical_density(CATALOG_BY_NAME["d11"].curve, 6, 10**4)
     res.check(d11 == 0, f"obstructed family has nonzero density {d11}")
     res.log("d11 with k = 6: empirical density 0 to 10^4")
     return res
@@ -316,18 +321,11 @@ SUITES = {
 }
 
 
-def _call_suite(fn, workers: int) -> SuiteResult:
-    # only the suites that scan prime ranges take a worker count
-    if "workers" in inspect.signature(fn).parameters:
-        return fn(workers=workers)
-    return fn()
-
-
-def run_suite(name: str, workers: int = 1) -> SuiteResult:
+def run_suite(name: str) -> SuiteResult:
     if name == "all":
         combined = SuiteResult("all")
         for key, fn in SUITES.items():
-            sub = _call_suite(fn, workers)
+            sub = fn()
             combined.lines.append(f"[{key}] {'ok' if sub.ok else 'FAILED'}")
             combined.lines.extend("  " + line for line in sub.lines)
             if not sub.ok:
@@ -337,4 +335,4 @@ def run_suite(name: str, workers: int = 1) -> SuiteResult:
     fn = SUITES.get(name)
     if fn is None:
         raise KeyError(f"unknown suite {name!r}")
-    return _call_suite(fn, workers)
+    return fn()

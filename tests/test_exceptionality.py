@@ -7,6 +7,7 @@ from conftest import pool_chunks
 
 from lattes_lab import elliptic, exceptionality, intmath, quadorder
 from lattes_lab.elliptic import (
+    CATALOG,
     CATALOG_BY_NAME,
     Curve,
     count_points,
@@ -185,8 +186,22 @@ def test_strategy_soundness_suite_50():
     """Congruence rows emit 50 sound primes each (postcondition-checked)."""
     from lattes_lab.suites import suite_strategies
 
-    res = suite_strategies(count=50)
+    res = suite_strategies()
     assert res.ok, res.failures
+    assert sum("first 50 primes sound" in line for line in res.lines) == 7
+
+
+def test_check_curves_come_from_the_catalog():
+    # strategy_primes' check curve and exceptionality_report's obstruction
+    # tags are derived from the catalog and the CM tables; pinned here to
+    # the values they were written out as
+    assert {D: exceptionality._CHECK_CURVE_NAME.get(D) for D in quadorder.CLASS_NUMBER_ONE_DISCS} == {
+        -3: "d3", -4: "d4", -7: "d7", -8: "d8", -11: "d11", -12: "d12", -16: "d4",
+        -19: "d19", -27: "d27", -28: "d7", -43: None, -67: None, -163: None,
+    }
+    assert exceptionality._OBSTRUCTED_J == {
+        -32768: "cm-disc-11", -5184: "noncm-family-e", -138240: "noncm-family-f",
+    }
 
 
 def test_strategy_inadmissible():
@@ -297,6 +312,16 @@ def test_exceptionality_report_verdicts():
     # inconclusive: tiny range with a high threshold
     r = exceptionality_report(D3, 2, 30, witness_threshold=50)
     assert r.verdict == "inconclusive"
+
+
+def test_report_witnesses_are_the_scan_verdicts():
+    # the report takes its witnesses from coprime_verdicts, the scan's
+    # rows from a_p: both must name the same primes
+    for entry in CATALOG:
+        good = entry.curve.good_primes(200)
+        for k in (1, 2, 3, 4, 5, 6, 7, 10, 12):
+            witnesses = tuple(row.p for row in scan(entry.curve, k, good) if row.permutes)
+            assert exceptionality_report(entry.curve, k, 200).witnesses == witnesses, (entry.name, k)
 
 
 def test_report_lists_bad_primes():

@@ -212,8 +212,8 @@ def test_cli_density_rejects_a_prime_beyond_int64(monkeypatch, capsys):
         ["scan", "[0,0,0,1,0]", "--k", "3", "--pmax", "4"],
         ["density", "[0,0,0,1,0]", "--k", "2", "--pmax", "500", "--workers", "0"],
         ["density", "[0,0,0,1,0]", "--k", "2", "--pmax", str(PMAX_MAX + 1)],
-        ["verify", "d11", "--workers", str(WORKERS_MAX + 1)],
-        ["verify", "d11", "--workers", "0"],
+        ["density", "[0,0,0,1,0]", "--k", "2", "--pmax", "500", "--workers", str(WORKERS_MAX + 1)],
+        ["scan", "--D=-11", "--k", "6", "--workers", str(WORKERS_MAX), "--pmax", str(PMAX_MAX + 1)],
         ["map", "[0,0,0,1,0]", "--k", str(K_MAX + 1)],
         ["map", "[0,0,0,1,0]", "--k", "0"],
         ["torsion", "[0,0,0,1,0]", "--k", str(K_MAX + 1)],
@@ -264,13 +264,23 @@ def test_cli_table_takes_no_worker_count(monkeypatch, capsys):
     assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
+def test_cli_verify_takes_no_worker_count(monkeypatch, capsys):
+    # each suite runs at its documented bounds, in one process
+    def reached(*args, **kwargs):
+        raise AssertionError("a suite ran for a refused flag")
+
+    monkeypatch.setattr(cli, "run_suite", reached)
+    assert run_cli("verify", "all", "--workers", "2") == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
 # every subcommand's arguments (positionals by name), in the order declared;
 # a flag added or removed shows up as a diff of this table
 CLI_ARGUMENTS = {
     "map": ("curve", "--D", "--u", "--k"),
     "table": ("table_id",),
     "scan": ("curve", "--D", "--u", "--k", "--pmax", "--format", "--workers", "--cache"),
-    "verify": ("suite", "--workers"),
+    "verify": ("suite",),
     "density": ("curve", "--D", "--u", "--k", "--pmax", "--workers"),
     "symbol": ("--alpha", "--modulus", "--n"),
     "torsion": ("curve", "--D", "--u", "--k"),
@@ -298,8 +308,6 @@ def test_cli_bounds_admit_their_ends():
     parser = cli._build_parser()
     args = parser.parse_args(["scan", "[0,0,0,1,0]", "--k", "3", "--pmax", str(PMAX_MAX), "--workers", str(WORKERS_MAX)])
     assert (args.pmax, args.workers) == (PMAX_MAX, WORKERS_MAX)
-    args = parser.parse_args(["verify", "d11", "--workers", "1"])
-    assert args.workers == 1
     assert parser.parse_args(["map", "[0,0,0,1,0]", "--k", str(K_MAX)]).k == K_MAX
     assert parser.parse_args(["map", "[0,0,0,1,0]", "--k", "1"]).k == 1
     assert parser.parse_args(["torsion", "[0,0,0,1,0]", "--k", str(K_MAX)]).k == K_MAX
@@ -341,23 +349,3 @@ def test_cli_verify_strategies(capsys):
     out = capsys.readouterr().out
     assert out.count("first 50 primes sound") == 7
     assert out.rstrip().endswith("suite strategies: PASS")
-
-
-def test_run_suite_passes_workers_only_where_taken(monkeypatch):
-    from lattes_lab import suites
-
-    seen = {}
-
-    def scans(pmax=10, workers=1):
-        seen["scans"] = workers
-        return suites.SuiteResult("scans")
-
-    def fixed(seed=1):
-        seen["fixed"] = seed
-        return suites.SuiteResult("fixed")
-
-    monkeypatch.setattr(suites, "SUITES", {"scans": scans, "fixed": fixed})
-    assert suites.run_suite("fixed", workers=3).ok
-    assert suites.run_suite("scans", workers=3).ok
-    assert suites.run_suite("all", workers=2).ok
-    assert seen == {"scans": 2, "fixed": 1}
