@@ -20,6 +20,8 @@ import inspect
 import io
 from unittest import mock
 
+import pytest
+
 from conftest import pool_chunks, spy_pools
 
 from lattes_lab import cli, exceptionality, galois, suites
@@ -206,10 +208,18 @@ def test_every_suite_runs_at_its_documented_bounds():
     assert {name: list(inspect.signature(fn).parameters) for name, fn in SUITES.items()} == dict.fromkeys(SUITES, [])
 
 
-def test_verify_all_output_is_unchanged(monkeypatch, capsys):
+@pytest.mark.parametrize("workers", [1, 8])
+def test_verify_all_output_is_unchanged(workers, monkeypatch, capsys):
     # the CLI runs wrappers that return the criteria's memoized results
     memoized = {name: functools.partial(_run, name) for name in SUITES}
     monkeypatch.setattr(suites, "SUITES", memoized)
+    # verify runs each suite at its documented bounds: a worker count it once
+    # took is a usage error, and the output is the one it printed at either
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["verify", "all", "--workers", str(workers)])
+    assert refused.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: --workers {workers}" in err
     assert cli.main(["verify", "all"]) == 0
     out, err = capsys.readouterr()
     assert err == ""
