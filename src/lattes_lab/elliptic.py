@@ -351,8 +351,9 @@ def frobenius_trace(curve: Curve, p: int) -> int:
     This route takes one prime at a time.  Scans and verdicts take a whole
     chunk of primes through `_shanks_mestre_batch` from p = 230 on, which
     runs the same search on int64 arrays, keeps a trace by the same rule
-    and sends the rows it cannot settle here; near 10^6 it costs 40-70 us
-    a prime against about 310 us for this route.
+    and sends the rows it cannot settle here; near 10^6 it costs 14-23 us
+    a prime (on 4096 and on 300 primes) against about 310 us for this
+    route.
     """
     check_int64_modulus(p)
     curve._require_good(p)
@@ -509,11 +510,14 @@ def _ec_mul(k: int, P: Point, a: int, p: int) -> Point:
 # residues, nor a product plus a few residues, reaches 2**63.
 
 # _shanks_mestre_batch runs at most this many primes at a time, so that its
-# arrays stay bounded whatever the length of the list: the largest are the
-# baby table's x and y, the factors of its Z (whose buffer then takes each
-# giant step's products) and the match mask, (s + 1) x rows each, with
-# s = 45 near 10^6 and s <= 305 below 2**31, and at most 2 x 4096 rows in
-# the pass that takes the second and third draws
+# arrays stay bounded whatever the length of the list.  The largest are the
+# baby table's x and y and the factors of its Z, (s + 1) x rows each in
+# int64, with s = 45 near 10^6 and s <= 305 below 2**31.  Once the table is
+# affine, its x and y move to int32 in the front halves of their buffers,
+# the giant steps' x and y (2g + 1 <= s + 1 rows each, int32) take the back
+# halves and their Z factors take the baby factors' buffer, so the giant
+# steps add no array.  The pass that takes the second and third draws has
+# at most 2 x 4096 rows.
 _BATCH_ROWS = 4096
 # points drawn per prime on the arrays before a row still open goes to the
 # scalar route
@@ -529,16 +533,18 @@ def _shanks_mestre_batch(curve: Curve, primes: Sequence[int]) -> list[int]:
     The search of `_shanks_mestre`, run on the short model for up to 4096
     primes at once on int64 arrays.  Each draw puts the point (f x, f^2) on
     the curve or its twist for every row, with x fixed per p.  The baby
-    steps [1]P..[s]P, [w]P = 2[s]P + P, the multiple [p + 1 - lo w]P and
-    the giant steps are taken in Jacobian coordinates, so no step inverts;
-    the baby table is made affine with one Fermat inverse per prime
-    (Montgomery's simultaneous inversion, run on the factors each step
-    multiplies Z by), and each giant step (X : Y : Z) is matched against it
-    projectively, X = x Z^2 and Y = +-y Z^3.  An addition of two equal
-    points (H = r = 0) is taken as a doubling.  A row keeps a trace by the
-    scalar rule only: after a draw, exactly one a with |a| <= 2 sqrt(p)
-    fits the lcm of the orders seen on each side
-    (`_traces_fitting`).  Rows that several a fit take up to three draws.
+    steps [1]P..[s]P, [w]P = 2[s]P + P, the multiple [p + 1 + g w]P and the
+    giant steps are taken in Jacobian coordinates, so no step inverts.  The
+    baby table and then the giant steps are made affine with one Fermat
+    inverse per prime each (Montgomery's simultaneous inversion, run on the
+    factors each step multiplies Z by), and a giant step matches a baby
+    step when their affine x are equal; the sign of y is read on those hits
+    only.  An addition of two equal points (H = r = 0) is taken as a
+    doubling.  A row keeps a trace by the scalar rule only: after a draw,
+    exactly one a with |a| <= 2 sqrt(p) fits the lcm of the orders seen on
+    each side (`_traces_fitting`).  After draw 0 that holds exactly when
+    the point has one multiple of its order in the Hasse interval, and such
+    rows are settled on the arrays; the others take up to three draws.
     A row whose draw meets f = 0 or an order of at most 2s + 1, or that is
     still open after three draws, takes the scalar `_frobenius_trace`.
     Raises ArithmeticError where the scalar route would, when no a fits,
@@ -553,48 +559,54 @@ def _shanks_mestre_batch(curve: Curve, primes: Sequence[int]) -> list[int]:
 
 
 def _batch_traces(curve: Curve, ps: list[int]) -> dict[int, int]:
-    """{p: a_p} for at most _BATCH_ROWS primes, ascending.  Every row takes
-    draw 0; the rows it leaves open take the other draws in one more pass,
-    with a row per (prime, draw), read in draw order."""
-    a, b = _residues(-27 * curve.c4, ps), _residues(-54 * curve.c6, ps)
+    """{p: a_p} for at most _BATCH_ROWS primes, ascending.
+
+    Every row takes draw 0.  A row whose point has one multiple m of its
+    order in the Hasse interval is settled on the arrays, a_p = p + 1 - m
+    on the curve and m - p - 1 on the twist: the one a that
+    `_traces_fitting` gives.  The rows draw 0 leaves open take the other
+    draws in one more pass, with a row per (prime, draw), and fold their
+    draws in order as `_shanks_mestre` does."""
     P = np.array(ps, dtype=np.int64)
+    a, b = _residues(-27 * curve.c4, P), _residues(-54 * curve.c6, P)
     T = np.array([isqrt(4 * p) for p in ps], dtype=np.int64)
-    lcms: dict[int, dict[int, int]] = {}  # as in _shanks_mestre, per open row
-    traces: dict[int, int] = {}
-    open_rows = list(range(len(ps)))
-    for first, count in ((0, 1), (1, _BATCH_DRAWS - 1)):
-        if not open_rows or count < 1:
-            break
-        rows = np.repeat(open_rows, count)
-        draws = np.tile(np.arange(first, first + count), len(open_rows))
-        sides, steps, bad = (v.tolist() for v in _batch_draw(a[rows], b[rows], P[rows], T[rows], draws))
-        still = []
-        for k, r in enumerate(open_rows):
-            p, seen = ps[r], lcms.pop(r, None) or {1: 1, -1: 1}
-            for i in range(k * count, (k + 1) * count):
-                if bad[i]:
-                    break
-                seen[sides[i]] = int_lcm(seen[sides[i]], steps[i])
-                fits = _traces_fitting(p, isqrt(4 * p), seen[1], seen[-1])
-                if len(fits) == 1:
-                    traces[p] = fits[0]
-                    break
-                if not fits:
-                    raise ArithmeticError(f"no trace fits the point orders at p={p}")
-            else:
-                lcms[r] = seen
-                still.append(r)
-        open_rows = still
+    side, step, bad = _batch_draw(a, b, P, T, np.zeros_like(P))
+    # step is the one multiple m of the order in the Hasse interval, or the
+    # spacing of several, at most 2T, which leaves |p + 1 - step| above T
+    ap = side * (P + 1 - step)
+    settled = ~bad & (np.abs(ap) <= T)
+    traces = dict(zip(P[settled].tolist(), ap[settled].tolist()))
+    open_rows = np.flatnonzero(~bad & ~settled)
+    draws = [v[open_rows, None] for v in (side, step, bad)]
+    rows = np.repeat(open_rows, _BATCH_DRAWS - 1)
+    if len(rows):
+        later = _batch_draw(a[rows], b[rows], P[rows], T[rows], np.tile(np.arange(1, _BATCH_DRAWS), len(open_rows)))
+        draws = [np.concatenate((v, w.reshape(len(open_rows), -1)), axis=1) for v, w in zip(draws, later)]
+    for r, sides, steps, bads in zip(open_rows.tolist(), *(v.tolist() for v in draws)):
+        p, lcms = ps[r], {1: 1, -1: 1}  # as in _shanks_mestre
+        for s, m, is_bad in zip(sides, steps, bads):
+            if is_bad:
+                break
+            lcms[s] = int_lcm(lcms[s], m)
+            fits = _traces_fitting(p, isqrt(4 * p), lcms[1], lcms[-1])
+            if len(fits) == 1:
+                traces[p] = fits[0]
+                break
+            if not fits:
+                raise ArithmeticError(f"no trace fits the point orders at p={p}")
     for p in ps:
         if p not in traces:
             traces[p] = _frobenius_trace(curve, p)
     return traces
 
 
-def _residues(c: Fraction, ps: list[int]) -> np.ndarray:
+def _residues(c: Fraction, p: np.ndarray) -> np.ndarray:
     """c mod p at each prime; a good prime never divides the denominator."""
-    num, den = c.numerator, c.denominator
-    return np.array([num * pow(den, -1, p) % p for p in ps], dtype=np.int64)
+    num, den = (
+        np.remainder(v, p) if -(1 << 63) <= v < 1 << 63 else np.array([v % q for q in p.tolist()])
+        for v in (c.numerator, c.denominator)
+    )
+    return num if c.denominator == 1 else num * _pow_mod(den, p - 2, p) % p
 
 
 def _batch_x(p: np.ndarray, draw: np.ndarray) -> np.ndarray:
@@ -610,8 +622,12 @@ def _batch_draw(a, b, p, T, draw):
     for one on the twist.  step is the one multiple m of the order with
     |p + 1 - m| <= T when there is one, else the spacing of those multiples,
     which is the order; `_hasse_multiples` gives the same.  bad marks the
-    rows this draw cannot serve: f = 0, or an order of at most 2s + 1."""
-    pc = p[None, :]
+    rows this draw cannot serve: f = 0, or an order of at most 2s + 1.
+
+    The baby table and then the giant steps, kept in a table of their own,
+    are made affine by one Fermat power per prime each; a giant step
+    matches a baby step when their x are equal, and the sign of y is read
+    on those hits only."""
     x = _batch_x(p, draw)
     f = (x * x % p * x % p + a * x % p + b) % p
     bad = f == 0
@@ -655,30 +671,60 @@ def _batch_draw(a, b, p, T, draw):
     # several baby steps with one x, and a giant step then matches each
     # of them, each a true multiple
     bad |= (Y[:s] == 0).any(axis=0)
-    table_x, table_y = X[:s], Y[:s]
-    minus_wx, minus_wy = X[s], (p - Y[s]) % p
-    # giant steps R_i = [p + 1 - i w]P; R_i = +-[j]P puts t = i w +- j in the
-    # list of traces, and R_i = O puts t = i w
-    lo = -(int(T.max()) // w) - 1
-    gx, gy, gz = _jac_mul(p + 1 - lo * w, table_x, table_y, A, p)
+    # giant steps R_i = [p + 1 - i w]P for |i| <= g; R_i = +-[j]P puts
+    # t = i w +- j in the list of traces, and R_i = O puts t = i w, which
+    # covers every |t| <= T
+    g = (int(T.max()) + s) // w
+    gx, gy, gz = _jac_mul(p + 1 + g * w, X[:s], Y[:s], A, p)
+    # every residue fits int32: the table moves to the front half of its
+    # own buffers, and the giant steps' x and y take the back halves
+    minus_wx, minus_wy = X[s].copy(), (p - Y[s]) % p
+    table_x, gsx = _narrow(X, s, 2 * g + 1)
+    table_y, gsy = _narrow(Y, s, 2 * g + 1)
+    # the giant steps' Z factors, H as for a baby step, take fac's buffer
+    # (2g <= s), so the giant steps add no array.  A row that meets O leaves
+    # the chain: the step to O (H = 0) takes factor 1, and the two after it,
+    # -W and 2(-W), come from -W alone with Z = 1 and Z = 2y, so they are
+    # scaled by the Z the chain had before O (kept in `last`) and take that
+    # Z as their factor.  The chain's last Z then inverts every step.
+    last = np.ones_like(p)
     found_r, found_t = [], []
-    # fac's buffer takes each giant step's products, so that no (s x rows)
-    # array is made per step
-    prod, match = fac, np.empty(table_x.shape, dtype=bool)
-    for i in range(lo, int(T.max()) // w + 2):
-        zz = gz * gz % p
-        np.remainder(np.multiply(table_x, zz, out=prod), pc, out=prod)
-        js, rs = np.nonzero(np.equal(prod, gx, out=match))
+    for k in range(2 * g + 1):
+        if k:
+            h = (minus_wx * (gz * gz % p) - gx) % p
+            nx, ny, nz = _jac_add_affine(gx, gy, gz, minus_wx, minus_wy, A, p)
+            off = np.flatnonzero((gz == 0) | (h == 0))  # rows off the chain
+            if len(off):
+                po, zo = p[off], nz[off]
+                c = np.where(gz[off] == 0, last[off], gz[off])
+                last[off] = c
+                h[off] = np.where(zo == 0, 1, zo)
+                cc = c * c % po
+                nx[off], ny[off], nz[off] = nx[off] * cc % po, ny[off] * (cc * c % po) % po, zo * c % po
+            fac[k - 1] = h
+            gx, gy, gz = nx, ny, nz
+        gsx[k], gsy[k] = gx, gy
         if not gz.all():
-            at_o = gz == 0
-            keep = ~at_o[rs]
-            js, rs = js[keep], rs[keep]
-            found_r.append(np.flatnonzero(at_o))
-            found_t.append(np.full(len(found_r[-1]), i * w))
-        up = gy[rs] == table_y[js, rs] * (zz[rs] * gz[rs] % p[rs]) % p[rs]
+            # O matches no baby step: -1 marks it
+            at_o = np.flatnonzero(gz == 0)
+            gsx[k, at_o] = -1
+            found_r.append(at_o)
+            found_t.append(np.full(len(at_o), (k - g) * w))
+    inv = _pow_mod(np.where(gz == 0, last, gz), p - 2, p)
+    match = np.empty(table_x.shape, dtype=bool)
+    for k in range(2 * g, -1, -1):
+        inv2 = inv * inv % p
+        gxk = gsx[k]
+        # flat indices: np.nonzero on the 2-d mask costs several times as much
+        js, rs = np.divmod(np.flatnonzero(np.equal(table_x, (gxk * inv2 % p).astype(np.int32), out=match)), len(p))
+        keep = gxk[rs] >= 0
+        js, rs = js[keep], rs[keep]
+        pr = p[rs]
+        up = gsy[k, rs] * (inv2[rs] * inv[rs] % pr) % pr == table_y[js, rs]
         found_r.append(rs)
-        found_t.append(i * w + np.where(up, js + 1, -js - 1))
-        gx, gy, gz = _jac_add_affine(gx, gy, gz, minus_wx, minus_wy, A, p)
+        found_t.append((k - g) * w + np.where(up, js + 1, -js - 1))
+        if k:
+            inv = inv * fac[k - 1] % p
     rs, ts = np.concatenate(found_r), np.concatenate(found_t)
     inside = np.abs(ts) <= T[rs]
     rs, ts = rs[inside], ts[inside]
@@ -691,6 +737,19 @@ def _batch_draw(a, b, p, T, draw):
     if (~bad & (hits == 0)).any():
         raise ArithmeticError("a point has no multiple of its order in the Hasse interval")
     return sides, np.where(hits == 1, p + 1 - ts[end], ts[end] - ts[end - 1]), bad
+
+
+def _narrow(M, rows, more):
+    """M[:rows] in int32, written row by row over the front of M's own
+    buffer, and the `more` int32 rows after them; M's int64 values are
+    gone.  Int32 row j lies before int64 row j for j >= 1, and inside it
+    for j = 0 (numpy copies an overlapping row through a buffer), so each
+    int64 row is read before anything is written over it."""
+    n = M.shape[1]
+    flat = M.reshape(-1).view(np.int32)
+    for j in range(rows):
+        flat[j * n : (j + 1) * n] = M[j]
+    return flat[: rows * n].reshape(rows, n), flat[rows * n : (rows + more) * n].reshape(more, n)
 
 
 def _jac_double(X, Y, Z, A, p):

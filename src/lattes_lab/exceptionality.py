@@ -143,13 +143,15 @@ class TraceCache:
 
     Loading checks every row: three integer fields, 5 <= p < 2**31 prime
     and a_p^2 <= 4p, else ValueError naming the line.  Good reduction needs
-    the curve, so `get` checks it.  `save` writes a temporary file in the
-    same directory and renames it over the old one, so a reader never sees
-    a half-written cache."""
+    the curve, so `get` checks it.  `save` writes only when a `put` has
+    changed the data since the load or the last save; it writes a temporary
+    file in the same directory and renames it over the old one, so a reader
+    never sees a half-written cache."""
 
     def __init__(self, path: Optional[str] = None):
         self.path = path
         self._data: dict[tuple[str, int], int] = {}
+        self._changed = False
         if path and os.path.exists(path):
             self._load(path)
 
@@ -191,16 +193,20 @@ class TraceCache:
         return ap
 
     def put(self, curve: Curve, p: int, ap: int):
-        self._data[(curve_hash(curve), p)] = ap
+        key = (curve_hash(curve), p)
+        if self._data.get(key) != ap:
+            self._data[key] = ap
+            self._changed = True
 
     def save(self):
-        if not self.path:
+        if not self.path or not self._changed:
             return
         tmp = f"{self.path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w") as fh:
                 fh.writelines(f"{h},{p},{ap}\n" for (h, p), ap in sorted(self._data.items()))
             os.replace(tmp, self.path)
+            self._changed = False
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)

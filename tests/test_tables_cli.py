@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import subprocess
 import sys
 
@@ -88,6 +89,43 @@ def test_cli_scan_worker_and_cache_determinism(tmp_path, capsys):
     assert run_cli("scan", "[0,0,0,1,0]", "--k", "3", "--pmax", "400", "--format", "csv") == 0
     nocache = capsys.readouterr().out
     assert cold == nocache
+
+
+def test_cli_scan_saves_the_cache_only_when_it_grows(tmp_path, capsys):
+    # a cold scan writes the file; warm scans that add no trace leave it
+    # alone (same inode, same mtime), and a scan that adds traces replaces it
+    cache = tmp_path / "cache.txt"
+
+    def scan(k, pmax):
+        assert run_cli("scan", "[0,0,0,1,0]", "--k", k, "--pmax", pmax, "--format", "csv", "--cache", str(cache)) == 0
+
+    scan("3", "400")
+    cold = cache.stat()
+    assert cold.st_size > 0
+    scan("3", "400")
+    scan("5", "300")
+    warm = cache.stat()
+    assert (warm.st_ino, warm.st_mtime_ns) == (cold.st_ino, cold.st_mtime_ns)
+    scan("3", "500")
+    assert cache.stat().st_ino != cold.st_ino and cache.stat().st_size > cold.st_size
+    capsys.readouterr()
+
+
+# sha256 of `scan ARGS --format csv` stdout
+SCAN_CSV_SHA256 = {
+    ("[0,0,0,1,1]", "--k", "6", "--pmax", "100000"):
+        "c539ba70916d917c6792045cb89b4cf4715efb866a9b477bd37b9b261d298f82",
+    ("[0,0,0,-1056,13552]", "--k", "6", "--pmax", "100000"):
+        "c0ceb39445aed5061cbb8e8c8f9aba204d2619ef90459ccdc67cbca423c1b596",
+    ("--D=-11", "--u", "2", "--k", "6", "--pmax", "20000"):
+        "58fb0a947b2cf69e579fad5998be288348901533b46c83cae6f077654fa224c1",
+}
+
+
+@pytest.mark.parametrize("args", list(SCAN_CSV_SHA256))
+def test_scan_csv_output_is_unchanged(args, capsys):
+    assert run_cli("scan", *args, "--format", "csv") == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_CSV_SHA256[args]
 
 
 def test_cli_symbol(capsys):
