@@ -4,16 +4,19 @@ Subcommands: map, table, scan, verify, density, symbol, torsion, strategy.
 Exit codes: 0 on success/match, 1 on a verification failure or table
 mismatch, 2 on usage errors (bad flags, an unknown table id, unparseable
 curve or element, --u or a --D other than its CM discriminant beside a
-curve spec, a --u other than 1 for a --D whose CM model is one curve, and
-the --workers of scan and density, --pmax, the --k of map, torsion and
-strategy, or the strategy --count beyond WORKERS_MAX, PMAX_MAX, K_MAX or
-COUNT_MAX).  verify runs each suite at its documented bounds and takes
-no flag.  symbol works in Z[w] (D = -3) and takes no --D.
+curve spec, a --u other than 1 for a --D whose CM model is one curve, the
+--k of scan and density below 1, a scan --cache path that cannot be read
+or whose directory cannot be written, and the --workers of scan and
+density, --pmax, the --k of map, torsion and strategy, or the strategy
+--count beyond WORKERS_MAX, PMAX_MAX, K_MAX or COUNT_MAX).  verify runs
+each suite at its documented bounds and takes no flag.  symbol works in
+Z[w] (D = -3) and takes no --D.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -58,8 +61,8 @@ K_MAX = 50
 COUNT_MAX = 50
 
 
-def _int_in(lo: Optional[int], hi: int):
-    """An argparse type for an integer in lo..hi (no lower bound if lo is
+def _int_in(lo: Optional[int], hi: Optional[int]):
+    """An argparse type for an integer in lo..hi (no bound where lo or hi is
     None); anything else is a usage error, exit 2, before a handler runs."""
 
     def parse(text: str) -> int:
@@ -67,8 +70,8 @@ def _int_in(lo: Optional[int], hi: int):
             v = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-        if (lo is not None and v < lo) or v > hi:
-            span = f"<= {hi}" if lo is None else f"in {lo}..{hi}"
+        if (lo is not None and v < lo) or (hi is not None and v > hi):
+            span = f"<= {hi}" if lo is None else f">= {lo}" if hi is None else f"in {lo}..{hi}"
             raise argparse.ArgumentTypeError(f"must be {span}, got {v}")
         return v
 
@@ -101,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="permutation-behavior scan over good primes")
     add_curve_args(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_in(1, None), required=True)
     p.add_argument("--pmax", type=_int_in(5, PMAX_MAX), required=True)
     p.add_argument("--format", choices=("md", "csv"), default="md")
     p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1, help=WORKERS_HELP)
@@ -112,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="empirical density of permutation primes")
     add_curve_args(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_in(1, None), required=True)
     p.add_argument("--pmax", type=_int_in(None, PMAX_MAX), required=True)
     p.add_argument("--workers", type=_int_in(1, WORKERS_MAX), default=1, help=WORKERS_HELP)
 
@@ -169,9 +172,22 @@ def _cmd_table(args) -> int:
     return 1
 
 
+def _open_cache(path: str) -> TraceCache:
+    """The a_p cache at path, checked before any sieve or a_p work: a path
+    whose directory is missing or not writable (where save would fail after
+    the whole scan), or that cannot be read, is a ValueError naming it."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder) or not os.access(folder, os.W_OK | os.X_OK):
+        raise ValueError(f"--cache {path}: {folder} is not a writable directory")
+    try:
+        return TraceCache(path)
+    except OSError as exc:
+        raise ValueError(f"--cache {path}: {exc.strerror}") from None
+
+
 def _cmd_scan(args) -> int:
     curve = _resolve_curve(args)
-    cache = TraceCache(args.cache) if args.cache else None
+    cache = _open_cache(args.cache) if args.cache else None
     good, bad = curve.primes_by_reduction(args.pmax)
     rows = scan(curve, args.k, good, workers=args.workers, cache=cache)
     if cache is not None:

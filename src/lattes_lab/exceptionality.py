@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .eisenstein import lemma_ab_witness
 from .elliptic import (
@@ -153,7 +153,10 @@ class TraceCache:
         self._data: dict[tuple[str, int], int] = {}
         self._changed = False
         if path and os.path.exists(path):
-            self._load(path)
+            try:
+                self._load(path)
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}: not a UTF-8 text file ({exc})") from None
 
     def _load(self, path: str):
         data: dict[tuple[str, int], int] = {}
@@ -252,10 +255,11 @@ def permutes(curve: Curve, k: int, p: int, method: str = "criterion") -> Permuta
 # -- scans ----------------------------------------------------------------------
 
 
-# slots: a scan to 10^6 holds up to 78 496 rows at once, and they take
-# 3.6 MiB less without an instance dict each
-@dataclass(frozen=True, slots=True)
-class ScanRow:
+class ScanRow(NamedTuple):
+    """One scan row.  A named tuple, so `scan` builds a scan's rows in one
+    map over its columns, and a row compares equal to the plain tuple
+    (p, symbol, ap, gcd_value, permutes, note)."""
+
     p: int
     symbol: Optional[int]  # kronecker(D, p) for CM curves, else None
     ap: int
@@ -277,33 +281,26 @@ def scan(
     Verdicts come from the gcd criterion; rows with p | k are annotated.
     Primes of bad reduction are rejected outright (by frobenius_scan) -
     callers filter with Curve.good_primes so nothing is silently skipped.
+    k < 1 is a ValueError before any a_p is computed.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
     disc = cm_disc_for(curve)
     primes = sorted(primes)
     traces = frobenius_scan(curve, primes, workers=workers, cache=cache)
-    rows = []
-    for p in primes:
-        ap = traces[p]
-        Ap = (p + 1) ** 2 - ap * ap
-        g = gcd(Ap, k)
-        rows.append(
-            ScanRow(
-                p=p,
-                symbol=kronecker(disc, p) if disc is not None else None,
-                ap=ap,
-                gcd_value=g,
-                permutes=g == 1,
-                note="p|k" if k % p == 0 else "",
-            )
-        )
-    return rows
+    aps = [traces[p] for p in primes]
+    gcds = [gcd((p + 1) ** 2 - ap * ap, k) for p, ap in zip(primes, aps)]
+    symbols = [None] * len(primes) if disc is None else [kronecker(disc, p) for p in primes]
+    notes = ["p|k" if k % p == 0 else "" for p in primes]
+    return list(map(ScanRow, primes, symbols, aps, gcds, [g == 1 for g in gcds], notes))
 
 
 def render_scan_csv(rows: Sequence[ScanRow]) -> str:
     lines = ["p,symbol,ap,gcd,permutes"]
-    for r in rows:
-        sym = "" if r.symbol is None else f"{r.symbol:+d}"
-        lines.append(f"{r.p},{sym},{r.ap},{r.gcd_value},{'yes' if r.permutes else 'no'}")
+    lines += [
+        f"{p},{'' if sym is None else format(sym, '+d')},{ap},{g},{'yes' if ok else 'no'}"
+        for p, sym, ap, g, ok, _ in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -312,13 +309,11 @@ def render_scan_markdown(rows: Sequence[ScanRow], k: int, disc: Optional[int] = 
     head = f"| p | {dcol} | a_p | gcd(A_p,{k}) | permutes? |"
     sep = "|---|---|---|---|---|"
     lines = [head, sep]
-    for r in rows:
-        sym = "" if r.symbol is None else f"{r.symbol:+d}"
-        note = f" ({r.note})" if r.note else ""
-        lines.append(
-            f"| {r.p} | {sym} | {r.ap} | {r.gcd_value} | "
-            f"{'Yes' if r.permutes else 'No'}{note} |"
-        )
+    lines += [
+        f"| {p} | {'' if sym is None else format(sym, '+d')} | {ap} | {g} | "
+        f"{'Yes' if ok else 'No'}{f' ({note})' if note else ''} |"
+        for p, sym, ap, g, ok, note in rows
+    ]
     return "\n".join(lines) + "\n"
 
 

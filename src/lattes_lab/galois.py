@@ -433,7 +433,10 @@ def empirical_density(
     curve: Curve, k: int, pmax: int, workers: int = 1
 ) -> Fraction:
     """Fraction of good primes p <= pmax at which the gcd criterion says
-    L_k permutes P^1(F_p); bad primes are excluded from both sides."""
+    L_k permutes P^1(F_p); bad primes are excluded from both sides.
+    k < 1 or pmax < 100 is a ValueError before any sieve."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if pmax < 100:
         raise ValueError("pmax must be >= 100")
     # sieve primes of good reduction: only the int64 limit is left to check

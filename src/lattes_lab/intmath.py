@@ -17,6 +17,8 @@ from itertools import chain, compress
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional
 
+import numpy as np
+
 # Strong-pseudoprime witnesses proving correctness for all n < 3.317e24
 # (covers the full 64-bit range).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -258,16 +260,28 @@ def _sieve_segment(lo: int, hi: int) -> bytearray:
 
 def primes_between(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p < hi, ascending, by a segmented sieve of
-    Eratosthenes: memory is O(hi - lo + sqrt(hi)) whatever lo is."""
+    Eratosthenes: memory is O(hi - lo + sqrt(hi)) whatever lo is.
+
+    A segment of at least _READOUT_MIN integers is read by numpy, the
+    indices of its nonzero bytes plus lo, so no int is made for a
+    composite; a shorter one by compress, which is cheaper there."""
     lo = max(lo, 2)
     if hi <= lo:
         return []
-    return list(compress(range(lo, hi), _sieve_segment(lo, hi)))
+    seg = _sieve_segment(lo, hi)
+    if hi - lo < _READOUT_MIN:
+        return list(compress(range(lo, hi), seg))
+    return (np.flatnonzero(np.frombuffer(seg, np.uint8)) + lo).tolist()
 
 
 # _non_primes and _prime_windows sieve in windows of at most this width, so
 # a far member or a high limit costs more windows and no more memory
 _SIEVE_WINDOW = 1 << 20
+# from this many integers on, primes_between reads a segment with numpy:
+# measured on a 2-CPU Xeon VM (numpy 2.4), compress took 5.8 us and numpy
+# 6.0 us at 256 integers from 2, 3.3 against 5.4 us at 128 and 15.0
+# against 8.4 us at 512
+_READOUT_MIN = 256
 
 
 def _prime_windows(limit: int) -> Iterator[tuple[int, bytearray]]:

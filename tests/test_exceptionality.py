@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import os
+from math import gcd
 
 import pytest
 from conftest import pool_chunks
@@ -10,6 +11,7 @@ from lattes_lab.elliptic import (
     CATALOG,
     CATALOG_BY_NAME,
     Curve,
+    cm_disc_for,
     count_points,
     curve_hash,
     format_curve,
@@ -18,6 +20,7 @@ from lattes_lab.elliptic import (
 )
 from lattes_lab.exceptionality import (
     STRATEGY_TABLE,
+    ScanRow,
     TraceCache,
     exceptionality_report,
     frobenius_scan,
@@ -34,7 +37,7 @@ from lattes_lab.exceptionality import (
     verify_noncm_counterexample,
 )
 from lattes_lab.galois import coprime_verdicts, torsion_roots
-from lattes_lab.intmath import primes_upto
+from lattes_lab.intmath import kronecker, primes_upto
 
 D4 = CATALOG_BY_NAME["d4"].curve
 D11 = CATALOG_BY_NAME["d11"].curve
@@ -96,6 +99,55 @@ def test_scan_rejects_bad_primes():
 def test_scan_annotates_p_dividing_k():
     rows = scan(D4, 5, [5, 7])
     assert rows[0].note == "p|k" and rows[1].note == ""
+
+
+def per_row_scan(curve, k, primes):
+    # the reference: scan's rows built one prime at a time, as scan did
+    # before it built them by columns
+    disc = cm_disc_for(curve)
+    traces = frobenius_scan(curve, primes)
+    rows = []
+    for p in sorted(primes):
+        ap = traces[p]
+        Ap = (p + 1) ** 2 - ap * ap
+        g = gcd(Ap, k)
+        symbol = kronecker(disc, p) if disc is not None else None
+        rows.append((p, symbol, ap, g, g == 1, "p|k" if k % p == 0 else ""))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "curve, k",
+    [(D11, 30), (D4, 10), (Curve(0, 0, 0, 1, 1), 35), (noncm_family("E", 1), 6 * 7 * 11)],
+)
+def test_scan_rows_match_the_per_row_formula(curve, k):
+    primes = curve.good_primes(3000)[::-1]  # scan sorts them
+    want = per_row_scan(curve, k, primes)
+    rows = scan(curve, k, primes)
+    assert any(note for *_, note in want) and not all(ok for *_, ok, _ in want)
+    assert len(rows) == len(want)
+    for row, (p, symbol, ap, g, ok, note) in zip(rows, want):
+        assert type(row) is ScanRow
+        assert (row.p, row.symbol, row.ap, row.gcd_value, row.permutes, row.note) == (p, symbol, ap, g, ok, note)
+        assert row == (p, symbol, ap, g, ok, note)  # a named tuple equals its fields
+
+
+def test_scan_row_keeps_its_fields_and_stays_immutable():
+    row = ScanRow(5, None, 2, 1, True)
+    assert ScanRow._fields == ("p", "symbol", "ap", "gcd_value", "permutes", "note")
+    assert row.note == "" and row == (5, None, 2, 1, True, "")
+    with pytest.raises(AttributeError):
+        row.ap = 3
+
+
+def test_scan_rejects_k_below_1_before_any_trace(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("a_p computed for k < 1")
+
+    monkeypatch.setattr(exceptionality, "frobenius_scan", reached)
+    for k in (0, -6):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            scan(D4, k, [5, 7])
 
 
 def test_render_formats():

@@ -277,7 +277,8 @@ def test_coprime_verdicts_root_tests_ell_2_3_only(monkeypatch):
         assert 0 < len(odd[k]) < len(expected[k][0]) / 2
     assert routes[0] == (set(), expected[0][0])
     assert expected[5][0][0] == 5 and routes[5] == (set(), expected[5][0])
-    assert empirical_density(curve, -6, 1000) == empirical_density(curve, 6, 1000)
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        empirical_density(curve, -6, 1000)
 
 
 def test_empirical_density_matches_the_character_sum():

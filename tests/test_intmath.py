@@ -4,7 +4,9 @@ from bisect import bisect_right
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lattes_lab import intmath
 from lattes_lab.intmath import (
     CongruenceCondition,
     check_int64_modulus,
@@ -116,6 +118,43 @@ def test_primes_between_against_the_sieve():
     windows += [tuple(sorted(rng.sample(range(0, 20001), 2))) for _ in range(200)]
     for lo, hi in windows:
         assert primes_between(lo, hi) == [p for p in primes if lo <= p < hi], (lo, hi)
+
+
+# segments that start or end near 0, 1, 2 and the 2**20 window edge, of
+# lengths on both sides of the numpy read-out's crossover
+READOUT = intmath._READOUT_MIN
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    anchor=st.sampled_from((0, 1, 2, intmath._SIEVE_WINDOW)),
+    shift=st.integers(-3, 3),
+    length=st.one_of(
+        st.sampled_from((0, 1, 2, 3, READOUT - 1, READOUT, READOUT + 1)),
+        st.integers(-2, 3 * READOUT),
+    ),
+    ends_at_anchor=st.booleans(),
+)
+def test_primes_between_matches_an_is_prime_filter(anchor, shift, length, ends_at_anchor):
+    lo = anchor + shift - length if ends_at_anchor else anchor + shift
+    hi = lo + length
+    want = [n for n in range(lo, hi) if n >= 2 and is_prime(n)]
+    assert primes_between(lo, hi) == want
+    # _non_primes splits its members at the window edge
+    members = set(range(max(lo, 0), hi))
+    assert intmath._non_primes(members) == members - set(want)
+
+
+def test_primes_between_reads_long_segments_with_numpy(monkeypatch):
+    # compress reads a segment shorter than the crossover, numpy the rest
+    read = []
+    real = intmath.compress
+    monkeypatch.setattr(intmath, "compress", lambda r, seg: read.append(len(seg)) or real(r, seg))
+    for lo in (2, 10**5):
+        for n in (READOUT - 1, READOUT):
+            read.clear()
+            assert primes_between(lo, lo + n) == [m for m in range(lo, lo + n) if is_prime(m)]
+            assert (n in read) == (n < READOUT), (lo, n, read)
 
 
 def test_prime_flags_against_trial_division():

@@ -128,6 +128,55 @@ def test_scan_csv_output_is_unchanged(args, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == SCAN_CSV_SHA256[args]
 
 
+def test_scan_markdown_output_is_unchanged(capsys):
+    # the CM twist of d11 outside the catalog: a (D/p) column and p | k notes
+    assert run_cli("scan", "[0,0,0,-1056,13552]", "--k", "6", "--pmax", "100000", "--format", "md") == 0
+    assert (
+        hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        == "4c34a639a9000c7dd6c838440f9d09c8aeb62941fc0ec41a95d74b61e287cdb8"
+    )
+
+
+def forbid_scan_work(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("a sieve or a_p ran before the usage check")
+
+    monkeypatch.setattr(elliptic, "primes_upto", reached)
+    monkeypatch.setattr(Curve, "good_primes", reached)
+    monkeypatch.setattr(exceptionality, "_frobenius_traces", reached)
+    monkeypatch.setattr(cli, "empirical_density", reached)
+
+
+def test_cli_scan_rejects_a_cache_path_that_is_a_directory(monkeypatch, capsys, tmp_path):
+    forbid_scan_work(monkeypatch)
+    assert run_cli("scan", "[0,0,0,1,1]", "--k", "6", "--pmax", "1000", "--cache", str(tmp_path)) == 2
+    assert capsys.readouterr().err == f"error: --cache {tmp_path}: Is a directory\n"
+
+
+def test_cli_scan_rejects_a_cache_in_a_missing_directory(monkeypatch, capsys, tmp_path):
+    forbid_scan_work(monkeypatch)
+    path = tmp_path / "no" / "such" / "c.txt"
+    assert run_cli("scan", "[0,0,0,1,1]", "--k", "6", "--pmax", "1000", "--cache", str(path)) == 2
+    assert capsys.readouterr().err == f"error: --cache {path}: {path.parent} is not a writable directory\n"
+    assert not (tmp_path / "no").exists()
+
+
+def test_cli_scan_names_a_cache_file_that_is_not_utf8(monkeypatch, capsys, tmp_path):
+    forbid_scan_work(monkeypatch)
+    path = tmp_path / "c.txt"
+    path.write_bytes(b"\xff\xfe,5,2\n")
+    assert run_cli("scan", "[0,0,0,1,1]", "--k", "6", "--pmax", "1000", "--cache", str(path)) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not a UTF-8 text file (")
+
+
+@pytest.mark.parametrize("command", ["scan", "density"])
+def test_cli_rejects_k_below_1_before_any_sieve(monkeypatch, capsys, command):
+    forbid_scan_work(monkeypatch)
+    for k in ("0", "-2"):
+        assert run_cli(command, "[0,0,0,1,1]", "--k", k, "--pmax", "100") == 2
+        assert f"argument --k: must be >= 1, got {k}" in capsys.readouterr().err
+
+
 def test_cli_symbol(capsys):
     assert run_cli("symbol", "--alpha", "5", "--modulus=-1+3*w", "--n", "6") == 0
     assert capsys.readouterr().out.strip() == "-1"
