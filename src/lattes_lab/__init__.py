@@ -77,7 +77,6 @@ from .intmath import (
     CongruenceCondition,
     is_prime,
     kronecker,
-    primes_in_congruence,
     primes_upto,
     sqrt_mod,
 )

@@ -133,7 +133,9 @@ class Curve:
 
     def primes_by_reduction(self, pmax: int) -> tuple[list[int], list[int]]:
         """The primes 5 <= p <= pmax of good and of bad reduction, from one
-        sieve pass; the sieve's primes are not tested again."""
+        sieve pass; the sieve's primes are not tested again.  pmax >= 2**31
+        is a ValueError before the sieve."""
+        check_int64_modulus(pmax)
         bad_modulus = self._bad_modulus
         good, bad = [], []
         for p in primes_upto(pmax):
@@ -152,7 +154,10 @@ class Curve:
 
     def _require_all_good(self, primes: Sequence[int]):
         """_require_good for every p in primes by one sieve pass, raising
-        its ValueError for the first offending p in the given order."""
+        its ValueError for the first offending p in the given order.  The
+        int64 guard of every route that takes a list of primes: a prime
+        >= 2**31 is a ValueError before the sieve."""
+        check_int64_modulus(max(primes, default=0))
         composite = _non_primes({p for p in primes if p >= 5})
         bad_modulus = self._bad_modulus
         for p in primes:
@@ -291,10 +296,9 @@ def count_points(curve: Curve, p: int) -> tuple[int, int]:
     two routes (`frobenius_congruence_check`, `twist_product_check`, the
     Deuring and E_d checks) call it.  Vectorized; all intermediates stay
     below 2**63 for p < 2**31.  Raises ValueError, before anything is
-    allocated, for p >= 2**31, p > COUNT_POINTS_MAX, p < 5, a composite p
-    or a prime of bad reduction.
+    allocated, for p > COUNT_POINTS_MAX (which keeps p below 2**31), p < 5,
+    a composite p or a prime of bad reduction.
     """
-    check_int64_modulus(p)
     if p > COUNT_POINTS_MAX:
         raise ValueError(f"count_points stops at p = {COUNT_POINTS_MAX}, got {p}: use frobenius_trace")
     curve._require_good(p)
@@ -505,9 +509,9 @@ def _ec_mul(k: int, P: Point, a: int, p: int) -> Point:
 # -- Shanks-Mestre for a chunk of primes on int64 arrays ----------------------
 #
 # Each row of an array is one prime p.  Every residue is below p < 2**31
-# (the callers run check_int64_modulus before any work), and every operand
-# is reduced mod p before it enters a product, so no product of two
-# residues, nor a product plus a few residues, reaches 2**63.
+# (the callers' prime checks run check_int64_modulus before any work), and
+# every operand is reduced mod p before it enters a product, so no product
+# of two residues, nor a product plus a few residues, reaches 2**63.
 
 # _shanks_mestre_batch runs at most this many primes at a time, so that its
 # arrays stay bounded whatever the length of the list.  The largest are the

@@ -39,7 +39,6 @@ from .intmath import (
     CongruenceCondition,
     _merge_congruences,
     _non_primes,
-    check_int64_modulus,
     is_prime,
     kronecker,
     prime_divisors,
@@ -115,13 +114,12 @@ def frobenius_scan(
 ) -> dict[int, int]:
     """a_p for every prime in `primes` by `frobenius_trace`, computed with
     up to `workers` processes.  Every p is checked here, cached or not,
-    before any work (ValueError for p >= 2**31, p < 5, a composite p or
+    before any work, by `Curve._require_all_good`: one sieve pass behind
+    the int64 guard (ValueError for p >= 2**31, p < 5, a composite p or
     bad reduction).
     Results are keyed by p, so the outcome is identical for any worker
     count and chunking."""
     primes = sorted(primes)
-    if primes:
-        check_int64_modulus(primes[-1])
     curve._require_all_good(primes)
     out: dict[int, int] = {}
     todo = []
@@ -141,18 +139,19 @@ def frobenius_scan(
 class TraceCache:
     """Flat-file a_p cache with human-inspectable lines 'curvehash,p,ap'.
 
-    Loading checks every row: three integer fields, 5 <= p < 2**31 prime
-    and a_p^2 <= 4p, else ValueError naming the line.  Good reduction needs
+    Loading checks every row: three integer fields, 5 <= p < 2**31 prime,
+    a_p^2 <= 4p and no other a_p for the same curve hash and p on an
+    earlier line, else ValueError naming the line.  Good reduction needs
     the curve, so `get` checks it.  `save` writes only when a `put` has
     changed the data since the load or the last save; it writes a temporary
     file in the same directory and renames it over the old one, so a reader
     never sees a half-written cache."""
 
-    def __init__(self, path: Optional[str] = None):
+    def __init__(self, path: str):
         self.path = path
         self._data: dict[tuple[str, int], int] = {}
         self._changed = False
-        if path and os.path.exists(path):
+        if os.path.exists(path):
             try:
                 self._load(path)
             except UnicodeDecodeError as exc:
@@ -179,7 +178,11 @@ class TraceCache:
                     raise ValueError(
                         f"{path}:{lineno}: a_p = {ap} breaks the Hasse bound at p = {p}"
                     )
-                data[(h, p)] = ap
+                if (held := data.setdefault((h, p), ap)) != ap:
+                    raise ValueError(
+                        f"{path}:{lineno}: a_p = {ap} at p = {p} conflicts with "
+                        f"a_p = {held} on an earlier line"
+                    )
                 first_line.setdefault(p, lineno)
         composite = _non_primes(set(first_line))
         if composite:
@@ -202,7 +205,7 @@ class TraceCache:
             self._changed = True
 
     def save(self):
-        if not self.path or not self._changed:
+        if not self._changed:
             return
         tmp = f"{self.path}.{os.getpid()}.tmp"
         try:
@@ -357,21 +360,25 @@ STRATEGY_TABLE: tuple[StrategyRow, ...] = (
 )
 
 
+# the "k odd" rows of STRATEGY_TABLE: D -> (residue, modulus, class of p
+# mod k) for p = residue (mod modulus), p = class (mod k)
+_ODD_K_RECIPES = {
+    -4: (3, 4, 1),
+    -16: (3, 4, 1),
+    -8: (5, 8, 1),
+    -7: (5, 7, -2),
+    -28: (5, 7, -2),
+}
+
+
 def _congruence_recipe(D: int, k: int) -> Optional[list[CongruenceCondition]]:
     """The rational-prime congruence recipe for (D, k), or None when the
     row calls for element (Chebotarev) search; raises for inadmissible k."""
-    if D in (-4, -16):
+    if D in _ODD_K_RECIPES:
         if k % 2 == 0:
             raise ValueError(f"D={D} requires odd k")
-        return [CongruenceCondition(3, 4), CongruenceCondition(1, k)]
-    if D == -8:
-        if k % 2 == 0:
-            raise ValueError("D=-8 requires odd k")
-        return [CongruenceCondition(5, 8), CongruenceCondition(1, k)]
-    if D in (-7, -28):
-        if k % 2 == 0:
-            raise ValueError(f"D={D} requires odd k")
-        return [CongruenceCondition(5, 7), CongruenceCondition(-2, k)]
+        residue, modulus, mod_k = _ODD_K_RECIPES[D]
+        return [CongruenceCondition(residue, modulus), CongruenceCondition(mod_k, k)]
     if D == -12:
         if gcd(k, 6) != 1:
             raise ValueError("D=-12 requires gcd(k, 6) = 1")
@@ -402,40 +409,28 @@ def _congruence_recipe(D: int, k: int) -> Optional[list[CongruenceCondition]]:
 def _element_constraints(D: int, k: int):
     """Congruence constraints on a splitting prime element, following the
     per-discriminant construction."""
-    order = quad_order(D)
-    constraints = []
-    if D == -11:
-        constraints.append((order.element(3), order.element(11)))
-        skip = {11}
-        for ell in prime_divisors(k):
-            if ell in skip or ell == 3:
-                continue
-            lam = prime_above(D, ell)
-            a = _non_unit_residue(D, lam)
-            constraints.append((a, lam))
-            if lam.b != 0:  # split: constrain the conjugate too
-                constraints.append((a.conj(), lam.conj()))
-        return constraints
     if D in (-3, -27):
         # gcd(k, 6) = 2 route, in the maximal order Z[w]
-        w = quad_order(-3).omega
-        one3 = quad_order(-3).element(1)
-        constraints = [(w, quad_order(-3).element(2)), (one3, quad_order(-3).element(3))]
+        zw = quad_order(-3)
+        w = zw.omega
+        constraints = [(w, zw.element(2)), (zw.element(1), zw.element(3))]
         for ell in prime_divisors(k):
             if ell == 2:
                 continue
-            if ell == 7:
-                constraints.append((w, quad_order(-3).element(7)))
-                continue
-            alpha, _ = lemma_ab_witness(ell)
-            constraints.append((alpha, quad_order(-3).element(ell)))
+            alpha = w if ell == 7 else lemma_ab_witness(ell)[0]
+            constraints.append((alpha, zw.element(ell)))
         return constraints
-    # generic route for the discs with trivial torsion and units {+-1}
+    # the discs with trivial torsion and units {+-1}; D = -11 (reached only
+    # when 3 does not divide k) adds its 3 mod 11 constraint first
+    order = quad_order(D)
+    constraints = [(order.element(3), order.element(11))] if D == -11 else []
     for ell in prime_divisors(k):
+        if D == -11 and ell == 11:
+            continue
         lam = prime_above(D, ell)
         a = _non_unit_residue(D, lam)
         constraints.append((a, lam))
-        if lam.b != 0:
+        if lam.b != 0:  # split: constrain the conjugate too
             constraints.append((a.conj(), lam.conj()))
     return constraints
 
@@ -597,6 +592,11 @@ _OBSTRUCTED_J = {
 }
 
 
+# exceptionality_report's verdict is 'exceptional-evidence' from this many
+# witness primes on
+WITNESS_THRESHOLD = 5
+
+
 @dataclass(frozen=True)
 class ExceptionalityReport:
     curve: Curve
@@ -608,7 +608,6 @@ class ExceptionalityReport:
     bad_primes: tuple[int, ...]
     good_count: int
     verdict: str
-    witness_threshold: int
 
     @property
     def witness_density(self) -> Optional[Fraction]:
@@ -617,19 +616,15 @@ class ExceptionalityReport:
         return Fraction(len(self.witnesses), self.good_count)
 
 
-def exceptionality_report(
-    curve: Curve,
-    k: int,
-    pmax: int,
-    witness_threshold: int = 5,
-) -> ExceptionalityReport:
+def exceptionality_report(curve: Curve, k: int, pmax: int) -> ExceptionalityReport:
     """Desk-scale evidence for or against exceptionality of L_k.
 
     With a rational k-torsion x-coordinate the map provably never permutes
     for large p, so a single witness prime is a contradiction (raised as a
     bug).  Without one, the verdict is 'obstructed' for the known 6 | k
-    families, 'exceptional-evidence' with at least `witness_threshold`
-    witness primes, and 'inconclusive' otherwise.
+    families, 'exceptional-evidence' with at least WITNESS_THRESHOLD (5)
+    witness primes, and 'inconclusive' otherwise.  pmax >= 2**31 is a
+    ValueError before the sieve.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -654,7 +649,7 @@ def exceptionality_report(
         if witnesses:
             raise ArithmeticError(f"obstructed family with witnesses {witnesses[:4]} (bug)")
         verdict = "obstructed"
-    elif len(witnesses) >= witness_threshold:
+    elif len(witnesses) >= WITNESS_THRESHOLD:
         verdict = "exceptional-evidence"
     else:
         verdict = "inconclusive"
@@ -668,5 +663,4 @@ def exceptionality_report(
         bad_primes=bad,
         good_count=len(good),
         verdict=verdict,
-        witness_threshold=witness_threshold,
     )

@@ -19,9 +19,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .elliptic import Curve, _frobenius_traces, count_points, division_poly, rational_roots
+from .elliptic import Curve, _frobenius_traces, _residues, count_points, division_poly, rational_roots
 from .exceptionality import map_primes
-from .intmath import check_int64_modulus, is_prime, prime_divisors
+from .intmath import is_prime, prime_divisors
 from .polyrat import _fp_gcd, _int_clear
 
 
@@ -94,15 +94,18 @@ def cm_density_full(m: int) -> Fraction:
     return Fraction(hits, total)
 
 
+_CLOSURE_BOUND = 10**6
+
+
 @dataclass(frozen=True)
 class SubgroupSpec:
     """A subgroup of GL_2(Z/m) given by generators; the closure is
-    computed and must stay finite under the given bound."""
+    computed and must stay within _CLOSURE_BOUND elements."""
 
     m: int
     generators: tuple[Mat2Zm, ...]
 
-    def closure(self, bound: int = 10**6) -> set[Mat2Zm]:
+    def closure(self) -> set[Mat2Zm]:
         elems = {Mat2Zm.identity(self.m)}
         frontier = list(elems)
         while frontier:
@@ -113,7 +116,7 @@ class SubgroupSpec:
                     if y not in elems:
                         elems.add(y)
                         nxt.append(y)
-                        if len(elems) > bound:
+                        if len(elems) > _CLOSURE_BOUND:
                             raise ValueError("subgroup closure exceeded bound")
             frontier = nxt
         return elems
@@ -224,8 +227,8 @@ def torsion_roots(curve: Curve, ell: int, primes: Iterable[int]) -> list[bool]:
     step runs on blocks of primes at once, one int64 row per coefficient:
     x^p mod F by square-and-multiply (`_x_power_minus_x`) and the gcd
     decision by one remainder sequence (`_share_root`).  Every p is checked
-    before any work, by one sieve pass.  Raises ValueError for d > 724
-    (ell > 37)."""
+    before any work by `Curve._require_all_good`: one sieve pass behind the
+    int64 guard.  Raises ValueError for d > 724 (ell > 37)."""
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
     if _torsion_degree(ell) > _MAX_ROOT_DEGREE:
@@ -233,7 +236,6 @@ def torsion_roots(curve: Curve, ell: int, primes: Iterable[int]) -> list[bool]:
     primes = list(primes)
     if not primes:
         return []
-    check_int64_modulus(max(primes))
     if ell in primes:
         curve._require_all_good(primes[: primes.index(ell)])
         raise ValueError("p and ell must differ")
@@ -260,12 +262,7 @@ def _monic_residues(cs: list[int], ps: np.ndarray) -> np.ndarray:
     column by column, for f = sum cs[i] x^i of degree d whose leading
     coefficient c is a unit mod every p: F is monic, its roots are c times
     those of f, and it takes no inverse mod p."""
-    out = np.empty((len(cs), len(ps)), dtype=np.int64)
-    for row, c in zip(out, cs):
-        if -(1 << 63) <= c < 1 << 63:
-            np.remainder(c, ps, out=row)
-        else:
-            row[:] = [c % p for p in ps.tolist()]
+    out = np.array([_residues(c, ps) for c in cs], dtype=np.int64)
     scale, lead = out[-1].copy(), out[-1].copy()
     for row in out[-3::-1]:  # row i takes c^(d-1-i)
         row *= scale
@@ -413,12 +410,12 @@ def coprime_verdicts(curve: Curve, k: int, primes: Iterable[int]) -> list[bool]:
     224-279 us on 300.  So a prime that survives the
     root tests takes a_p if k has a prime factor ell >= 5, or if k = 0;
     the sign of k does not matter.  Every p is checked once, before any
-    work, by one sieve pass (ValueError for p >= 2**31, p < 5, a
-    composite p or bad reduction).  The primes run in this process."""
+    work, by `Curve._require_all_good`, one sieve pass behind the int64
+    guard (ValueError for p >= 2**31, p < 5, a composite p or bad
+    reduction).  The primes run in this process."""
     primes = list(primes)
     if not primes:
         return []
-    check_int64_modulus(max(primes))
     curve._require_all_good(primes)
     return _coprime_verdicts(curve, k, primes)
 
@@ -434,12 +431,11 @@ def empirical_density(
 ) -> Fraction:
     """Fraction of good primes p <= pmax at which the gcd criterion says
     L_k permutes P^1(F_p); bad primes are excluded from both sides.
-    k < 1 or pmax < 100 is a ValueError before any sieve."""
+    k < 1, pmax < 100 or pmax >= 2**31 is a ValueError before any sieve."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if pmax < 100:
         raise ValueError("pmax must be >= 100")
-    # sieve primes of good reduction: only the int64 limit is left to check
+    # primes of good reduction from the sieve: none is checked again
     good = curve.good_primes(pmax)
-    check_int64_modulus(max(good, default=0))
     return Fraction(sum(_coprime_verdicts(curve, k, good, workers)), len(good))

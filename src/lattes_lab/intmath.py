@@ -183,9 +183,6 @@ class CongruenceCondition:
             raise ValueError("modulus must be >= 1")
         object.__setattr__(self, "residue", self.residue % self.modulus)
 
-    def holds(self, n: int) -> bool:
-        return n % self.modulus == self.residue
-
 
 def _merge_congruences(conds: Iterable[CongruenceCondition]) -> Optional[tuple[int, int]]:
     """CRT-merge conditions to a single class (r, M), or None if incompatible."""
@@ -201,21 +198,6 @@ def _merge_congruences(conds: Iterable[CongruenceCondition]) -> Optional[tuple[i
         r = (r + m * t) % lcm
         m = lcm
     return r, m
-
-
-def primes_in_congruence(conds: Iterable[CongruenceCondition], limit: int) -> list[int]:
-    """Ascending primes p <= limit satisfying every condition.
-
-    An incompatible system yields the empty list rather than an error, so
-    callers may probe compatibility.
-    """
-    if limit < 2:
-        raise ValueError("limit must be >= 2")
-    merged = _merge_congruences(conds)
-    if merged is None:
-        return []
-    r, m = merged
-    return list(primes_in_classes(m, [r], limit))
 
 
 def primes_in_classes(period: int, residues: Iterable[int], limit: int) -> Iterator[int]:

@@ -340,7 +340,7 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [int.from_bytes(buf[i : i + w], "little") - half for i in range(0, r * w, w)]
 
 
-def format_poly(f: Poly, var: str = "x") -> str:
+def format_poly(f: Poly) -> str:
     """Human-readable form, descending powers, e.g. 'x^4 - 16x'."""
     if f.is_zero:
         return "0"
@@ -353,7 +353,7 @@ def format_poly(f: Poly, var: str = "x") -> str:
         if i == 0:
             term = c
         else:
-            xpow = var if i == 1 else f"{var}^{i}"
+            xpow = "x" if i == 1 else f"x^{i}"
             if c == "1":
                 term = xpow
             elif c == "-1":
@@ -767,13 +767,13 @@ def _modinv_many(vals: np.ndarray, p: int) -> np.ndarray:
     return result
 
 
-def format_ratmap(f: RatMap, var: str = "x") -> str:
+def format_ratmap(f: RatMap) -> str:
     """The canonical pair as '(num)/(den)' with descending powers, e.g.
     '(x^4 - 16x)/(4x^3 + 8)' over QQ; just 'num' when den is 1."""
     num, den = f.num, f.den
     if den == Poly.one(f.field):
-        return format_poly(num, var)
-    return f"({format_poly(num, var)})/({format_poly(den, var)})"
+        return format_poly(num)
+    return f"({format_poly(num)})/({format_poly(den)})"
 
 
 # -- rational roots ----------------------------------------------------------
@@ -866,10 +866,15 @@ def _is_root(cs: Sequence[int], x: Fraction) -> bool:
     return acc == 0
 
 
-def _squarefree_prime(cs: Sequence[int], tries: int = 60) -> Optional[int]:
+# _squarefree_prime tries this many primes from 1009 on before it reports
+# a polynomial with repeated factors
+_SQUAREFREE_TRIES = 60
+
+
+def _squarefree_prime(cs: Sequence[int]) -> Optional[int]:
     p = 1009
     der = [i * c for i, c in enumerate(cs)][1:]
-    for _ in range(tries):
+    for _ in range(_SQUAREFREE_TRIES):
         while not is_prime(p):
             p += 2
         if cs[-1] % p:

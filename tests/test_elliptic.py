@@ -31,7 +31,7 @@ from lattes_lab.elliptic import (
     torsion_classify_Ed,
     torsion_x_rational,
 )
-from lattes_lab.intmath import check_int64_modulus, is_prime, kronecker, primes_upto, sqrt_mod
+from lattes_lab.intmath import is_prime, kronecker, primes_upto, sqrt_mod
 from lattes_lab.polyrat import GF, Poly, QQ, RatMap, format_ratmap, poly_gcd
 from lattes_lab.quadorder import CLASS_NUMBER_ONE_DISCS
 
@@ -266,17 +266,14 @@ def test_count_points_stops_at_its_cap_before_allocating(monkeypatch):
         count_points(c, p)
 
 
-def test_count_points_runs_the_int64_guard_first(monkeypatch):
-    seen = []
+def test_count_points_refuses_a_prime_beyond_int64_before_any_array(monkeypatch):
+    # its cap, far below 2**31, is the int64 guard
+    def reached(*args, **kwargs):
+        raise AssertionError("count_points allocated beyond int64")
 
-    def spy(p):
-        seen.append(p)
-        check_int64_modulus(p)
-
-    monkeypatch.setattr(elliptic, "check_int64_modulus", spy)
-    with pytest.raises(ValueError, match="2\\*\\*31"):
+    monkeypatch.setattr(np, "arange", reached)
+    with pytest.raises(ValueError, match="count_points stops at"):
         count_points(CATALOG_BY_NAME["d4"].curve, 2147483659)
-    assert seen == [2147483659]
 
 
 def test_b_invariant_identity_is_an_explicit_check(monkeypatch):

@@ -20,6 +20,7 @@ from lattes_lab.elliptic import (
 )
 from lattes_lab.exceptionality import (
     STRATEGY_TABLE,
+    WITNESS_THRESHOLD,
     ScanRow,
     TraceCache,
     exceptionality_report,
@@ -36,7 +37,7 @@ from lattes_lab.exceptionality import (
     verify_d11_obstruction,
     verify_noncm_counterexample,
 )
-from lattes_lab.galois import coprime_verdicts, torsion_roots
+from lattes_lab.galois import coprime_verdicts, empirical_density, torsion_roots
 from lattes_lab.intmath import kronecker, primes_upto
 
 D4 = CATALOG_BY_NAME["d4"].curve
@@ -267,6 +268,26 @@ def test_strategy_inadmissible():
         strategy_primes(-3, 3, 3)
 
 
+# sha256 of the strategy grid below, which every form of the congruence
+# recipes and the element constraints must reproduce
+STRATEGY_GRID_SHA256 = "1fd5b345fe835cae11e44b675dc4df2402066eda41663a305e76e32e7632917a"
+
+
+def test_strategy_grid_is_unchanged():
+    # every class-number-one D and every k in 2..12: the first four primes
+    # of the row, or the type and message of the error it raises
+    lines = []
+    for D in quadorder.CLASS_NUMBER_ONE_DISCS:
+        for k in range(2, 13):
+            try:
+                out = " ".join(map(str, strategy_primes(D, k, 4)))
+            except Exception as exc:
+                out = f"{type(exc).__name__}: {exc}"
+            lines.append(f"{D} {k} {out}")
+    assert len(lines) == 143 and sum("Error: " in line for line in lines) == 48
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == STRATEGY_GRID_SHA256
+
+
 def test_strategy_table_shape():
     assert len(STRATEGY_TABLE) == 8
     discs = [d for row in STRATEGY_TABLE for d in row.discs]
@@ -361,9 +382,11 @@ def test_exceptionality_report_verdicts():
     r = exceptionality_report(noncm_family("F", 2), 12, 200)
     assert r.verdict == "obstructed" and r.obstruction == "noncm-family-f"
 
-    # inconclusive: tiny range with a high threshold
-    r = exceptionality_report(D3, 2, 30, witness_threshold=50)
-    assert r.verdict == "inconclusive"
+    # inconclusive: up to 60 the good primes give one witness fewer than
+    # the threshold, and 61 is the fifth
+    r = exceptionality_report(D3, 2, 60)
+    assert r.verdict == "inconclusive" and len(r.witnesses) == WITNESS_THRESHOLD - 1 == 4
+    assert exceptionality_report(D3, 2, 61).verdict == "exceptional-evidence"
 
 
 def test_report_witnesses_are_the_scan_verdicts():
@@ -458,6 +481,7 @@ def test_map_primes_forks_only_past_its_break_even(pools):
         ("abc,101,21", "Hasse"),  # 21^2 > 4 * 101
         ("abc,91,3", "91 is not prime"),
         ("abc,3,1", "outside"),
+        (f"{curve_hash(D4)},5,-2", "a_p = -2 at p = 5 conflicts with a_p = 2"),
     ],
 )
 def test_cache_rejects_a_bad_row_by_its_line(tmp_path, row, error):
@@ -465,6 +489,13 @@ def test_cache_rejects_a_bad_row_by_its_line(tmp_path, row, error):
     path.write_text(f"# a_p of d4\n{curve_hash(D4)},5,2\n{row}\n")
     with pytest.raises(ValueError, match=f"traces.txt:3: .*{error}"):
         TraceCache(str(path))
+
+
+def test_cache_loads_an_identical_repeat(tmp_path):
+    path = tmp_path / "traces.txt"
+    path.write_text(f"{curve_hash(D4)},5,2\n{curve_hash(D4)},13,-6\n{curve_hash(D4)},5,2\n")
+    cache = TraceCache(str(path))
+    assert (cache.get(D4, 5), cache.get(D4, 13)) == (2, -6)
 
 
 def test_cache_rejects_a_trace_at_a_bad_prime(tmp_path):
@@ -495,6 +526,21 @@ def test_cache_save_replaces_the_file_whole(tmp_path, monkeypatch):
     monkeypatch.undo()
     cache.save()
     assert TraceCache(str(path)).get(D4, 13) == -6 and os.listdir(tmp_path) == ["traces.txt"]
+
+
+def test_pmax_beyond_int64_is_refused_before_the_sieve(monkeypatch):
+    def reached(limit):
+        raise AssertionError(f"sieved up to {limit}")
+
+    monkeypatch.setattr(elliptic, "primes_upto", reached)
+    for entry in (
+        lambda pmax: empirical_density(D4, 2, pmax),
+        lambda pmax: verify_d11_obstruction(D11, pmax),
+        lambda pmax: verify_noncm_counterexample("E", 1, pmax),
+        lambda pmax: exceptionality_report(D3, 2, pmax),
+    ):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            entry(2**31)
 
 
 def test_one_sieve_pass_raises_the_per_prime_message():

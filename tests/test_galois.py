@@ -5,7 +5,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from lattes_lab import cli, exceptionality, galois, intmath
+from lattes_lab import cli, elliptic, exceptionality, galois, intmath
 from lattes_lab.elliptic import (
     CATALOG,
     CATALOG_BY_NAME,
@@ -345,9 +345,12 @@ def test_coprime_verdicts_rejects_bad_input(monkeypatch):
         seen.append(p)
         check_int64_modulus(p)
 
-    monkeypatch.setattr(galois, "check_int64_modulus", spy)
+    # the guard runs in Curve._require_all_good, the one prime check of all three
+    monkeypatch.setattr(elliptic, "check_int64_modulus", spy)
     with pytest.raises(ValueError, match="2\\*\\*31"):
         coprime_verdicts(d7, 2, [5, 2147483659])
     with pytest.raises(ValueError, match="2\\*\\*31"):
         torsion_roots(d7, 2, [5, 2147483659])
-    assert seen == [2147483659, 2147483659]
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        exceptionality.frobenius_scan(d7, [2147483659, 5])
+    assert seen == [2147483659] * 3

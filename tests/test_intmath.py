@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from lattes_lab import intmath
 from lattes_lab.intmath import (
     CongruenceCondition,
+    _merge_congruences,
     check_int64_modulus,
     factorize,
     is_prime,
     kronecker,
     prime_flags,
     primes_in_classes,
-    primes_in_congruence,
     prime_divisors,
     primes_between,
     primes_upto,
@@ -237,29 +237,6 @@ def test_sqrt_mod_iff_kronecker():
             assert (sqrt_mod(a, p) is not None) == (kronecker(a, p) == 1), (a, p)
 
 
-def test_primes_in_congruence_examples():
-    conds = [CongruenceCondition(3, 4), CongruenceCondition(1, 3)]
-    assert primes_in_congruence(conds, 50) == [7, 19, 31, 43]
-    assert primes_in_congruence([], 10) == [2, 3, 5, 7]
-    incompatible = [CongruenceCondition(0, 2), CongruenceCondition(1, 2)]
-    assert primes_in_congruence(incompatible, 100) == []
-
-
-def test_primes_in_congruence_against_sieve_filter():
-    rng = random.Random(3)
-    for _ in range(40):
-        conds = [
-            CongruenceCondition(rng.randrange(12), rng.randrange(1, 12)) for _ in range(rng.randrange(3))
-        ]
-        limit = rng.randrange(2, 3000)
-        expected = [p for p in primes_upto(limit) if all(c.holds(p) for c in conds)]
-        assert primes_in_congruence(conds, limit) == expected
-    # one large-limit case against the sieve
-    conds = [CongruenceCondition(3, 4), CongruenceCondition(1, 3)]
-    expected = [p for p in primes_upto(100000) if p % 4 == 3 and p % 3 == 1]
-    assert primes_in_congruence(conds, 100000) == expected
-
-
 def test_primes_in_classes_against_sieve_filter():
     # the walk against a filter of one sieve, for every kind of class set:
     # period 1, prime and composite periods up to 163 * 47, classes sharing
@@ -289,6 +266,38 @@ def test_primes_in_classes_against_sieve_filter():
         for limit in small + [edges[i % len(edges)]]:
             got = list(primes_in_classes(period, residues, limit))
             assert got == want[: bisect_right(want, limit)], (period, residues, limit)
+
+
+def _merged_walk(system, limit):
+    # a system of congruence conditions, CRT-merged to one class r mod m
+    # first (the strategy recipes' route), then walked; an incompatible
+    # system merges to None and holds no prime
+    merged = _merge_congruences(system)
+    return [] if merged is None else list(primes_in_classes(merged[1], [merged[0]], limit))
+
+
+def test_primes_in_congruence_examples():
+    conds = [CongruenceCondition(3, 4), CongruenceCondition(1, 3)]
+    assert _merged_walk(conds, 50) == [7, 19, 31, 43]
+    assert _merged_walk([], 10) == [2, 3, 5, 7]
+    incompatible = [CongruenceCondition(0, 2), CongruenceCondition(1, 2)]
+    assert _merge_congruences(incompatible) is None
+    assert _merged_walk(incompatible, 100) == []
+
+
+def test_primes_in_congruence_against_sieve_filter():
+    rng = random.Random(3)
+    for _ in range(40):
+        conds = [
+            CongruenceCondition(rng.randrange(12), rng.randrange(1, 12)) for _ in range(rng.randrange(3))
+        ]
+        limit = rng.randrange(2, 3000)
+        expected = [p for p in primes_upto(limit) if all(p % c.modulus == c.residue for c in conds)]
+        assert _merged_walk(conds, limit) == expected, (conds, limit)
+    # one large-limit case against the sieve
+    conds = [CongruenceCondition(3, 4), CongruenceCondition(1, 3)]
+    expected = [p for p in primes_upto(100000) if p % 4 == 3 and p % 3 == 1]
+    assert _merged_walk(conds, 100000) == expected
 
 
 def test_congruence_condition_normalizes():

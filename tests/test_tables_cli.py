@@ -1,11 +1,14 @@
 import argparse
 import hashlib
+import inspect
 import subprocess
 import sys
+import types
 
 import pytest
 
-from lattes_lab import cli, elliptic, exceptionality
+import lattes_lab
+from lattes_lab import cli, elliptic, exceptionality, polyrat
 from lattes_lab.cli import COUNT_MAX, K_MAX, PMAX_MAX, WORKERS_MAX, main
 from lattes_lab.elliptic import Curve
 from lattes_lab.tables import PERM_TABLES, TABLE_IDS, check_all_tables, check_table
@@ -283,9 +286,14 @@ def test_cli_density(capsys):
 
 
 def test_cli_density_rejects_a_prime_beyond_int64(monkeypatch, capsys):
-    # good_primes is stubbed so that no sieve runs up to 2^31
-    monkeypatch.setattr(Curve, "good_primes", lambda self, pmax: [2147483659])
-    assert run_cli("density", "[0,0,0,1,1]", "--k", "2", "--pmax", "100") == 2
+    # the --pmax bound is lifted so that 2^31 reaches the int64 guard, which
+    # must refuse it before any sieve
+    def reached(limit):
+        raise AssertionError(f"sieved up to {limit}")
+
+    monkeypatch.setattr(cli, "PMAX_MAX", 2**32)
+    monkeypatch.setattr(elliptic, "primes_upto", reached)
+    assert run_cli("density", "[0,0,0,1,1]", "--k", "2", "--pmax", str(2**31)) == 2
     assert "2**31" in capsys.readouterr().err
 
 
@@ -388,6 +396,54 @@ def test_cli_flag_set_is_pinned():
         for name, p in sub.choices.items()
     }
     assert got == CLI_ARGUMENTS
+
+
+# the public names of lattes_lab and the parameters of five entry points
+# that take no settings beyond what their callers pass: a change to either
+# must edit this pin on purpose
+PUBLIC_NAMES = (
+    "CATALOG", "CATALOG_BY_NAME", "CatalogEntry", "CongruenceCondition", "Curve",
+    "ExceptionalityReport", "GF", "INFINITY", "Mat2Zm", "PermutationVerdict", "Poly", "QQ",
+    "QuadInt", "QuadOrder", "RatMap", "ScanRow", "SubgroupSpec", "SymbolValue", "TABLE_IDS",
+    "TraceCache", "TraceRecord", "add_points", "check_all_tables", "check_table",
+    "cm_density_full", "cm_density_subgroup", "cm_model", "congruent", "coprime_verdicts",
+    "cornacchia", "count_points", "cubic_reciprocity_check", "deuring_consistency",
+    "diag_witness", "division_poly", "e_primary_associate", "ed_count_check", "eis",
+    "empirical_density", "exceptionality_report", "find_prime_element", "format_curve",
+    "format_quadint", "format_ratmap", "frobenius_congruence_check", "frobenius_scan",
+    "frobenius_trace", "in_Cm", "is_cubic_residue", "is_prime", "k2_verdict", "kronecker",
+    "lattes_map", "lemma_ab_witness", "negate_point", "noncm_family", "parse_curve",
+    "parse_quadint", "permutes", "power_residue_symbol", "primary_associate", "prime_above",
+    "primes_upto", "quad_order", "quadratic_twist", "random_point", "rational_roots",
+    "scalar_mul", "scan", "sextic_reciprocity_check", "splitting_type", "sqrt_mod",
+    "strategy_primes", "symbol_tower_check", "torsion_classify_Ed", "torsion_roots",
+    "torsion_x_rational", "trace_record", "twist_product_check", "verify_d11_obstruction",
+    "verify_noncm_counterexample",
+)
+PINNED_PARAMETERS = {
+    "TraceCache.__init__": ("self", "path"),
+    "exceptionality_report": ("curve", "k", "pmax"),
+    "format_poly": ("f",),
+    "format_ratmap": ("f",),
+    "SubgroupSpec.closure": ("self",),
+}
+
+
+def test_public_surface_is_pinned():
+    names = sorted(
+        name for name, value in vars(lattes_lab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert tuple(names) == PUBLIC_NAMES
+    entries = {
+        "TraceCache.__init__": lattes_lab.TraceCache.__init__,
+        "exceptionality_report": lattes_lab.exceptionality_report,
+        "format_poly": polyrat.format_poly,
+        "format_ratmap": lattes_lab.format_ratmap,
+        "SubgroupSpec.closure": lattes_lab.SubgroupSpec.closure,
+    }
+    got = {name: tuple(inspect.signature(fn).parameters) for name, fn in entries.items()}
+    assert got == PINNED_PARAMETERS
 
 
 def test_cli_bounds_admit_their_ends():
