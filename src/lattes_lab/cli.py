@@ -21,7 +21,7 @@ import sys
 from typing import Optional
 
 from .eisenstein import power_residue_symbol
-from .elliptic import cm_disc_for, cm_model, lattes_map, parse_curve, torsion_x_rational
+from .elliptic import _rational, cm_disc_for, cm_model, lattes_map, parse_curve, torsion_x_rational
 from .exceptionality import (
     _CHUNK_PRIMES,
     TraceCache,
@@ -140,8 +140,6 @@ def _resolve_curve(args):
     """The curve named by the arguments: an explicit coefficient spec, whose
     CM discriminant a --D beside it must be, or the CM model cm_model(D, u)
     when only --D (and optionally --u) is given."""
-    from fractions import Fraction
-
     if args.curve is not None:
         if args.u is not None:
             raise ValueError("--u selects a CM model with --D, not a curve spec")
@@ -150,8 +148,7 @@ def _resolve_curve(args):
         return curve
     if args.D is None:
         raise ValueError("give a curve spec [a1,a2,a3,a4,a6] or select one with --D/--u")
-    u = Fraction(args.u) if args.u is not None else Fraction(1)
-    return cm_model(args.D, u)
+    return cm_model(args.D, 1 if args.u is None else _rational(args.u, "--u"))
 
 
 def _cmd_map(args) -> int:

@@ -41,6 +41,14 @@ def _frac(v) -> Fraction:
     return v if isinstance(v, Fraction) else Fraction(v)
 
 
+def _rational(text: str, what: str) -> Fraction:
+    """Fraction(text), or a ValueError that names `what`."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what}: {text!r} is not a rational number") from None
+
+
 @dataclass(frozen=True)
 class Curve:
     """A nonsingular long Weierstrass model over Q."""
@@ -135,7 +143,8 @@ class Curve:
         """The primes 5 <= p <= pmax of good and of bad reduction, from one
         sieve pass; the sieve's primes are not tested again.  pmax >= 2**31
         is a ValueError before the sieve."""
-        check_int64_modulus(pmax)
+        if pmax >= 1 << 31:
+            raise ValueError(f"pmax = {pmax} is too large for int64 arithmetic mod p (need pmax < 2**31)")
         bad_modulus = self._bad_modulus
         good, bad = [], []
         for p in primes_upto(pmax):
@@ -174,10 +183,10 @@ def parse_curve(text: str) -> Curve:
     t = text.strip()
     if not (t.startswith("[") and t.endswith("]")):
         raise ValueError(f"curve spec must look like [a1,a2,a3,a4,a6], got {text!r}")
-    parts = t[1:-1].split(",")
+    parts = [s.strip() for s in t[1:-1].split(",")]
     if len(parts) != 5:
         raise ValueError(f"curve spec needs 5 coefficients, got {len(parts)}")
-    return Curve(*(Fraction(s.strip()) for s in parts))
+    return Curve(*(_rational(s, f"{name} in {text}") for name, s in zip(("a1", "a2", "a3", "a4", "a6"), parts)))
 
 
 def format_curve(curve: Curve) -> str:
@@ -333,44 +342,30 @@ _MESTRE_FROM = 230
 # band; at 10^4 the sum takes 3x as long, at 10^6 over 100x.  It must not
 # fall below _MESTRE_FROM.
 _BSGS_FROM = 2000
-# random x drawn per prime before Shanks-Mestre gives up; each point
-# settles the order with high probability, so the cap is never reached at
-# a prime above 229 unless the route is broken
+# points drawn per prime, by the arrays and then on Python ints, before
+# Shanks-Mestre gives up; each point settles the order with high
+# probability, so the cap is never reached at a prime above 229 unless the
+# route is broken
 _BSGS_DRAWS = 64
 
 
 def frobenius_trace(curve: Curve, p: int) -> int:
     """a_p = p + 1 - |E(F_p)| at a good prime 5 <= p < 2**31.
 
-    Below p = 2000 this is the character sum of `count_points`; above it,
-    Shanks-Mestre baby-step giant-step on the short model
-    y^2 = x^3 - 27 c4 x - 54 c6, about 4 p^(1/4) group operations per
-    point on Python ints.  A point whose order leaves several group orders
-    in the Hasse interval is combined with points on the quadratic twist,
-    whose order is p + 1 + a_p, until one a_p fits both.  The points come
-    from an RNG seeded by p, so the result and its cost are the same in
-    every process.  Raises ValueError like `count_points`, and
-    ArithmeticError if no a_p is settled after 64 points.
+    Below p = 2000 this is the character sum of `count_points`, which
+    checks p; above it, `_shanks_mestre` on Python ints, about 4 p^(1/4)
+    group operations per point.  Raises ValueError like `count_points`,
+    and ArithmeticError if no a_p is settled after 64 points.
 
     This route takes one prime at a time.  Scans and verdicts take a whole
-    chunk of primes through `_shanks_mestre_batch` from p = 230 on, which
-    runs the same search on int64 arrays, keeps a trace by the same rule
-    and sends the rows it cannot settle here; near 10^6 it costs 14-23 us
-    a prime (on 4096 and on 300 primes) against about 310 us for this
-    route.
+    chunk of primes through `_frobenius_traces`, which runs the same search
+    on int64 arrays from p = 230 on; near 10^6 it costs 14-23 us a prime
+    (on 4096 and on 300 primes) against about 310 us for this route.
     """
-    check_int64_modulus(p)
-    curve._require_good(p)
-    return _frobenius_trace(curve, p)
-
-
-def _frobenius_trace(curve: Curve, p: int) -> int:
-    """frobenius_trace for a p the caller has checked.  Below the crossover
-    it calls count_points by its public name, so that a wrapper bound to
-    that name sees every sum; count_points checks p again there, at 2-7%
-    of the sum's cost (0.5-3 us against 20-90 us)."""
     if p < _BSGS_FROM:
         return count_points(curve, p)[1]
+    check_int64_modulus(p)
+    curve._require_good(p)
     F = GF(p)
     ap = _shanks_mestre(F.coerce(-27 * curve.c4), F.coerce(-54 * curve.c6), p)
     if ap * ap > 4 * p:
@@ -379,44 +374,64 @@ def _frobenius_trace(curve: Curve, p: int) -> int:
 
 
 def _frobenius_traces(curve: Curve, primes: Sequence[int]) -> list[int]:
-    """_frobenius_trace at each of a list of checked primes, in order: the
-    character sum below _MESTRE_FROM, and `_shanks_mestre_batch` for all
-    the primes from there on at once.  One prime at a time the sum is the
-    cheaper route up to _BSGS_FROM, but the batch spreads its fixed cost
-    over the chunk: the 253 good primes of [0,0,0,1,1] in [230, 2000) take
-    13 ms by the sum, 6 ms as a batch of their own, and 4 ms added to the
-    batch of its good primes in [2000, 2 10^4) (2-CPU Xeon VM, numpy 2.4)."""
-    big = [p for p in primes if p >= _MESTRE_FROM]
-    traces = dict(zip(big, _shanks_mestre_batch(curve, big)))
+    """frobenius_trace at each of a list of checked primes, in order: the
+    character sum below _MESTRE_FROM, and `_batch_traces` on the distinct
+    primes from there on, ascending, in equal sub-batches of at most
+    _BATCH_ROWS.  One prime at a time the sum is the cheaper route up to
+    _BSGS_FROM, but the batch spreads its fixed cost over the chunk: the
+    253 good primes of [0,0,0,1,1] in [230, 2000) take 13 ms by the sum,
+    6 ms as a batch of their own, and 4 ms added to the batch of its good
+    primes in [2000, 2 10^4) (2-CPU Xeon VM, numpy 2.4).  The sum is
+    called by its module name, so that a wrapper bound to that name sees
+    every call."""
+    order = sorted({p for p in primes if p >= _MESTRE_FROM})
+    nsub = -(-len(order) // _BATCH_ROWS)
+    traces: dict[int, int] = {}
+    for i in range(nsub):
+        traces.update(_batch_traces(curve, order[i * len(order) // nsub : (i + 1) * len(order) // nsub]))
     return [traces[p] if p >= _MESTRE_FROM else count_points(curve, p)[1] for p in primes]
 
 
-def _shanks_mestre(a: int, b: int, p: int) -> int:
+def _shanks_mestre(a: int, b: int, p: int, done: Sequence[tuple[int, int]] = ()) -> int:
     """a_p of y^2 = x^3 + a x + b over F_p, for a prime p > 229.
 
     No square root is needed for a point: for f = x^3 + a x + b != 0,
     (f x, f^2) lies on y^2 = x^3 + a f^2 x + b f^3, which is the curve
     itself when f is a square mod p and its quadratic twist otherwise.
     The orders found on each side are kept as an lcm, and a_p is the one
-    trace in the Hasse interval that both lcms divide into."""
-    rng = random.Random(p)
+    trace in the Hasse interval that both lcms divide into.
+
+    Draw d tries the x that `_batch_x` gives it, as on the arrays.  `done`
+    holds the (side, step) of the draws the arrays already made, in
+    order; they are folded first, and the search goes on from draw
+    len(done) on Python ints (`_scalar_draw`)."""
     T = isqrt(4 * p)
     lcms = {1: 1, -1: 1}  # Legendre symbol of f -> lcm of the orders seen
-    for _ in range(_BSGS_DRAWS):
-        x = rng.randrange(p)
-        f = (x * x * x + a * x + b) % p
-        if f == 0:
+    for d in range(_BSGS_DRAWS):
+        drawn = done[d] if d < len(done) else _scalar_draw(a, b, p, d)
+        if drawn is None:
             continue
-        side = 1 if pow(f, (p - 1) // 2, p) == 1 else -1
-        ms = _hasse_multiples((f * x % p, f * f % p), a * f * f % p, p)
-        # one multiple is the group order; several are spaced by the order of the point
-        lcms[side] = int_lcm(lcms[side], ms[0] if len(ms) == 1 else ms[1] - ms[0])
+        side, step = drawn
+        lcms[side] = int_lcm(lcms[side], step)
         fits = _traces_fitting(p, T, lcms[1], lcms[-1])
         if len(fits) == 1:
             return fits[0]
         if not fits:
             raise ArithmeticError(f"no trace fits the point orders at p={p}")
     raise ArithmeticError(f"Shanks-Mestre left a_p open after {_BSGS_DRAWS} points at p={p}")
+
+
+def _scalar_draw(a: int, b: int, p: int, d: int) -> Optional[tuple[int, int]]:
+    """Draw d of `_shanks_mestre` on Python ints: (side, step) as
+    `_batch_draw` gives them, or None when f = 0.  Any order is served,
+    small ones included."""
+    x = _batch_x(p, d)
+    f = (x * x * x + a * x + b) % p
+    if f == 0:
+        return None
+    ms = _hasse_multiples((f * x % p, f * f % p), a * f * f % p, p)
+    # one multiple is the group order; several are spaced by the order of the point
+    return 1 if pow(f, (p - 1) // 2, p) == 1 else -1, ms[0] if len(ms) == 1 else ms[1] - ms[0]
 
 
 def _traces_fitting(p: int, T: int, on_curve: int, on_twist: int) -> list[int]:
@@ -513,7 +528,7 @@ def _ec_mul(k: int, P: Point, a: int, p: int) -> Point:
 # every operand is reduced mod p before it enters a product, so no product
 # of two residues, nor a product plus a few residues, reaches 2**63.
 
-# _shanks_mestre_batch runs at most this many primes at a time, so that its
+# _frobenius_traces runs at most this many primes at a time, so that its
 # arrays stay bounded whatever the length of the list.  The largest are the
 # baby table's x and y and the factors of its Z, (s + 1) x rows each in
 # int64, with s = 45 near 10^6 and s <= 305 below 2**31.  Once the table is
@@ -523,54 +538,30 @@ def _ec_mul(k: int, P: Point, a: int, p: int) -> Point:
 # steps add no array.  The pass that takes the second and third draws has
 # at most 2 x 4096 rows.
 _BATCH_ROWS = 4096
-# points drawn per prime on the arrays before a row still open goes to the
-# scalar route
+# points drawn per prime on the arrays before a row still open continues on
+# Python ints
 _BATCH_DRAWS = 3
-# draw d takes x = (d + 1) * _X_STRIDE mod p, fixed per p
+# draw d takes x = (d + 1) * _X_STRIDE mod p, fixed per p, on either engine
 _X_STRIDE = 0x5851F42D4C957F2D
 
 
-def _shanks_mestre_batch(curve: Curve, primes: Sequence[int]) -> list[int]:
-    """a_p at each prime of `primes`, in order; every p must be at least
-    _MESTRE_FROM and already checked by the caller.
-
-    The search of `_shanks_mestre`, run on the short model for up to 4096
-    primes at once on int64 arrays.  Each draw puts the point (f x, f^2) on
-    the curve or its twist for every row, with x fixed per p.  The baby
-    steps [1]P..[s]P, [w]P = 2[s]P + P, the multiple [p + 1 + g w]P and the
-    giant steps are taken in Jacobian coordinates, so no step inverts.  The
-    baby table and then the giant steps are made affine with one Fermat
-    inverse per prime each (Montgomery's simultaneous inversion, run on the
-    factors each step multiplies Z by), and a giant step matches a baby
-    step when their affine x are equal; the sign of y is read on those hits
-    only.  An addition of two equal points (H = r = 0) is taken as a
-    doubling.  A row keeps a trace by the scalar rule only: after a draw,
-    exactly one a with |a| <= 2 sqrt(p) fits the lcm of the orders seen on
-    each side (`_traces_fitting`).  After draw 0 that holds exactly when
-    the point has one multiple of its order in the Hasse interval, and such
-    rows are settled on the arrays; the others take up to three draws.
-    A row whose draw meets f = 0 or an order of at most 2s + 1, or that is
-    still open after three draws, takes the scalar `_frobenius_trace`.
-    Raises ArithmeticError where the scalar route would, when no a fits,
-    and when a point's order has no multiple in the Hasse interval, which
-    only broken arithmetic can give."""
-    order = sorted(set(primes))
-    nsub = -(-len(order) // _BATCH_ROWS)
-    traces: dict[int, int] = {}
-    for i in range(nsub):
-        traces.update(_batch_traces(curve, order[i * len(order) // nsub : (i + 1) * len(order) // nsub]))
-    return [traces[p] for p in primes]
-
-
 def _batch_traces(curve: Curve, ps: list[int]) -> dict[int, int]:
-    """{p: a_p} for at most _BATCH_ROWS primes, ascending.
+    """{p: a_p} for at most _BATCH_ROWS primes, ascending; every p must be
+    at least _MESTRE_FROM and already checked by the caller.
 
-    Every row takes draw 0.  A row whose point has one multiple m of its
-    order in the Hasse interval is settled on the arrays, a_p = p + 1 - m
-    on the curve and m - p - 1 on the twist: the one a that
-    `_traces_fitting` gives.  The rows draw 0 leaves open take the other
-    draws in one more pass, with a row per (prime, draw), and fold their
-    draws in order as `_shanks_mestre` does."""
+    The search of `_shanks_mestre`, run on the short model on int64 arrays,
+    a row per prime.  Every row takes draw 0 (`_batch_draw`).  A row whose
+    point has one multiple m of its order in the Hasse interval is settled
+    on the arrays, a_p = p + 1 - m on the curve and m - p - 1 on the
+    twist: the one a that `_traces_fitting` gives.  The rows draw 0 leaves
+    open take draws 1 and 2 in one more pass, with a row per (prime, draw).
+    Every row not settled on the arrays goes to `_shanks_mestre` with its
+    draws up to its first bad one, which folds them and goes on from
+    there; a bad draw (f = 0, or an order of at most 2s + 1) is made again
+    on Python ints, which serve small orders and skip f = 0.  Raises
+    ArithmeticError where `_shanks_mestre` does, and when a point's order
+    has no multiple in the Hasse interval, which only broken arithmetic
+    can give."""
     P = np.array(ps, dtype=np.int64)
     a, b = _residues(-27 * curve.c4, P), _residues(-54 * curve.c6, P)
     T = np.array([isqrt(4 * p) for p in ps], dtype=np.int64)
@@ -586,21 +577,11 @@ def _batch_traces(curve: Curve, ps: list[int]) -> dict[int, int]:
     if len(rows):
         later = _batch_draw(a[rows], b[rows], P[rows], T[rows], np.tile(np.arange(1, _BATCH_DRAWS), len(open_rows)))
         draws = [np.concatenate((v, w.reshape(len(open_rows), -1)), axis=1) for v, w in zip(draws, later)]
-    for r, sides, steps, bads in zip(open_rows.tolist(), *(v.tolist() for v in draws)):
-        p, lcms = ps[r], {1: 1, -1: 1}  # as in _shanks_mestre
-        for s, m, is_bad in zip(sides, steps, bads):
-            if is_bad:
-                break
-            lcms[s] = int_lcm(lcms[s], m)
-            fits = _traces_fitting(p, isqrt(4 * p), lcms[1], lcms[-1])
-            if len(fits) == 1:
-                traces[p] = fits[0]
-                break
-            if not fits:
-                raise ArithmeticError(f"no trace fits the point orders at p={p}")
-    for p in ps:
-        if p not in traces:
-            traces[p] = _frobenius_trace(curve, p)
+    # each open row's draws up to its first bad one
+    rows_done = zip(open_rows.tolist(), *(v.tolist() for v in draws))
+    done = {r: list(zip(sides, steps))[: (bads + [True]).index(True)] for r, sides, steps, bads in rows_done}
+    for r in np.flatnonzero(~settled).tolist():
+        traces[ps[r]] = _shanks_mestre(int(a[r]), int(b[r]), ps[r], done.get(r, ()))
     return traces
 
 
@@ -613,8 +594,10 @@ def _residues(c: Fraction, p: np.ndarray) -> np.ndarray:
     return num if c.denominator == 1 else num * _pow_mod(den, p - 2, p) % p
 
 
-def _batch_x(p: np.ndarray, draw: np.ndarray) -> np.ndarray:
-    """The x-coordinate that each row's draw tries at its prime."""
+def _batch_x(p, draw):
+    """The x-coordinate that draw `draw` tries at the prime p, row by row on
+    arrays or for one p on Python ints: the one point rule of both
+    engines."""
     return (draw + 1) * (_X_STRIDE % p) % p
 
 
@@ -1026,8 +1009,8 @@ CATALOG: tuple[CatalogEntry, ...] = _build_catalog()
 CATALOG_BY_NAME: dict[str, CatalogEntry] = {e.name: e for e in CATALOG}
 
 
-# the j-invariant of each class-number-one discriminant
-# (quadorder.CLASS_NUMBER_ONE_DISCS)
+# the j-invariant of each class-number-one discriminant; its keys, in this
+# order, are quadorder.CLASS_NUMBER_ONE_DISCS
 CM_J_INVARIANTS = {
     -3: 0,
     -4: 1728,

@@ -403,7 +403,7 @@ def coprime_verdicts(curve: Curve, k: int, primes: Iterable[int]) -> list[bool]:
     of 300 primes (2-CPU Xeon VM, numpy 2.4).  a_p from `frobenius_trace`
     decides every other ell at once: by the character sum below p = 230,
     and from there by Shanks-Mestre batched over up to 4096 primes
-    (`elliptic._shanks_mestre_batch`), at 8-14 us a prime on 4096 primes
+    (`elliptic._frobenius_traces`), at 8-14 us a prime on 4096 primes
     from 10^4 to 10^6 and about 15 us from 230 to 2000, where the sum
     takes about 60 us.  On 4096 primes psi_5 takes 15-18 us, more than
     the batch from 10^4 to 10^6; psi_7 takes 52-64 us and psi_11

@@ -22,10 +22,10 @@ from itertools import islice
 from math import isqrt, lcm
 from typing import Iterable, Iterator, Optional
 
-from .elliptic import Curve, count_points
+from .elliptic import CM_J_INVARIANTS, Curve, count_points
 from .intmath import _sqrt_mod_prime, is_prime, kronecker, primes_in_classes
 
-CLASS_NUMBER_ONE_DISCS = (-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163)
+CLASS_NUMBER_ONE_DISCS = tuple(CM_J_INVARIANTS)
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,6 +23,7 @@ from .eisenstein import (
     e_primary_associate,
     ed_count_check,
     eis,
+    lemma_ab_witness,
     primary_associate,
     sextic_reciprocity_check,
     symbol_tower_check,
@@ -185,9 +186,9 @@ def suite_reciprocity() -> SuiteResult:
         alpha = eis(rng.randrange(-30, 31), rng.randrange(-30, 31))
         res.check(symbol_tower_check(alpha, pi), f"tower fails for {alpha} mod {pi}")
     res.log(f"symbol tower: {tower} random inputs hold")
-    # lemma witnesses
-    for ell, (alpha, beta) in ((13, (eis(5), eis(0, 5))), (19, (eis(5), eis(1, 3)))):
-        ok, na, nb = verify_lemma_ab(ell, alpha, beta, 20000)
+    # the lemma witnesses the library uses
+    for ell in (13, 19):
+        ok, na, nb = verify_lemma_ab(ell, *lemma_ab_witness(ell), 20000)
         res.check(ok, f"lemma witness fails for ell={ell}")
         res.log(f"lemma witness ell={ell}: {na}+{nb} qualifying primes behave")
     # point-count formula

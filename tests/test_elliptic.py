@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 import tracemalloc
@@ -493,33 +494,34 @@ def _bsgs(curve, p):
     return elliptic._shanks_mestre(F.coerce(-27 * curve.c4), F.coerce(-54 * curve.c6), p)
 
 
-def _spy_scalar(monkeypatch) -> list[int]:
-    """The primes that reach the scalar Shanks-Mestre, in call order."""
-    fell = []
-    real = elliptic._shanks_mestre
-    monkeypatch.setattr(elliptic, "_shanks_mestre", lambda a, b, p: fell.append(p) or real(a, b, p))
-    return fell
+def _spy_scalar(monkeypatch) -> list[tuple[int, int]]:
+    """The (p, d) of every draw made on Python ints, in order."""
+    drawn = []
+    real = elliptic._scalar_draw
+    monkeypatch.setattr(elliptic, "_scalar_draw", lambda a, b, p, d: drawn.append((p, d)) or real(a, b, p, d))
+    return drawn
 
 
-def _spy_batch_fits(monkeypatch, fell: list[int]) -> list[int]:
-    """The primes whose fits the arrays' draws looked up: every such call
-    comes before the first scalar call of a sub-batch."""
-    fitted = []
-    real = elliptic._traces_fitting
+def _first_scalar_draws(drawn) -> dict[int, int]:
+    """Each prime that drew on Python ints, and the index it started at."""
+    first = {}
+    for p, d in drawn:
+        first.setdefault(p, d)
+    return first
 
-    def spy(p, T, on_curve, on_twist):
-        if not fell:
-            fitted.append(p)
-        return real(p, T, on_curve, on_twist)
 
-    monkeypatch.setattr(elliptic, "_traces_fitting", spy)
-    return fitted
+def _x_at_draw(monkeypatch, at: int, x):
+    """Make draw `at` try x (an int, or a function of p) on both engines;
+    every other draw keeps its point.  Works on arrays and on ints."""
+    real = elliptic._batch_x
+    value = x if callable(x) else (lambda p: x)
+    monkeypatch.setattr(elliptic, "_batch_x", lambda p, d: real(p, d) * (d != at) + value(p) * (d == at))
 
 
 def test_shanks_mestre_matches_the_character_sum_on_the_catalog(monkeypatch):
     # the scalar route from p = 230 to 5000, and the batch route at every
     # good prime from the crossover to 10^4, one chunk per curve
-    fell = _spy_scalar(monkeypatch)
+    drawn = _spy_scalar(monkeypatch)
     for entry in CATALOG:
         c = entry.curve
         sums = {p: count_points(c, p)[1] for p in c.good_primes(10**4) if p >= 230}
@@ -527,37 +529,38 @@ def test_shanks_mestre_matches_the_character_sum_on_the_catalog(monkeypatch):
             if p <= 5000:
                 assert _bsgs(c, p) == sums[p], (entry.name, p)
         big = [p for p in sums if p >= elliptic._BSGS_FROM]
-        fell.clear()
-        assert elliptic._shanks_mestre_batch(c, big) == [sums[p] for p in big], entry.name
-        # the arrays settle nearly every prime (3% or less fall back on the catalog)
-        assert len(fell) < len(big) / 20, (entry.name, len(fell))
+        drawn.clear()
+        assert elliptic._frobenius_traces(c, big) == [sums[p] for p in big], entry.name
+        # the arrays settle nearly every prime (3% or less draw on Python
+        # ints on the catalog)
+        assert len(_first_scalar_draws(drawn)) < len(big) / 20, (entry.name, len(drawn))
 
 
 def test_batch_takes_every_prime_from_mestres_bound(monkeypatch):
     # from p = 230 to the scalar crossover the batch, not the character sum,
-    # gives a_p; only its fallback rows reach the sum, through
-    # _frobenius_trace.  The catalog, a long model with a1, a2, a3 != 0 and
-    # the -11 twist, at every good prime in [230, 2000)
+    # gives a_p, and the rows it leaves open continue on Python ints.  The
+    # catalog, a long model with a1, a2, a3 != 0 and the -11 twist, at every
+    # good prime in [230, 2000)
     assert elliptic._MESTRE_FROM == 230 <= elliptic._BSGS_FROM
     curves = [entry.curve for entry in CATALOG]
     curves += [Curve(1, -1, 1, -122, 1721), Curve(0, 0, 0, -1056, 13552)]
-    fell, summed = [], []
-    real_trace, real_sum = elliptic._frobenius_trace, elliptic.count_points
-    monkeypatch.setattr(elliptic, "_frobenius_trace", lambda c, p: fell.append(p) or real_trace(c, p))
+    summed = []
+    real_sum = elliptic.count_points
     monkeypatch.setattr(elliptic, "count_points", lambda c, p: summed.append(p) or real_sum(c, p))
+    drawn = _spy_scalar(monkeypatch)
     total = fell_total = 0
     for c in curves:
         ps = [p for p in c.good_primes(elliptic._BSGS_FROM - 1) if p >= elliptic._MESTRE_FROM]
         expected = [real_sum(c, p)[1] for p in ps]
-        fell.clear()
+        drawn.clear()
         summed.clear()
         assert elliptic._frobenius_traces(c, ps) == expected, c
-        assert summed == fell, c
+        assert summed == [], c
         total += len(ps)
-        fell_total += len(fell)
-    # the arrays settle nearly every prime (4% fall back), so the range
-    # cannot slide back to the sum unnoticed
-    assert total > 3000 and fell_total < total / 10, (total, fell_total)
+        fell_total += len(_first_scalar_draws(drawn))
+    # the arrays settle nearly every prime (4% draw on Python ints), so the
+    # range cannot slide back to the scalar engine unnoticed
+    assert total > 3000 and 0 < fell_total < total / 10, (total, fell_total)
 
 
 def test_shanks_mestre_matches_the_character_sum_near_1e5_and_1e6():
@@ -573,7 +576,7 @@ def test_shanks_mestre_matches_the_character_sum_near_1e5_and_1e6():
             chunks[i % 3][p] = count_points(c, p)[1]
             assert _bsgs(c, p) == chunks[i % 3][p], (c, p)
     for c, traces in zip(curves, chunks):
-        assert elliptic._shanks_mestre_batch(c, list(traces)) == list(traces.values()), c
+        assert elliptic._frobenius_traces(c, list(traces)) == list(traces.values()), c
 
 
 def test_shanks_mestre_settles_full_two_torsion_through_the_twist(monkeypatch):
@@ -606,18 +609,72 @@ def test_shanks_mestre_batch_matches_the_scalar_route_near_2_31():
     # three does not, so every reduction the group law skips shows here
     c = Curve(0, 0, 0, 1, 1)
     ps = [p for p in range(2**31 - 1, 2**31 - 300, -2) if is_prime(p)][:3]
-    assert elliptic._shanks_mestre_batch(c, ps) == [_bsgs(c, p) for p in ps]
+    assert elliptic._frobenius_traces(c, ps) == [_bsgs(c, p) for p in ps]
+
+
+def test_array_draws_give_the_scalar_draws_on_every_row():
+    # both engines try the same point at each draw, so with nothing patched
+    # the arrays' draws 0-2 give, at every row they serve, the side and step
+    # that the scalar engine gives for that draw; a row with f = 0 is one
+    # the scalar engine skips.  Every good prime in [230, 2 10^4) of a
+    # curve with no CM, and in [230, 5000) of d4, where half the rows have
+    # a_p = 0
+    served = 0
+    for c, pmax in ((CATALOG_BY_NAME["noncm-e"].curve, 2 * 10**4), (CATALOG_BY_NAME["d4"].curve, 5000)):
+        ps = [p for p in c.good_primes(pmax - 1) if p >= elliptic._MESTRE_FROM]
+        rows = [(p, d) for p in ps for d in range(elliptic._BATCH_DRAWS)]
+        P, D = (np.array(v, dtype=np.int64) for v in zip(*rows))
+        a, b = elliptic._residues(-27 * c.c4, P), elliptic._residues(-54 * c.c6, P)
+        T = np.array([math.isqrt(4 * p) for p in P.tolist()])
+        sides, steps, bad = (v.tolist() for v in elliptic._batch_draw(a, b, P, T, D))
+        for (p, d), A, B, side, step, is_bad in zip(rows, a.tolist(), b.tolist(), sides, steps, bad):
+            drawn = elliptic._scalar_draw(A, B, p, d)
+            if not is_bad:
+                assert drawn == (side, step), (c, p, d)
+                served += 1
+            elif drawn is not None:
+                x = elliptic._batch_x(p, d)
+                assert (x**3 + A * x + B) % p, (c, p, d)  # bad for a small order
+    assert served > 6000, served
+
+
+def test_a_row_bad_at_draw_1_takes_its_first_scalar_draw_at_1(monkeypatch):
+    # x = 0 is a root of x^3 - 1296 x, the short model of y^2 = x^3 - x, so
+    # with x = 0 at draw 1 every row that draw 0 leaves open is bad at
+    # draw 1.  The scalar engine folds draw 0 from the arrays and takes its
+    # first draw at index 1, which it skips (f = 0), and goes on from 2
+    c = Curve(0, 0, 0, -1, 0)
+    ps = [p for p in c.good_primes(4000) if p >= elliptic._BSGS_FROM]
+    P = np.array(ps, dtype=np.int64)
+    a, b = elliptic._residues(-27 * c.c4, P), elliptic._residues(-54 * c.c6, P)
+    T = np.array([math.isqrt(4 * p) for p in ps])
+    side, step, bad = elliptic._batch_draw(a, b, P, T, np.zeros_like(P))
+    settled = ~bad & (np.abs(side * (P + 1 - step)) <= T)
+    _x_at_draw(monkeypatch, 1, 0)
+    drawn = _spy_scalar(monkeypatch)
+    assert elliptic._frobenius_traces(c, ps) == [count_points(c, p)[1] for p in ps]
+    first = _first_scalar_draws(drawn)
+    assert first == {p: 0 if is_bad else 1 for p, is_bad, done in zip(ps, bad.tolist(), settled.tolist()) if not done}
+    assert sum(d == 1 for d in first.values()) > 10
+    # and the scalar engine sees the same x = 0 at draw 1
+    A, B = a.tolist(), b.tolist()
+    assert all(elliptic._scalar_draw(A[i], B[i], p, 1) is None for i, p in enumerate(ps) if p in first)
 
 
 def test_batch_sends_rows_with_f_zero_to_the_scalar_route(monkeypatch):
-    # x = 0 is a root of x^3 - 1296 x, the short model of y^2 = x^3 - x
+    # x = 0 is a root of x^3 - 1296 x, the short model of y^2 = x^3 - x:
+    # with x = 0 at draw 0, no row is served by the arrays, and each takes
+    # the scalar engine from draw 0 on, which it skips
     c = Curve(0, 0, 0, -1, 0)
     ps = [p for p in c.good_primes(3000) if p >= elliptic._BSGS_FROM]
-    monkeypatch.setattr(elliptic, "_batch_x", lambda p, draw: np.zeros_like(p))
-    fell = _spy_scalar(monkeypatch)
-    fitted = _spy_batch_fits(monkeypatch, fell)
-    assert elliptic._shanks_mestre_batch(c, ps) == [count_points(c, p)[1] for p in ps]
-    assert fell == ps and fitted == []
+    _x_at_draw(monkeypatch, 0, 0)
+    drawn = _spy_scalar(monkeypatch)
+    assert elliptic._frobenius_traces(c, ps) == [count_points(c, p)[1] for p in ps]
+    assert _first_scalar_draws(drawn) == dict.fromkeys(ps, 0)
+    # each prime's draws on Python ints run 0, 1, 2, ... with none skipped
+    for p in ps:
+        ds = [d for q, d in drawn if q == p]
+        assert len(ds) > 1 and ds == list(range(len(ds))), p
 
 
 def test_batch_sends_small_orders_to_the_scalar_route(monkeypatch):
@@ -625,15 +682,15 @@ def test_batch_sends_small_orders_to_the_scalar_route(monkeypatch):
     # point of order 3, which the baby steps meet as [3]P = O; x = 2907 on
     # the short model of [1,-1,1,-122,1721] is the image of (81, y), of
     # order 12, whose [6]P has y = 0 (s = 10 or 11 baby steps here)
-    fell = _spy_scalar(monkeypatch)
-    fitted = _spy_batch_fits(monkeypatch, fell)
+    drawn = _spy_scalar(monkeypatch)
     for c, x in ((Curve(0, 0, 0, 0, 1), 0), (Curve(1, -1, 1, -122, 1721), 2907)):
         ps = [p for p in c.good_primes(3000) if p >= elliptic._BSGS_FROM]
-        monkeypatch.setattr(elliptic, "_batch_x", lambda p, draw: np.full_like(p, x))
-        fell.clear()
-        assert elliptic._shanks_mestre_batch(c, ps) == [count_points(c, p)[1] for p in ps], x
-        # the draw itself is refused: no order from it reaches the lcms
-        assert fell == ps and fitted == [], x
+        _x_at_draw(monkeypatch, 0, x)
+        drawn.clear()
+        assert elliptic._frobenius_traces(c, ps) == [count_points(c, p)[1] for p in ps], x
+        # the draw is refused on the arrays, so no order from it is handed
+        # on: the scalar engine makes draw 0 again, at every prime
+        assert _first_scalar_draws(drawn) == dict.fromkeys(ps, 0), x
 
 
 def test_batch_additions_that_meet_h_zero_stay_on_the_arrays(monkeypatch):
@@ -670,9 +727,9 @@ def test_batch_additions_that_meet_h_zero_stay_on_the_arrays(monkeypatch):
     # the arrays
     d4 = CATALOG_BY_NAME["d4"].curve
     inert = [p for p in d4.good_primes(4000) if p >= elliptic._BSGS_FROM and p % 4 == 3]
-    fell = _spy_scalar(monkeypatch)
-    assert elliptic._shanks_mestre_batch(d4, inert) == [0] * len(inert)
-    assert len(fell) < len(inert) / 10
+    drawn = _spy_scalar(monkeypatch)
+    assert elliptic._frobenius_traces(d4, inert) == [0] * len(inert)
+    assert len(_first_scalar_draws(drawn)) < len(inert) / 10
 
 
 def test_batch_sends_rows_still_open_after_its_draws_to_the_scalar_route(monkeypatch):
@@ -680,27 +737,18 @@ def test_batch_sends_rows_still_open_after_its_draws_to_the_scalar_route(monkeyp
     c = Curve(0, 0, 0, -1, 0)
     ps = [p for p in c.good_primes(4000) if p >= elliptic._BSGS_FROM]
     expected = [count_points(c, p)[1] for p in ps]
-    fell = _spy_scalar(monkeypatch)
-    assert elliptic._shanks_mestre_batch(c, ps) == expected
-    settled_by_the_arrays = set(ps) - set(fell)
-    # with one draw, every row that several a fit goes to the scalar route;
-    # the draw's own fits all come before the first scalar call
-    fell.clear()
-    open_after_one = []
-    real_fits = elliptic._traces_fitting
-
-    def fits_spy(p, T, on_curve, on_twist):
-        fits = real_fits(p, T, on_curve, on_twist)
-        if not fell and len(fits) > 1:
-            open_after_one.append(p)
-        return fits
-
-    monkeypatch.setattr(elliptic, "_traces_fitting", fits_spy)
+    drawn = _spy_scalar(monkeypatch)
+    assert elliptic._frobenius_traces(c, ps) == expected
+    settled_by_the_arrays = set(ps) - set(_first_scalar_draws(drawn))
+    # with one draw on the arrays, every row that several a fit after it
+    # continues on Python ints from draw 1
+    drawn.clear()
     monkeypatch.setattr(elliptic, "_BATCH_DRAWS", 1)
-    assert elliptic._shanks_mestre_batch(c, ps) == expected
-    assert len(open_after_one) > 10 and set(open_after_one) <= set(fell)
-    # and the second and third draws settle most of them
-    assert len(settled_by_the_arrays & set(open_after_one)) > len(open_after_one) / 2
+    assert elliptic._frobenius_traces(c, ps) == expected
+    open_after_one = {p for p, d in _first_scalar_draws(drawn).items() if d == 1}
+    assert len(open_after_one) > 10
+    # and the arrays' second and third draws settle most of them
+    assert len(settled_by_the_arrays & open_after_one) > len(open_after_one) / 2
 
 
 def test_batch_splits_a_long_list_and_keeps_its_order(monkeypatch):
@@ -717,18 +765,21 @@ def test_batch_splits_a_long_list_and_keeps_its_order(monkeypatch):
 
     monkeypatch.setattr(elliptic, "_batch_draw", draw_spy)
     monkeypatch.setattr(elliptic, "_BATCH_ROWS", 16)
-    # x = 0 (f = 0) at p = 1 mod 4 sends those rows to the scalar route
-    monkeypatch.setattr(elliptic, "_batch_x", lambda p, d: np.where(p % 4 == 1, 0, 1 + d))
-    fell = _spy_scalar(monkeypatch)
-    assert elliptic._shanks_mestre_batch(c, order) == [count_points(c, p)[1] for p in order]
+    # x = 0 (f = 0) at draw 0 for p = 1 mod 4 sends those rows to the
+    # scalar engine from draw 0 on
+    real_x = elliptic._batch_x
+    _x_at_draw(monkeypatch, 0, lambda p: real_x(p, 0) * (p % 4 != 1))
+    drawn = _spy_scalar(monkeypatch)
+    assert elliptic._frobenius_traces(c, order) == [count_points(c, p)[1] for p in order]
     assert sizes == [12, 13, 12, 13]
-    assert sorted(fell) == [p for p in ps if p % 4 == 1]
+    first = _first_scalar_draws(drawn)
+    assert sorted(p for p, d in first.items() if d == 0) == [p for p in ps if p % 4 == 1]
 
 
 def test_batch_raises_when_no_trace_fits(monkeypatch):
     monkeypatch.setattr(elliptic, "_traces_fitting", lambda p, T, e, t: [])
     with pytest.raises(ArithmeticError, match="no trace fits"):
-        elliptic._shanks_mestre_batch(Curve(0, 0, 0, 1, 1), [10007, 10009])
+        elliptic._frobenius_traces(Curve(0, 0, 0, 1, 1), [10007, 10009])
 
 
 def test_batch_draw_gives_the_scalar_multiples_row_by_row(monkeypatch):
@@ -787,7 +838,7 @@ def test_shanks_mestre_batch_memory_stays_at_the_baby_tables_peak():
         assert len(ps) == n
         tracemalloc.start()
         try:
-            elliptic._shanks_mestre_batch(c, ps)
+            elliptic._frobenius_traces(c, ps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -860,6 +911,21 @@ def test_frobenius_trace_routes_and_checks(monkeypatch):
     monkeypatch.setattr(elliptic, "_shanks_mestre", lambda a, b, p: 2 * math.isqrt(p) + 2)
     with pytest.raises(RuntimeError, match="Hasse"):
         elliptic.frobenius_trace(c, above)
+
+
+# a_p by frobenius_trace at every good p in [5, 2 10^4] on noncm-e, d11 and
+# [1,-1,1,-122,1721], one "p a_p" line each; pinned from a scalar route
+# with other points, so a change of points must leave every a_p as it is
+FROBENIUS_TRACE_SHA256 = "8e724312173836456e8c83e7e556ad8f6d3dbb56914cd87e24292d2ae2b37752"
+
+
+def test_frobenius_trace_digest_is_pinned():
+    curves = [CATALOG_BY_NAME["noncm-e"].curve, CATALOG_BY_NAME["d11"].curve, Curve(1, -1, 1, -122, 1721)]
+    h = hashlib.sha256()
+    for c in curves:
+        for p in c.good_primes(2 * 10**4):
+            h.update(f"{p} {elliptic.frobenius_trace(c, p)}\n".encode())
+    assert h.hexdigest() == FROBENIUS_TRACE_SHA256
 
 
 # the CM discriminant each catalog row carried as a field before the

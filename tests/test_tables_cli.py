@@ -64,6 +64,21 @@ def test_cli_map(capsys):
     assert run_cli("map", "not-a-curve", "--k", "2") == 2
 
 
+
+def test_cli_map_names_a_coefficient_with_a_zero_denominator(capsys):
+    assert run_cli("map", "[0,0,0,1/0,1]", "--k", "2") == 2
+    assert capsys.readouterr().err == "error: a4 in [0,0,0,1/0,1]: '1/0' is not a rational number\n"
+
+
+def test_cli_map_names_a_u_with_a_zero_denominator(capsys):
+    assert run_cli("map", "--D=-3", "--u", "1/0", "--k", "2") == 2
+    assert capsys.readouterr().err == "error: --u: '1/0' is not a rational number\n"
+
+
+def test_cli_map_names_a_u_that_is_not_a_number(capsys):
+    assert run_cli("map", "--D=-3", "--u", "abc", "--k", "2") == 2
+    assert capsys.readouterr().err == "error: --u: 'abc' is not a rational number\n"
+
 def test_cli_table(capsys):
     assert run_cli("table", "d11-values-f5-k6") == 0
     out = capsys.readouterr().out
