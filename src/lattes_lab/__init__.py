@@ -10,6 +10,15 @@ obstructed families where rational torsion does not explain the failure of
 exceptionality.
 """
 
+import os
+
+# numpy's OpenBLAS starts a worker thread per extra core when numpy is
+# imported, and each spins for about 0.1 s before it sleeps.  The package's
+# numpy work is all on integers, which never calls BLAS, so those threads
+# only burn CPU on every CLI call.  One BLAS thread starts none; a value the
+# user set wins, and once numpy is loaded this changes nothing.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .eisenstein import (
     SymbolValue,
     cubic_reciprocity_check,

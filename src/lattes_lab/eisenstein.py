@@ -19,7 +19,7 @@ from math import isqrt
 from typing import Iterator
 
 from .elliptic import Curve, count_points
-from .intmath import is_prime, prime_flags, primes_upto
+from .intmath import binary_power, is_prime, prime_flags, primes_upto
 from .quadorder import QuadInt, congruent, norm_solutions, quad_order
 
 EISENSTEIN = quad_order(-3)
@@ -143,23 +143,10 @@ def _inert_mul(x, y, q):
     return ((a * c - bd) % q, (a * d + b * c - bd) % q)
 
 
-def _inert_pow(x, n, q):
-    result = (1, 0)
-    while n:
-        if n & 1:
-            result = _inert_mul(result, x, q)
-        x = _inert_mul(x, x, q)
-        n >>= 1
-    return result
-
-
 def _inert_tables(q: int, n: int) -> dict[tuple[int, int], SymbolValue]:
     lookup = {}
-    w = (0, 1)
     for sym in _ROOT_CANDIDATES[n]:
-        v = (1, 0)
-        for _ in range(sym.e):
-            v = _inert_mul(v, w, q)
+        v = binary_power((0, 1), sym.e, lambda x, y: _inert_mul(x, y, q), (1, 0))  # w^e
         if sym.s:
             v = ((-v[0]) % q, (-v[1]) % q)
         lookup[v] = sym
@@ -194,7 +181,7 @@ def power_residue_symbol(alpha: QuadInt, pi: QuadInt, n: int) -> SymbolValue:
         z = pow(av, exp, p)
     else:
         lookup = _inert_tables(p, n)
-        z = _inert_pow((alpha.a % p, alpha.b % p), exp, p)
+        z = binary_power((alpha.a % p, alpha.b % p), exp, lambda x, y: _inert_mul(x, y, p), (1, 0))
     val = lookup.get(z)
     if val is None:
         raise ArithmeticError(f"{alpha}^{exp} is not a root of unity mod {pi}")
@@ -313,7 +300,8 @@ def qualifying_primes(ell: int, bound: int) -> Iterator[QuadInt]:
             if pi0 is None:
                 raise ArithmeticError(f"no primary prime above {p}")
             for cand in (-pi0, -pi0.conj()):
-                assert congruent(cand, ONE, three)
+                if not congruent(cand, ONE, three):
+                    raise ArithmeticError(f"{cand} above {p} is not 1 mod 3")
                 yield cand
         elif p * p <= bound:
             yield eis(-p)

@@ -25,6 +25,7 @@ import numpy as np
 
 from .intmath import (
     _non_primes,
+    binary_power,
     check_int64_modulus,
     factorize,
     is_prime,
@@ -511,14 +512,7 @@ def _ec_add(P: Point, Q: Point, a: int, p: int) -> Point:
 
 def _ec_mul(k: int, P: Point, a: int, p: int) -> Point:
     """[k]P for k >= 0 by double-and-add on y^2 = x^3 + a x + b."""
-    R: Point = None
-    while k:
-        if k & 1:
-            R = _ec_add(R, P, a, p)
-        k >>= 1
-        if k:
-            P = _ec_add(P, P, a, p)
-    return R
+    return binary_power(P, k, lambda Q, R: _ec_add(Q, R, a, p), None)
 
 
 # -- Shanks-Mestre for a chunk of primes on int64 arrays ----------------------
@@ -851,17 +845,12 @@ def add_points(curve: Curve, P: Point, Q: Point, p: int) -> Point:
 
 
 def scalar_mul(curve: Curve, k: int, P: Point, p: int) -> Point:
-    """[k]P by double-and-add."""
+    """[k]P by double-and-add; P is checked to lie on the curve for k != 0."""
     if k < 0:
         return scalar_mul(curve, -k, negate_point(curve, P, p), p)
-    result: Point = None
-    addend = P
-    while k:
-        if k & 1:
-            result = add_points(curve, result, addend, p)
-        addend = add_points(curve, addend, addend, p)
-        k >>= 1
-    return result
+    if k and not is_on_curve(curve, P, p):
+        raise ValueError("operand not on the curve")
+    return binary_power(P, k, lambda Q, R: add_points(curve, Q, R, p), None)
 
 
 def random_point(curve: Curve, p: int, rng: random.Random) -> Point:
@@ -952,16 +941,22 @@ _FIXED_CM_CURVES = {
     -4: (0, 0, 0, 1, 0),
     -8: (0, 1, 0, -3, 1),
     -7: (0, 0, 0, -35, 98),
+    -16: (0, 0, 0, -11, -14),
     -19: (0, 0, 1, -38, 90),
+    -28: (0, 0, 0, -595, 5586),
+    -43: (0, 0, 1, -860, 9707),
+    -67: (0, 0, 1, -7370, 243528),
+    -163: (0, 0, 1, -2174420, 1234136692),
 }
 
 
 def cm_model(D: int, u=1) -> Curve:
     """A rational model with CM by the order of discriminant D.
 
-    D in {-3, -11, -12, -27} gives the one-parameter family in u; the other
-    supported discriminants return a fixed representative curve and take
-    no u other than 1 (ValueError).
+    D in {-3, -11, -12, -27} gives the one-parameter family in u; the
+    other nine class-number-one discriminants return a fixed representative
+    curve and take no u other than 1 (ValueError).  Every model has the j
+    of CM_J_INVARIANTS[D], so cm_disc_for(cm_model(D)) == D.
     """
     u = _frac(u)
     if u == 0:

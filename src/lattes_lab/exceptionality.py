@@ -27,6 +27,7 @@ from .elliptic import (
     Curve,
     _frobenius_traces,
     cm_disc_for,
+    cm_model,
     count_points,
     curve_hash,
     frobenius_trace,
@@ -308,7 +309,7 @@ def render_scan_csv(rows: Sequence[ScanRow]) -> str:
 
 
 def render_scan_markdown(rows: Sequence[ScanRow], k: int, disc: Optional[int] = None) -> str:
-    dcol = f"(D/p)" if disc is None else f"({disc}/p)"
+    dcol = "(D/p)" if disc is None else f"({disc}/p)"
     head = f"| p | {dcol} | a_p | gcd(A_p,{k}) | permutes? |"
     sep = "|---|---|---|---|---|"
     lines = [head, sep]
@@ -453,7 +454,8 @@ def _non_unit_residue(D: int, lam):
 # check curve per strategy discriminant: the catalog curve of the same CM
 # field (the strategies constrain splitting data, which only sees the field),
 # of discriminant D if the catalog has one, else of D/4, for each
-# class-number-one D (the keys of CM_J_INVARIANTS); -43, -67, -163 get none
+# class-number-one D (the keys of CM_J_INVARIANTS); -43, -67, -163 have no
+# catalog curve, and strategy_primes checks their rows on cm_model(D)
 _CATALOG_NAME_BY_DISC = {cm_disc_for(e.curve): e.name for e in CATALOG}
 _CHECK_CURVE_NAME = {
     D: name
@@ -469,13 +471,14 @@ _STRATEGY_NORM_CAP = 131_072_000
 
 def strategy_primes(D: int, k: int, count: int) -> list[int]:
     """The first `count` primes from the strategy row for (D, k); each one
-    is checked to satisfy gcd(A_p, k) = 1 for the catalog curve of the
-    discriminant, so an unsound recipe fails loudly."""
+    is checked to satisfy gcd(A_p, k) = 1 for the check curve of the
+    discriminant (the catalog curve of _CHECK_CURVE_NAME, else cm_model(D)),
+    so an unsound recipe fails loudly."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    name = _CHECK_CURVE_NAME.get(D)
-    curve = CATALOG_BY_NAME[name].curve if name else None
     conds = _congruence_recipe(D, k)
+    name = _CHECK_CURVE_NAME.get(D)
+    curve = CATALOG_BY_NAME[name].curve if name else cm_model(D)
     if conds is not None:
         # every recipe merges: its moduli are coprime, but for 7 | k on
         # D = -7 and -28, where both classes read -2 = 5 (mod 7)
@@ -488,19 +491,18 @@ def strategy_primes(D: int, k: int, count: int) -> list[int]:
     primes: list[int] = []
     # one ascending walk, so a repeated norm is the last one kept
     for p in stream:
-        if p < 5 or p in primes[-1:] or (curve is not None and not curve.has_good_reduction(p)):
+        if p < 5 or p in primes[-1:] or not curve.has_good_reduction(p):
             continue
         primes.append(p)
         if len(primes) == count:
             break
     else:
         raise ArithmeticError(f"strategy search exhausted for D={D}, k={k}")
-    if curve is not None:
-        for p in primes:
-            ap = frobenius_trace(curve, p)
-            g = gcd((p + 1) ** 2 - ap * ap, k)
-            if g != 1:
-                raise ArithmeticError(f"strategy for D={D}, k={k} emitted p={p} with gcd {g}")
+    for p in primes:
+        ap = frobenius_trace(curve, p)
+        g = gcd((p + 1) ** 2 - ap * ap, k)
+        if g != 1:
+            raise ArithmeticError(f"strategy for D={D}, k={k} emitted p={p} with gcd {g}")
     return primes
 
 

@@ -1,6 +1,8 @@
 """Exact integer arithmetic: primality, Kronecker symbols, modular square
 roots, and sieves, among them one walk over the primes in given residue
-classes that both prime-selection routes read.
+classes that both prime-selection routes read; and binary_power, the one
+square-and-multiply behind every scalar power and multiple [k]P of the
+package.
 
 Everything works on plain Python integers and is deterministic: primality
 uses a strong-pseudoprime witness set proven correct below 2**64, modular
@@ -89,6 +91,22 @@ def is_prime(n: int) -> bool:
             if not _strong_probable_prime(n, rng.randrange(2, n - 1)):
                 return False
     return True
+
+
+def binary_power(x, n: int, op, one):
+    """x combined with itself n >= 0 times under the associative op, by
+    right-to-left square-and-multiply (Knuth, TAOCP vol. 2, 4.6.3): one
+    for n = 0 with no call of op, else (n.bit_length() - 1) squarings and
+    one op per set bit of n, and no squaring after the top bit.  A square
+    is op(x, x) on one object, so op may take a cheaper path for a is b."""
+    result = one
+    while True:
+        if n & 1:
+            result = op(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = op(x, x)
 
 
 def _jacobi(a: int, m: int) -> int:

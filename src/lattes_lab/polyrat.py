@@ -48,7 +48,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .intmath import check_int64_modulus, is_prime
+from .intmath import binary_power, check_int64_modulus, is_prime
 
 
 class _Infinity:
@@ -241,14 +241,7 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return binary_power(self, n, Poly.__mul__, Poly.one(self.field))
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         # s a = q b + r on the integer parts gives self = (q b.den / (s den)) other
@@ -276,17 +269,10 @@ class Poly:
         sum_i ints[i] u^i v^(n-i) over den v^n, over GF(p) mod p."""
         F = self.field
         u, v = F.coerce(x).as_integer_ratio()
-        acc = 0
         if F is QQ:
-            vpow = 1
-            for c in reversed(self.ints):
-                acc = acc * u + c * vpow
-                vpow *= v
+            acc, vpow = _homogeneous(self.ints, u, v)
             return Fraction(acc * v, self.den * vpow)
-        p = F.p
-        for c in reversed(self.ints):
-            acc = (acc * u + c) % p
-        return acc
+        return _horner(self.ints, u, F.p)
 
     def derivative(self) -> "Poly":
         return _poly(self.field, [i * c for i, c in enumerate(self.ints)][1:], self.den)
@@ -302,6 +288,24 @@ def _poly(field, ints: Sequence[int], den: int = 1) -> Poly:
     f = object.__new__(Poly)
     f._normalize(field, ints, den)
     return f
+
+
+def _horner(cs: Sequence[int], x: int, m: int) -> int:
+    # sum_i cs[i] x^i mod m, by Horner's rule
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _homogeneous(cs: Sequence[int], u: int, v: int) -> tuple[int, int]:
+    # (sum_i cs[i] u^i v^(n-1-i), v^n) for n = len(cs): v^(n-1) f(u/v)
+    # exactly, by Horner's rule on the integers
+    acc, vpow = 0, 1
+    for c in reversed(cs):
+        acc = acc * u + c * vpow
+        vpow *= v
+    return acc, vpow
 
 
 # below this many coefficients in the shorter factor, the schoolbook double
@@ -756,15 +760,7 @@ def _horner_rows(cs: np.ndarray, p: int) -> np.ndarray:
 
 def _modinv_many(vals: np.ndarray, p: int) -> np.ndarray:
     # elementwise vals**(p-2) mod p by square-and-multiply (p prime)
-    result = np.ones_like(vals)
-    base = vals % p
-    e = p - 2
-    while e:
-        if e & 1:
-            result = (result * base) % p
-        base = (base * base) % p
-        e >>= 1
-    return result
+    return binary_power(vals % p, p - 2, lambda a, b: a * b % p, np.ones_like(vals))
 
 
 def format_ratmap(f: RatMap) -> str:
@@ -850,20 +846,12 @@ def _rational_reconstruction(r: int, m: int, num_bound: int, den_bound: int) -> 
 
 def _is_root(cs: Sequence[int], x: Fraction) -> bool:
     # a root mod a prime q not dividing v rejects most candidates cheaply;
-    # then v^n f(u/v) = sum c_i u^i v^(n-i) exactly, by Horner on ints
+    # then v^(n-1) f(u/v) = 0 is tested exactly on the integers
     u, v = x.numerator, x.denominator
     q = _PROBE_PRIMES[0]
-    if v % q:
-        xq, acc = u * pow(v, -1, q) % q, 0
-        for c in reversed(cs):
-            acc = (acc * xq + c) % q
-        if acc:
-            return False
-    acc, vpow = 0, 1
-    for c in reversed(cs):
-        acc = acc * u + c * vpow
-        vpow *= v
-    return acc == 0
+    if v % q and _horner(cs, u * pow(v, -1, q) % q, q):
+        return False
+    return _homogeneous(cs, u, v)[0] == 0
 
 
 # _squarefree_prime tries this many primes from 1009 on before it reports
@@ -900,11 +888,6 @@ def _hensel_lift(cs: Sequence[int], der: Sequence[int], r: int, p: int, pe: int)
     modulus = p
     while modulus < pe:
         modulus = min(modulus * modulus, pe)
-        fr = 0
-        for c in reversed(cs):
-            fr = (fr * r + c) % modulus
-        dr = 0
-        for c in reversed(der):
-            dr = (dr * r + c) % modulus
+        fr, dr = _horner(cs, r, modulus), _horner(der, r, modulus)
         r = (r - fr * pow(dr, -1, modulus)) % modulus
     return r % pe

@@ -23,7 +23,7 @@ from math import isqrt, lcm
 from typing import Iterable, Iterator, Optional
 
 from .elliptic import CM_J_INVARIANTS, Curve, count_points
-from .intmath import _sqrt_mod_prime, is_prime, kronecker, primes_in_classes
+from .intmath import _sqrt_mod_prime, binary_power, is_prime, kronecker, primes_in_classes
 
 CLASS_NUMBER_ONE_DISCS = tuple(CM_J_INVARIANTS)
 
@@ -97,14 +97,7 @@ class QuadInt:
     def __pow__(self, k: int) -> "QuadInt":
         if k < 0:
             raise ValueError("negative power in the order")
-        result = QuadInt(self.order, 1, 0)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return binary_power(self, k, QuadInt.__mul__, QuadInt(self.order, 1, 0))
 
     def conj(self) -> "QuadInt":
         return QuadInt(self.order, self.a + self.order.s * self.b, -self.b)
@@ -280,29 +273,20 @@ def prime_above(D: int, ell: int) -> QuadInt:
 
 def cornacchia(D: int, p: int) -> Optional[tuple[int, int]]:
     """A solution (t, s) of 4p = t^2 + |D| s^2 with s >= 1, or None when p
-    is inert.  The solution with smallest s is returned.
-
-    For the class-number-one discriminants and odd p the smallest s is the
-    least |b| over the elements of norm p; other D and p = 2 try every s.
+    is inert, for D in CLASS_NUMBER_ONE_DISCS (another D raises
+    quad_order's ValueError, whether p splits or not).  The solution with
+    smallest s is returned: 4 N(a + b*w) = (2a + (w + wbar) b)^2 + |D| b^2,
+    so s is the least |b| over norm_solutions(D, p).
     """
+    quad_order(D)  # ValueError for a D outside CLASS_NUMBER_ONE_DISCS
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p % abs(D) == 0 or kronecker(D, p) == 0:
         raise ValueError(f"{p} ramifies in discriminant {D}")
-    absD = -D
-    target = 4 * p
-    if D in CLASS_NUMBER_ONE_DISCS and p > 2:
-        if kronecker(D, p) != 1:
-            return None
-        s = min(abs(b) for _, b in _split_prime_solutions(quad_order(D), p))
-        return isqrt(target - absD * s * s), s
-    smax = isqrt(target // absD)
-    for s in range(1, smax + 1):
-        t2 = target - absD * s * s
-        t = isqrt(t2)
-        if t * t == t2:
-            return t, s
-    return None
+    if kronecker(D, p) != 1:
+        return None
+    s = min(abs(b) for _, b in norm_solutions(D, p))
+    return isqrt(4 * p + D * s * s), s
 
 
 # the norm-class mask enumerates the ell^2 classes mod ell for each prime ell

@@ -329,6 +329,14 @@ def test_qualifying_primes_shape():
     assert any(pi.b == 0 for pi in seen)  # inert representatives included
 
 
+def test_qualifying_primes_refuses_a_non_primary_pick(monkeypatch):
+    # with every element taken for primary, the first norm solution above 7
+    # (2 - w) is picked, and -(2 - w) is not 1 mod 3: an error, also under -O
+    monkeypatch.setattr(eisenstein, "is_primary", lambda pi: True)
+    with pytest.raises(ArithmeticError, match="not 1 mod 3"):
+        list(qualifying_primes(5, 100))
+
+
 def test_ed_count_check():
     assert ed_count_check(2, eis(2, 3))  # p = 7 on y^2 = x^3 + 2
     assert ed_count_check(1, eis(2, 3))

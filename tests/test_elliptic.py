@@ -345,6 +345,16 @@ def test_group_order_annihilates():
                 assert scalar_mul(c, n, P, p) is None
 
 
+def test_scalar_mul_checks_the_point_for_every_nonzero_k():
+    # no doubling of [k]P is needed at k = +-1, yet an off-curve P is
+    # refused there as for every other k != 0
+    c = Curve(0, 0, 0, 1, 1)
+    for k in (1, -1, 2, 5):
+        with pytest.raises(ValueError, match="not on the curve"):
+            scalar_mul(c, k, (1, 1), 101)
+    assert scalar_mul(c, 0, (1, 1), 101) is None
+
+
 def test_lattes_group_law_cross_oracle_sample():
     rng = random.Random(20240811)
     for name in ("d4", "d19", "d3"):
@@ -413,16 +423,25 @@ def test_cm_model():
     assert cm_model(-11, 2).j == -32768  # j is twist-invariant across the family
     assert cm_model(-12, 3).j == 54000
     assert cm_model(-27, 2).j == -12288000
-    with pytest.raises(ValueError):
-        cm_model(-43, 1)
+    with pytest.raises(ValueError, match="unsupported CM discriminant"):
+        cm_model(-15, 1)  # not a class-number-one discriminant
     with pytest.raises(ValueError):
         cm_model(-3, 0)
 
 
+def test_cm_model_has_the_j_of_its_discriminant():
+    # every class-number-one discriminant has a model, so --D alone selects
+    # a curve wherever --D beside a curve spec is accepted
+    for D in CLASS_NUMBER_ONE_DISCS:
+        curve = cm_model(D)
+        assert curve.discriminant != 0
+        assert cm_disc_for(curve) == D, D
+
+
 def test_cm_model_without_a_family_takes_only_u_1():
-    # D = -4, -7, -8, -19 have one model each: u = 1 (the default) gives it,
-    # any other u is an error rather than the same curve again
-    for D in (-4, -7, -8, -19):
+    # the D of _FIXED_CM_CURVES have one model each: u = 1 (the default)
+    # gives it, any other u is an error rather than the same curve again
+    for D in elliptic._FIXED_CM_CURVES:
         assert cm_model(D) == cm_model(D, 1) == Curve(*elliptic._FIXED_CM_CURVES[D])
         for u in (2, -1, Fraction(1, 2)):
             with pytest.raises(ValueError, match="takes no u"):

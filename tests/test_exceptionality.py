@@ -12,6 +12,7 @@ from lattes_lab.elliptic import (
     CATALOG_BY_NAME,
     Curve,
     cm_disc_for,
+    cm_model,
     count_points,
     curve_hash,
     format_curve,
@@ -255,6 +256,21 @@ def test_check_curves_come_from_the_catalog():
     assert exceptionality._OBSTRUCTED_J == {
         -32768: "cm-disc-11", -5184: "noncm-family-e", -138240: "noncm-family-f",
     }
+
+
+def test_strategy_rows_without_a_catalog_curve_are_checked_on_the_cm_model(monkeypatch):
+    # D = -43 has no catalog curve, so its row is checked on cm_model(-43)
+    seen = []
+
+    def spy(curve, p):
+        seen.append((curve, p))
+        return frobenius_trace(curve, p)
+
+    monkeypatch.setattr(exceptionality, "frobenius_trace", spy)
+    primes = strategy_primes(-43, 10, 4)
+    assert seen == [(cm_model(-43), p) for p in primes] and len(primes) == 4
+    with pytest.raises(ValueError, match="no strategy row"):
+        strategy_primes(-15, 3, 1)
 
 
 def test_strategy_inadmissible():

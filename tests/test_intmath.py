@@ -10,6 +10,7 @@ from lattes_lab import intmath
 from lattes_lab.intmath import (
     CongruenceCondition,
     _merge_congruences,
+    binary_power,
     check_int64_modulus,
     factorize,
     is_prime,
@@ -165,6 +166,21 @@ def test_prime_flags_against_trial_division():
             n for n in range(limit + 1) if trial_division_prime(n)
         ], limit
         assert set(flags) <= {0, 1}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(0, 10**4), st.integers(2, 10**6))
+def test_binary_power_is_pow_with_one_op_per_square_and_per_set_bit(x, n, m):
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b % m
+
+    assert binary_power(x, n, mul, 1) == pow(x, n, m)
+    assert len(calls) == max(n.bit_length() - 1, 0) + bin(n).count("1")
+    if n == 0:
+        assert calls == []
 
 
 def test_kronecker_examples():

@@ -64,6 +64,23 @@ def test_zero_division():
         RatMap(P(1), Poly.zero(QQ))
 
 
+def test_powers_and_values_match_the_repeated_product():
+    rng = random.Random(25)
+    for field in (QQ, GF(13)):
+        for _ in range(20):
+            f = Poly(field, [Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+                             for _ in range(rng.randrange(1, 5))])
+            product = Poly.one(field)
+            for n in range(7):
+                assert f**n == product, (f, n)
+                product = product * f
+            x = rng.randrange(-20, 21)
+            expected = sum(c * Fraction(x) ** i for i, c in enumerate(f.coeffs))
+            assert f(x) == field.coerce(expected)
+    with pytest.raises(ValueError, match="negative"):
+        P(1, 1) ** -1
+
+
 def test_derivative_and_eval():
     f = P(1, -4, 0, 2)  # 2x^3 - 4x + 1
     assert f.derivative() == P(-4, 0, 6)

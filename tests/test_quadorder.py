@@ -57,6 +57,19 @@ def test_norm_multiplicative():
             assert (z * w).norm() == z.norm() * w.norm()
 
 
+def test_powers_match_the_repeated_product():
+    rng = random.Random(25)
+    for D in CLASS_NUMBER_ONE_DISCS:
+        order = quad_order(D)
+        z = order.element(rng.randrange(-9, 10), rng.randrange(-9, 10))
+        product = order.element(1)
+        for n in range(7):
+            assert z**n == product, (D, z, n)
+            product = product * z
+        with pytest.raises(ValueError, match="negative"):
+            z**-1
+
+
 def test_units():
     assert len(quad_order(-3).units()) == 6
     assert len(quad_order(-4).units()) == 4
@@ -97,17 +110,23 @@ def test_cornacchia_examples():
     assert cornacchia(-4, 7) is None
     with pytest.raises(ValueError):
         cornacchia(-11, 11)
+    # p = 2 splits only for D = -7 among the class-number-one D
+    assert cornacchia(-7, 2) == (1, 1)
+    assert cornacchia(-3, 2) is None
+    # a D outside the class-number-one list is refused whether p splits
+    # ((-15/19) = 1) or not ((-15/7) = -1)
+    for p in (19, 7):
+        with pytest.raises(ValueError, match="unsupported discriminant"):
+            cornacchia(-15, p)
 
 
 def exhaustive_cornacchia(D, p):
-    for t in range(isqrt(4 * p) + 1):
-        rem = 4 * p - t * t
-        if rem % (-D) == 0:
-            s2 = rem // (-D)
-            s = isqrt(s2)
-            if s >= 1 and s * s == s2:
-                return True
-    return False
+    # the solution (t, s) of 4p = t^2 + |D| s^2 with the least s >= 1, or None
+    for s in range(1, isqrt(4 * p // -D) + 1):
+        t2 = 4 * p + D * s * s
+        if isqrt(t2) ** 2 == t2:
+            return isqrt(t2), s
+    return None
 
 
 def test_cornacchia_exhaustive_oracle():
@@ -117,9 +136,9 @@ def test_cornacchia_exhaustive_oracle():
                 continue
             got = cornacchia(D, p)
             kind = splitting_type(D, p)
+            assert got == exhaustive_cornacchia(D, p), (D, p)
             if got is None:
                 assert kind == "inert"
-                assert not exhaustive_cornacchia(D, p), (D, p)
             else:
                 t, s = got
                 assert 4 * p == t * t + (-D) * s * s and s >= 1

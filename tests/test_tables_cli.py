@@ -1,9 +1,12 @@
 import argparse
+import ast
 import hashlib
 import inspect
+import os
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +228,9 @@ def test_cli_model_selection_by_D_and_u(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[1].endswith(",no")
     assert run_cli("torsion", "--k", "2") == 2  # neither curve nor --D given
+    # every class-number-one D selects a model, not only those of the catalog
+    assert run_cli("torsion", "--D=-163", "--k", "2") == 0
+    assert capsys.readouterr().out.strip() == "(none)"
 
 
 def test_cli_rejects_u_for_a_model_without_a_family(capsys, monkeypatch):
@@ -461,6 +467,19 @@ def test_public_surface_is_pinned():
     assert got == PINNED_PARAMETERS
 
 
+def test_package_has_no_assert_statement():
+    # an assert vanishes under python -O, so a check the package relies on
+    # raises instead
+    src = Path(lattes_lab.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_cli_bounds_admit_their_ends():
     # parsed only: no pool is started at the largest worker count
     parser = cli._build_parser()
@@ -493,6 +512,16 @@ def test_cli_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("(x^9 - 12x^7")
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task")
+def test_import_starts_no_blas_worker_thread():
+    # OpenBLAS workers started by numpy's import would spin on the CPU at
+    # every CLI call; the package calls no BLAS, so it keeps to one thread
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    code = "import os, lattes_lab; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "1"
 
 
 def test_cli_verify_tiny(capsys):
