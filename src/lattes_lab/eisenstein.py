@@ -18,7 +18,9 @@ from itertools import compress
 from math import isqrt
 from typing import Iterator
 
-from .elliptic import Curve, count_points
+import numpy as np
+
+from .elliptic import Curve, _pow_mod, count_points
 from .intmath import binary_power, is_prime, prime_flags, primes_upto
 from .quadorder import QuadInt, congruent, norm_solutions, quad_order
 
@@ -279,8 +281,15 @@ _HARDCODED_AB = {
 }
 
 # the largest norm bound the witness search and its check accept: the walk's
-# sieve takes one byte per integer up to the bound
+# sieve takes one byte per integer up to the bound, 10 MB here, and its
+# chunks at most about 1 MiB more for ell < 60; norms below 2^24 keep every
+# product in the walk's int64 powers below 2^48
 LEMMA_AB_BOUND_MAX = 10**7
+# lemma_ab_tallies walks as many rows b at a time as hold at most this many
+# elements, or one row where a row holds more (row 0 holds 2109 elements at
+# LEMMA_AB_BOUND_MAX); a chunk and its grouped hits take about 0.5 MiB for
+# ell = 5
+_WALK_ELEMENTS = 8192
 
 
 def qualifying_primes(ell: int, bound: int) -> Iterator[QuadInt]:
@@ -363,12 +372,19 @@ def lemma_ab_tallies(ell: int, bound: int) -> dict[tuple[int, int], tuple[int, i
     Those are exactly the elements with a = 1, b = 0 (mod 3) and norm
     N = a^2 - ab + b^2 <= bound that is a prime p or the square of an inert
     prime q, with ell excluded.  One walk visits every such a + b*w with
-    b >= 0 row by row and tests N against one sieve; a hit with b > 0 also
-    counts its conjugate (a - b) - b*w, which has the same norm and lies in
-    the class ((a - b) mod ell, -b mod ell), and the row b = 0 is its own
-    conjugate.  The symbol is real exactly when ell^((N-1)/3) = 1 (mod pi);
-    ell is rational, so that power is taken mod p at a split pi and mod q
-    at an inert -q, the same for pi and its conjugate.
+    b >= 0 and tests N against one sieve; a hit with b > 0 also counts its
+    conjugate (a - b) - b*w, which has the same norm and lies in the class
+    ((a - b) mod ell, -b mod ell), and the row b = 0 is its own conjugate.
+    The symbol is real exactly when ell^((N-1)/3) = 1 (mod pi); ell is
+    rational, so that power is taken mod p at a split pi and mod q at an
+    inert -q, the same for pi and its conjugate.
+
+    The walk runs on int64 arrays, whole rows b at a time, at most
+    _WALK_ELEMENTS elements (or one row) per chunk, so its memory beyond
+    the sieve stays bounded at every bound.  Norms stay below 2^24, so
+    every product in the power fits int64.  The hits are grouped by their
+    two residues, never by a key mod ell^2, so no array has ell^2 entries
+    and any prime ell is served.
     """
     _check_bound(bound)
     # kind[N]: 1 for a split prime norm p, 2 for an inert norm q^2, else 0
@@ -379,27 +395,69 @@ def lemma_ab_tallies(ell: int, bound: int) -> dict[tuple[int, int], tuple[int, i
     # norms 2 and 3 never occur (N = 1 mod 3); norm ell is excluded
     if ell <= bound:
         kind[ell] = 0
-    tallies: dict[tuple[int, int], list[int]] = {}
-    bmax = isqrt(4 * bound // 3)
-    for b in range(0, bmax + 1, 3):
-        # a^2 - ab + b^2 <= bound  <=>  (2a - b)^2 <= 4*bound - 3b^2
-        t = isqrt(4 * bound - 3 * b * b)
-        lo = (b - t + 1) // 2
-        bb, cb, cbar = b * b, b % ell, -b % ell
-        for a in range(lo + (1 - lo) % 3, (b + t) // 2 + 1, 3):
-            n = a * (a - b) + bb
-            k = kind[n]
-            if not k:
-                continue
-            real = pow(ell, (n - 1) // 3, n if k == 1 else isqrt(n)) == 1
-            tally = tallies.setdefault((a % ell, cb), [0, 0])
-            tally[0] += 1
-            tally[1] += real
-            if b:
-                tally = tallies.setdefault(((a - b) % ell, cbar), [0, 0])
-                tally[0] += 1
-                tally[1] += real
-    return {c: (n, r) for c, (n, r) in tallies.items()}
+    kind = np.frombuffer(kind, np.uint8)
+    # row b holds the `width` elements a = first, first + 3, ...: every
+    # a = 1 (mod 3) with a^2 - ab + b^2 <= bound, i.e. (2a - b)^2 <= 4*bound - 3b^2
+    rows = np.arange(0, isqrt(4 * bound // 3) + 1, 3)
+    t = np.array([isqrt(4 * bound - 3 * b * b) for b in rows.tolist()], dtype=np.int64)
+    lo = (rows - t + 1) // 2
+    first = lo + (1 - lo) % 3
+    width = ((rows + t) // 2 - first + 3) // 3  # the last a is at least first - 3
+    step = max(_WALK_ELEMENTS // max(int(width[0]), 1), 1)  # row 0 is the widest
+    # (x, y, count, real) of the classes so far, and the hits not yet in them
+    classes, pending, held = (np.empty(0, np.int64),) * 4, [], 0
+    for r in range(0, len(rows), step):
+        n = width[r : r + step]
+        # the chunk's elements row by row: a = first + 3j in row b, with j
+        # the element's index less the number of elements before its row
+        b = np.repeat(rows[r : r + step], n)
+        a = np.repeat(first[r : r + step] - 3 * (np.cumsum(n) - n), n) + 3 * np.arange(len(b))
+        norm = a * (a - b) + b * b
+        k = kind[norm]
+        hit = np.flatnonzero(k)
+        if not len(hit):
+            continue
+        a, b, norm = a[hit], b[hit], norm[hit]
+        # the one element of norm q^2 with a = 1, b = 0 (mod 3) is -q
+        modulus = np.where(k[hit] == 1, norm, -a)
+        real = _pow_mod(_ell_mod(ell, modulus), (norm - 1) // 3, modulus) == 1
+        # each hit in its own class and, for b > 0, in its conjugate's
+        conj = b > 0
+        x = np.concatenate((a, a[conj] - b[conj]))
+        y = np.concatenate((b, -b[conj]))
+        if ell < 1 << 62:
+            x, y = x % ell, y % ell
+        pending.append((x, y, np.ones_like(x), np.concatenate((real, real[conj])).astype(np.int64)))
+        held += len(x)
+        # the pending hits join the classes once they outnumber them, so a
+        # fold sorts at most twice as many rows as it adds
+        if held > len(classes[0]):
+            classes, pending, held = _grouped(*map(np.concatenate, zip(classes, *pending))), [], 0
+    x, y, count, real = _grouped(*map(np.concatenate, zip(classes, *pending)))
+    # residues mod an ell past 2^62 do not fit int64; such an ell is more
+    # than twice every coordinate, so the coordinates were grouped instead,
+    # each its own class, and are reduced here
+    return {(u % ell, v % ell): (c, r) for u, v, c, r in zip(x.tolist(), y.tolist(), count.tolist(), real.tolist())}
+
+
+def _ell_mod(ell: int, m: np.ndarray) -> np.ndarray:
+    """ell mod m row by row, for any ell, by 31-bit limbs from the top:
+    with m < 2^32 no intermediate value passes 2^63."""
+    out = np.zeros_like(m)
+    for shift in range(ell.bit_length() // 31 * 31, -1, -31):
+        out = ((out << 31) + (ell >> shift & 0x7FFFFFFF)) % m
+    return out
+
+
+def _grouped(x, y, count, real):
+    """The distinct pairs (x, y), ascending, with the sums of count and real
+    over each."""
+    order = np.lexsort((y, x))
+    x, y, count, real = x[order], y[order], count[order], real[order]
+    new = np.ones(len(x), dtype=bool)
+    new[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    start = np.flatnonzero(new)
+    return x[start], y[start], np.add.reduceat(count, start), np.add.reduceat(real, start)
 
 
 def lemma_ab_witness(ell: int, bound: int = 100000) -> tuple[QuadInt, QuadInt]:

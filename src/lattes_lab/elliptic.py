@@ -536,7 +536,7 @@ _BATCH_ROWS = 4096
 # Python ints
 _BATCH_DRAWS = 3
 # draw d takes x = (d + 1) * _X_STRIDE mod p, fixed per p, on either engine
-_X_STRIDE = 0x5851F42D4C957F2D
+_X_STRIDE = 2**61 - 1
 
 
 def _batch_traces(curve: Curve, ps: list[int]) -> dict[int, int]:

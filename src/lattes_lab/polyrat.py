@@ -42,6 +42,7 @@ exponents folded below p.
 from __future__ import annotations
 
 import functools
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm as int_lcm
 from typing import Iterable, Optional, Sequence
@@ -344,6 +345,16 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [int.from_bytes(buf[i : i + w], "little") - half for i in range(0, r * w, w)]
 
 
+def _int_str(n: int) -> str:
+    """str(n), also for n past sys.get_int_max_str_digits() digits, where
+    str raises ValueError: Decimal converts such an n exactly, and no limit
+    applies to it.  Below the limit str is the faster route."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def format_poly(f: Poly) -> str:
     """Human-readable form, descending powers, e.g. 'x^4 - 16x'."""
     if f.is_zero:
@@ -353,7 +364,8 @@ def format_poly(f: Poly) -> str:
     for i in range(f.degree, -1, -1):
         if not f.ints[i]:
             continue
-        c = str(f.ints[i]) if den == 1 else str(Fraction(f.ints[i], den))
+        num, d = (f.ints[i], 1) if den == 1 else Fraction(f.ints[i], den).as_integer_ratio()
+        c = _int_str(num) if d == 1 else f"{_int_str(num)}/{_int_str(d)}"
         if i == 0:
             term = c
         else:

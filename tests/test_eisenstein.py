@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 from itertools import compress
 from math import isqrt
 
@@ -27,7 +29,7 @@ from lattes_lab.eisenstein import (
     symbol_tower_check,
     verify_lemma_ab,
 )
-from lattes_lab.intmath import prime_flags, primes_upto
+from lattes_lab.intmath import is_prime, prime_flags, primes_upto
 from lattes_lab.quadorder import congruent, norm_solutions
 
 LAM13 = eis(-1, 3)
@@ -289,6 +291,81 @@ def _full_walk_tallies(ell, bound):
 def test_half_lattice_walk_matches_the_full_walk(ell):
     # each hit with b > 0 stands for its conjugate too; b = 0 counts once
     assert lemma_ab_tallies(ell, 10**5) == _full_walk_tallies(ell, 10**5)
+
+
+# sha256 of lemma_ab_tallies for every ell in LEMMA_ELLS at 10^5 and 10^6,
+# one "ell bound x y primes real" line per class, classes ascending; pinned
+# from the walk on Python ints that the int64 walk replaced
+LEMMA_AB_TALLIES_SHA256 = "cd6864e91e1629500d90c5d668eb95e450386e36b363ebe8248ab7e27d86297c"
+
+
+def test_lemma_ab_tallies_digest_is_pinned():
+    h = hashlib.sha256()
+    for bound in (10**5, 10**6):
+        for ell in LEMMA_ELLS:
+            for (x, y), (n, r) in sorted(lemma_ab_tallies(ell, bound).items()):
+                h.update(f"{ell} {bound} {x} {y} {n} {r}\n".encode())
+    assert h.hexdigest() == LEMMA_AB_TALLIES_SHA256
+
+
+@pytest.mark.parametrize("elements", [1, 150, 700])
+def test_walk_chunks_meet_at_their_seams(monkeypatch, elements):
+    # at 10^4 row 0 holds 67 elements: one row a chunk, two rows, ten rows;
+    # small chunks also fold the pending hits into the classes many times
+    whole = {ell: lemma_ab_tallies(ell, 10**4) for ell in (5, 11, 13)}
+    monkeypatch.setattr(eisenstein, "_WALK_ELEMENTS", elements)
+    for ell, want in whole.items():
+        assert lemma_ab_tallies(ell, 10**4) == want == _full_walk_tallies(ell, 10**4), ell
+
+
+@pytest.mark.parametrize("ell", [2003, 10**9 + 7, 2**31 - 1, 2**61 - 1, 2**89 - 1])
+def test_walk_serves_an_ell_past_the_bound(ell):
+    # a hit and its conjugate fall in distinct classes, one element each;
+    # residues mod 2^61 - 1 still fit int64, those mod 2^89 - 1 do not
+    assert is_prime(ell)
+    want = _reference_tallies(ell, 2000)
+    assert lemma_ab_tallies(ell, 2000) == want == _full_walk_tallies(ell, 2000)
+
+
+@pytest.mark.parametrize(
+    "ell, bound",
+    [(5, 0), (5, 1), (5, 3), (5, 4), (5, 7), (5, 121), (11, 121), (5, 289), (17, 289), (13, 13), (31, 31), (11, 11)],
+)
+def test_walk_at_edge_bounds(ell, bound):
+    # no element below norm 7, the first split norm; the inert norms 11^2
+    # and 17^2 exactly at the bound, also when q = ell; ell at the bound
+    want = _reference_tallies(ell, bound)
+    assert lemma_ab_tallies(ell, bound) == want == _full_walk_tallies(ell, bound)
+    if bound < 7:
+        assert want == {}
+    if bound in (121, 289):
+        # -q is the one element of norm q^2, and only q != ell counts
+        added = sum(n for n, _ in want.values()) - sum(n for n, _ in _reference_tallies(ell, bound - 1).values())
+        assert added == (isqrt(bound) != ell)
+
+
+def test_walk_memory_stays_within_the_sieve_and_one_chunk(monkeypatch):
+    # past the sieve's bound + 1 bytes the walk holds one chunk of at most
+    # _WALK_ELEMENTS = 8192 elements, at about 48 bytes each, and its hits,
+    # four int64 columns each, grouped into the 25 classes mod 5 after each
+    # chunk: about 0.45 MiB, within the 1 MiB budget.  The whole lattice at
+    # 10^6 at once, about 190 000 elements, would take 7.5 MB
+    real = eisenstein.prime_flags
+
+    def sieve_then_reset(limit):
+        flags = real(limit)
+        tracemalloc.reset_peak()
+        return flags
+
+    monkeypatch.setattr(eisenstein, "prime_flags", sieve_then_reset)
+    bound = 10**6
+    tracemalloc.start()
+    try:
+        lemma_ab_tallies(5, bound)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound + 1 + 2**20
 
 
 def test_lemma_ab_tallies_count_every_qualifying_prime():

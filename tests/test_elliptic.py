@@ -796,9 +796,59 @@ def test_batch_splits_a_long_list_and_keeps_its_order(monkeypatch):
 
 
 def test_batch_raises_when_no_trace_fits(monkeypatch):
+    # draw 0 at a root of f is bad on the arrays, so each row goes on to the
+    # fold on Python ints, which skips that draw and folds draw 1; when no
+    # trace fits its point, the fold must raise.  The first two primes from
+    # 10007 at which the short model of [0,0,0,1,1] has a root share one x,
+    # by the Chinese remainder theorem
+    c = Curve(0, 0, 0, 1, 1)
+    roots = {}
+    for p in c.good_primes(11000):
+        a, b = (int(elliptic._residues(v, np.array([p]))[0]) for v in (-27 * c.c4, -54 * c.c6))
+        found = polyrat._roots_mod_p([b, a, 0, 1], p) if p >= 10007 else []
+        if found:
+            roots[p] = found[0]
+        if len(roots) == 2:
+            break
+    (p, r), (q, s) = roots.items()
+    _x_at_draw(monkeypatch, 0, r + (s - r) * pow(p, -1, q) % q * p)
+    drawn = _spy_scalar(monkeypatch)
+    assert elliptic._frobenius_traces(c, [p, q]) == [count_points(c, p)[1], count_points(c, q)[1]]
+    assert _first_scalar_draws(drawn) == {p: 0, q: 0}
     monkeypatch.setattr(elliptic, "_traces_fitting", lambda p, T, e, t: [])
     with pytest.raises(ArithmeticError, match="no trace fits"):
-        elliptic._frobenius_traces(Curve(0, 0, 0, 1, 1), [10007, 10009])
+        elliptic._frobenius_traces(c, [p, q])
+
+
+def test_x_stride_has_no_prime_factor_below_2_31():
+    # a factor q of the stride makes every draw at p = q try x = 0; the
+    # stride 0x5851F42D4C957F2D had 3, 5 and 415949.  A prime above 2^31
+    # has none below it
+    assert elliptic._X_STRIDE > 2**31 and is_prime(elliptic._X_STRIDE)
+
+
+def test_draws_try_distinct_nonzero_x_on_both_engines():
+    # draws 0..63 give 64 distinct nonzero x at each sampled prime above 64,
+    # 415949 among them, on Python ints and on int64 rows alike
+    ps = [67, 229, 233, 10007, 415949, 999983, 2**31 - 1]
+    assert all(map(is_prime, ps))
+    rows = np.array(ps, dtype=np.int64)
+    on_arrays = [elliptic._batch_x(rows, d).tolist() for d in range(elliptic._BSGS_DRAWS)]
+    for i, p in enumerate(ps):
+        xs = [elliptic._batch_x(p, d) for d in range(elliptic._BSGS_DRAWS)]
+        assert [v[i] for v in on_arrays] == xs, p
+        assert len(set(xs)) == elliptic._BSGS_DRAWS and 0 not in xs, p
+
+
+def test_every_cm_model_has_its_trace_at_415949():
+    # the prime that the old stride made draw x = 0 every time: j = 0 and
+    # j = 1728 models then raised, on both engines
+    p = 415949
+    for D in CLASS_NUMBER_ONE_DISCS:
+        c = cm_model(D)
+        want = count_points(c, p)[1]
+        assert elliptic.frobenius_trace(c, p) == want, D
+        assert elliptic._frobenius_traces(c, [p]) == [want], D
 
 
 def test_batch_draw_gives_the_scalar_multiples_row_by_row(monkeypatch):

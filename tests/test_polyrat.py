@@ -1,10 +1,13 @@
 import math
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from lattes_lab import polyrat
+from lattes_lab.elliptic import Curve, lattes_map
 from lattes_lab.intmath import check_int64_modulus
 from lattes_lab.polyrat import (
     GF,
@@ -306,6 +309,39 @@ def test_format():
     assert format_poly(P(-1, 0, 6, 0, 3)) == "3x^4 + 6x^2 - 1"
     assert format_ratmap(RatMap(P(0, -16, 0, 0, 1), P(8, 0, 0, 4))) == "(x^4 - 16x)/(4x^3 + 8)"
     assert format_ratmap(RatMap(Poly.x(QQ), Poly.one(QQ))) == "x"
+
+
+# a printed term: an int or n/d, bare or in parentheses, and its power of x
+_PRINTED_TERM = re.compile(r"(-?)\(?(-?\d+)?(?:/(\d+))?\)?(x(?:\^(\d+))?)?")
+
+
+def _parse_printed(text):
+    """The Poly over QQ that format_poly printed as text.  Its ints go
+    through Decimal, to which no digit limit applies."""
+    cs = {}
+    parts = re.split(r" ([+-]) ", text)
+    for sign, term in zip(["+", *parts[1::2]], parts[::2]):
+        neg, num, den, x, e = _PRINTED_TERM.fullmatch(term).groups()
+        c = Fraction(int(Decimal(num or "1")), int(Decimal(den or "1")))
+        cs[int(e or 1) if x else 0] = -c if (sign == "-") != (neg == "-") else c
+    return Poly(QQ, [cs.get(i, 0) for i in range(max(cs) + 1)])
+
+
+def test_format_prints_coefficients_past_the_str_limit():
+    # str raises on an int of more than sys.get_int_max_str_digits() (4300)
+    # digits; the printer must not, and what it prints must parse back
+    big = 7**6000  # 5071 digits
+    assert len(polyrat._int_str(big)) == 5071
+    with pytest.raises(ValueError):
+        str(big)
+    for f in (P(-big, 0, big, 1), P(Fraction(-big, 3), 0, Fraction(2, big + 1), 1), P(5, Fraction(big, 7))):
+        assert _parse_printed(format_poly(f)) == f
+    # a 2201-digit a4 gives L_2 a 4401-digit constant term a4^2
+    a4 = 10**2200 + 3
+    L = lattes_map(Curve(0, 0, 0, a4, 1), 2)
+    num, den = re.fullmatch(r"\((.*)\)/\((.*)\)", format_ratmap(L)).groups()
+    assert (_parse_printed(num), _parse_printed(den)) == (L.num, L.den)
+    assert L.num.coeffs[0] == a4 * a4
 
 
 def test_construction_audit_value_tables():

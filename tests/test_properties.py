@@ -2,6 +2,7 @@
 its independent reference, on models beyond the catalog."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -460,6 +461,24 @@ def test_poly_arithmetic_matches_field_element_lists(inputs):
     check(f.monic(), R.monic(a))
     check(f.derivative(), R.derivative(a))
     assert format_poly(f) == R.format(a)
+
+
+# the digits str converts (sys.get_int_max_str_digits() is 0 when unlimited)
+_STR_DIGITS = sys.get_int_max_str_digits() or 4300
+
+
+@KERNELS
+@given(
+    n=st.integers(-(10**_STR_DIGITS) + 1, 10**_STR_DIGITS - 1),
+    low=st.integers(0, 10**_STR_DIGITS - 1),
+)
+def test_int_printer_is_str_below_the_limit_and_exact_past_it(n, low):
+    assert polyrat._int_str(n) == str(n)
+    # past the limit: |n| 10^L + low has the digits of |n| and then low's,
+    # padded to L digits, each part below the limit
+    if n:
+        big = n * 10**_STR_DIGITS + (low if n > 0 else -low)
+        assert polyrat._int_str(big) == f"{n}{low:0{_STR_DIGITS}d}"
 
 
 @KERNELS

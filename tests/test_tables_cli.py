@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import types
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,16 @@ def test_cli_map(capsys):
     assert capsys.readouterr().out.strip() == "x"
     assert run_cli("map", "not-a-curve", "--k", "2") == 2
 
+
+
+def test_cli_map_prints_coefficients_past_the_str_limit(capsys):
+    # L_2 of a 2201-digit a4 has the 4401-digit constant term a4^2, past the
+    # 4300 digits that str converts; the map prints in full, exit 0
+    curve = Curve(0, 0, 0, 10**2200 + 3, 1)
+    assert run_cli("map", f"[0,0,0,{curve.a4},1]", "--k", "2") == 0
+    out = capsys.readouterr().out
+    assert out == polyrat.format_ratmap(elliptic.lattes_map(curve, 2)) + "\n"
+    assert f" + {Decimal(int(curve.a4) ** 2)})/(" in out
 
 
 def test_cli_map_names_a_coefficient_with_a_zero_denominator(capsys):
