@@ -31,9 +31,10 @@ coprime (phi_k and psi_k^2 share no root on a nonsingular curve;
 Washington, Elliptic Curves, Lemma 3.5), so the brute-force check there
 never runs the gcd.
 
-The kernels work on whole ints or int64 rows: a long product is one
-big-int product of the integer coefficients by Kronecker substitution,
-over the product of the denominators; division is pseudo-division over Z
+The kernels work on whole ints or int64 rows: a long product multiplies
+the integer coefficients by Kronecker substitution, over the product of
+the denominators, as two half-size big-int products at +-2^s or, for the
+largest, one product in libmpdec at 10^w; division is pseudo-division over Z
 or elimination over GF(p), a long Euclid over GF(p) eliminates by slices
 of int64 rows, and value tables are one Horner pass over all of F_p with
 exponents folded below p.
@@ -41,7 +42,9 @@ exponents folded below p.
 
 from __future__ import annotations
 
+import decimal
 import functools
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm as int_lcm
@@ -310,16 +313,29 @@ def _homogeneous(cs: Sequence[int], u: int, v: int) -> tuple[int, int]:
 
 
 # below this many coefficients in the shorter factor, the schoolbook double
-# loop beats packing (measured crossover 12-16 on 30- to 1000-bit inputs)
+# loop beats the two-point route (measured crossover 14-16 on 30- to
+# 1000-bit inputs, 10 at 3000 bits)
 _KRONECKER_MIN = 16
+# from this many bits in the shorter factor's slots (its length times the
+# slot's bits), libmpdec's number-theoretic transform beats the two-point
+# route (measured crossover 400-500 thousand bits for 600- to 3000-bit
+# coefficients in equal lengths, below 250 thousand at lengths 1:3)
+_DECIMAL_MIN_BITS = 400_000
+# exact integer arithmetic in libmpdec: any rounding traps
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC,
+    Emax=decimal.MAX_EMAX,
+    Emin=decimal.MIN_EMIN,
+    traps=[decimal.InvalidOperation, decimal.DivisionByZero, decimal.Overflow, decimal.Inexact, decimal.Rounded],
+)
 
 
 def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # the product of two nonempty integer coefficient lists; long factors by
-    # Kronecker substitution: a(2^(8w)) * b(2^(8w)) as one big-int product,
-    # each coefficient in w bytes plus the bias 2^(8w-1), where every input
-    # and output coefficient is below 2^(8w-1) in absolute value; a square
-    # (a is b) packs once and takes CPython's cheaper squaring path
+    # the product of two nonempty integer coefficient lists: schoolbook for a
+    # short factor, else Kronecker substitution into one slot per coefficient
+    # wide enough for every input and output coefficient, in binary or, for
+    # the largest products, in decimal; a square (a is b) packs once and
+    # squares
     n, m = len(a), len(b)
     if min(n, m) < _KRONECKER_MIN:
         out = [0] * (n + m - 1)
@@ -329,8 +345,22 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
                     out[i + j] += x * y
         return out
     abits = max(map(abs, a)).bit_length()
+    # every output coefficient is below 2^bits in absolute value
     bits = abits + (abits if a is b else max(map(abs, b)).bit_length()) + min(n, m).bit_length()
-    w = bits // 8 + 1
+    if min(n, m) * bits >= _DECIMAL_MIN_BITS:
+        # 10^w > 2^(bits+1), as 30103/100000 > log10(2)
+        return _decimal_mul(a, b, (bits + 1) * 30103 // 100000 + 1)
+    return _two_point_mul(a, b, bits // 8 + 1)
+
+
+def _two_point_mul(a: Sequence[int], b: Sequence[int], w: int) -> list[int]:
+    # Kronecker substitution at +-2^s, s = 4w (Harvey, J. Symbolic Comput.
+    # 44, 2009): the even and odd coefficients pack into E and O, w bytes a
+    # slot, each biased by 2^(8w-1) while packing, so a(+-2^s) = E +- (O << s)
+    # and the two products h(+-2^s) are each half the size of h(2^(8w)); the
+    # even coefficients of h unpack from (h(2^s) + h(-2^s)) / 2, the odd ones
+    # from (h(2^s) - h(-2^s)) / 2^(s+1)
+    s = 4 * w
     half = 1 << (8 * w - 1)
     slot = b"\0" * (w - 1) + b"\x80"  # half in one slot, little-endian
 
@@ -338,11 +368,44 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         return (int.from_bytes(b"".join((c + half).to_bytes(w, "little") for c in cs), "little")
                 - int.from_bytes(slot * len(cs), "little"))
 
-    r = n + m - 1
+    def unpack(v, r):
+        buf = (v + int.from_bytes(slot * r, "little")).to_bytes(r * w, "little")
+        return [int.from_bytes(buf[i : i + w], "little") - half for i in range(0, r * w, w)]
+
+    def at(cs):  # (cs(2^s), cs(-2^s))
+        even, odd = pack(cs[0::2]), pack(cs[1::2]) << s
+        return even + odd, even - odd
+
+    ap, am = at(a)
+    if a is b:
+        hp, hm = ap * ap, am * am
+    else:
+        bp, bm = at(b)
+        hp, hm = ap * bp, am * bm
+    r = len(a) + len(b) - 1
+    out = [0] * r
+    out[0::2] = unpack((hp + hm) >> 1, (r + 1) // 2)
+    out[1::2] = unpack((hp - hm) >> (s + 1), r // 2)
+    return out
+
+
+def _decimal_mul(a: Sequence[int], b: Sequence[int], w: int) -> list[int]:
+    # Kronecker substitution at 10^w, one libmpdec product: a factor packs as
+    # its positive part minus its negative part, w decimal digits a slot, and
+    # the product unpacks from slots biased by 5 * 10^(w-1)
+    zero = "0" * w
+
+    def pack(cs):
+        pos = "".join(_int_str(c).zfill(w) if c > 0 else zero for c in reversed(cs))
+        neg = "".join(_int_str(-c).zfill(w) if c < 0 else zero for c in reversed(cs))
+        return _EXACT.subtract(Decimal(pos), Decimal(neg))
+
+    r = len(a) + len(b) - 1
     pa = pack(a)
-    prod = pa * pa if a is b else pa * pack(b)
-    buf = (prod + int.from_bytes(slot * r, "little")).to_bytes(r * w, "little")
-    return [int.from_bytes(buf[i : i + w], "little") - half for i in range(0, r * w, w)]
+    prod = _EXACT.multiply(pa, pa if a is b else pack(b))
+    buf = str(_EXACT.add(prod, Decimal(("5" + zero[1:]) * r))).zfill(r * w)
+    half = 5 * 10 ** (w - 1)
+    return [_str_int(buf[i - w : i]) - half for i in range(r * w, 0, -w)]
 
 
 def _int_str(n: int) -> str:
@@ -353,6 +416,17 @@ def _int_str(n: int) -> str:
         return str(n)
     except ValueError:
         return str(Decimal(n))
+
+
+def _str_int(s: str) -> int:
+    # int(s) for a string of decimal digits, also past
+    # sys.get_int_max_str_digits() digits, where int raises ValueError: a
+    # longer s is read in halves, far faster than through Decimal
+    limit = sys.get_int_max_str_digits()
+    if not limit or len(s) <= limit:
+        return int(s)
+    k = len(s) // 2
+    return _str_int(s[:-k]) * 10**k + _str_int(s[-k:])
 
 
 def format_poly(f: Poly) -> str:

@@ -1,6 +1,8 @@
 """Differential property tests on random curves: each fast route against
 its independent reference, on models beyond the catalog."""
 
+import contextlib
+import decimal
 import random
 import sys
 from fractions import Fraction
@@ -107,30 +109,105 @@ def list_euclid(a, b, p):
 
 # signed coefficients from one bit to a few kilobits, with zeros in runs
 signed = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(2**64), 2**64), st.integers(-(2**3000), 2**3000))
-# lengths on both sides of the Kronecker cutoff
-int_lists = st.lists(signed, min_size=1, max_size=3 * polyrat._KRONECKER_MIN)
+int_lists = st.lists(
+    st.one_of(st.lists(signed, min_size=1, max_size=8), st.integers(1, 20).map(lambda k: [0] * k)), min_size=1
+).map(lambda parts: sum(parts, [])[: 3 * polyrat._KRONECKER_MIN])
+
+# thresholds that send every product down one route of _int_mul; "sizes" is
+# the module's own choice from the operand sizes
+ROUTES = {
+    "sizes": {},
+    "schoolbook": {"_KRONECKER_MIN": 10**9},
+    "two-point": {"_KRONECKER_MIN": 1, "_DECIMAL_MIN_BITS": 10**18},
+    "decimal": {"_KRONECKER_MIN": 1, "_DECIMAL_MIN_BITS": 0},
+}
+
+
+@contextlib.contextmanager
+def route(name):
+    """Run the body with _int_mul's thresholds set for one route; a forced
+    Kronecker route must then have been taken."""
+    taken = []
+    with pytest.MonkeyPatch.context() as mp:
+        for attr, value in ROUTES[name].items():
+            mp.setattr(polyrat, attr, value)
+        for attr in ("_two_point_mul", "_decimal_mul"):
+            kernel = getattr(polyrat, attr)
+            mp.setattr(polyrat, attr, lambda *args, kernel=kernel, attr=attr: taken.append(attr) or kernel(*args))
+        yield
+    if name in ("two-point", "decimal"):
+        assert set(taken) == {f"_{name.replace('-', '_')}_mul"}
+    elif name == "schoolbook":
+        assert not taken
 
 
 @KERNELS
 @given(a=int_lists, b=int_lists)
 def test_kronecker_multiply_matches_schoolbook(a, b):
-    assert polyrat._int_mul(a, b) == schoolbook(a, b)
-    assert polyrat._int_mul(b, a) == schoolbook(a, b)
-    # a square passes one list twice and packs it once
-    assert polyrat._int_mul(a, a) == schoolbook(a, a)
+    # odd and even lengths on both sides of the Kronecker cutoff, every route
+    for name in ROUTES:
+        with route(name):
+            assert polyrat._int_mul(a, b) == schoolbook(a, b), name
+            assert polyrat._int_mul(b, a) == schoolbook(a, b), name
+            # a square passes one list twice and packs it once
+            assert polyrat._int_mul(a, a) == schoolbook(a, a), name
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_short_products_on_every_route(name):
+    # product lengths 1 and 2 and the other short shapes, signed
+    rng = random.Random(name)
+    with route(name):
+        for n in range(1, 5):
+            for m in range(1, 5):
+                for bits in (1, 9, 70):
+                    a = [rng.randint(-(2**bits), 2**bits) for _ in range(n)]
+                    b = [rng.randint(-(2**bits), 2**bits) for _ in range(m)]
+                    assert polyrat._int_mul(a, b) == schoolbook(a, b), (n, m, bits)
+                    assert polyrat._int_mul(a, a) == schoolbook(a, a), (n, bits)
 
 
 def test_kronecker_multiply_at_the_slot_limits():
     # equal-sign coefficients of full bit length add up without cancelling,
-    # so the carry bits of the slot width are needed; every bit length mod 8
+    # so the carry bits of the slot width are needed; every bit length mod 8,
+    # every route
     n = 3 * polyrat._KRONECKER_MIN
-    for ba in range(1, 17):
-        for bb in range(1, 9):
-            for sign in (1, -1):
-                a, b = [2**ba - 1] * n, [sign * (2**bb - 1)] * (n - 5)
-                assert polyrat._int_mul(a, b) == schoolbook(a, b), (ba, bb, sign)
-        a = [-(2**ba - 1)] * n
-        assert polyrat._int_mul(a, a) == schoolbook(a, a), ba
+    for name in ROUTES:
+        with route(name):
+            for ba in range(1, 17):
+                for bb in range(1, 9):
+                    for sign in (1, -1):
+                        a, b = [2**ba - 1] * n, [sign * (2**bb - 1)] * (n - 5)
+                        assert polyrat._int_mul(a, b) == schoolbook(a, b), (name, ba, bb, sign)
+                a = [-(2**ba - 1)] * n
+                assert polyrat._int_mul(a, a) == schoolbook(a, a), (name, ba)
+
+
+@pytest.mark.parametrize("shift", [-2, -1, 0, 1, 2])
+def test_decimal_multiply_around_the_str_digit_limit(shift):
+    # slots of w decimal digits just below and just above the digits that
+    # int() reads, each filled to its bound by equal-sign coefficients; the
+    # limit itself is left as it is
+    limit = sys.get_int_max_str_digits() or 4300
+    # the largest coefficient bits whose slot is limit + shift digits wide
+    bits = ((limit + shift) * 100000 - 1) // 30103 - 1
+    n = 3
+    ba = (bits - n.bit_length()) // 2
+    a, b = [2**ba - 1] * n, [-(2 ** (bits - n.bit_length() - ba) - 1)] * n
+    with route("decimal"):
+        assert polyrat._int_mul(a, b) == schoolbook(a, b)
+        assert polyrat._int_mul(a, a) == schoolbook(a, a)
+        assert polyrat._int_mul(b, b) == schoolbook(b, b)
+
+
+def test_decimal_multiply_leaves_the_decimal_context_alone():
+    ctx = decimal.getcontext()
+    before = repr(ctx), dict(ctx.traps), dict(ctx.flags)
+    a = [(-1) ** i * 3**300 for i in range(40)]
+    with route("decimal"):
+        assert polyrat._int_mul(a, a[:-3]) == schoolbook(a, a[:-3])
+    assert decimal.getcontext() is ctx
+    assert (repr(ctx), dict(ctx.traps), dict(ctx.flags)) == before
 
 
 @KERNELS

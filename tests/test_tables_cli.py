@@ -69,6 +69,51 @@ def test_cli_map(capsys):
 
 
 
+# sha256 of `map CURVE --k K` stdout on catalog d4 and d19 and on one model
+# with rational a4, a6, for K in MAP_KS: the long products of psi_k and L_k
+# take polyrat's two-point route from K = 11 on, and at K = 30 the two
+# largest on d19 and on the rational model take its decimal route
+MAP_KS = (2, 3, 5, 7, 11, 22, 30)
+MAP_SHA256 = {
+    "--D=-4": (
+        "4cf001ad552e784a0252b6fefd3cdff31fb4b4bc6a9130b17c530290a35e3745",
+        "32a051185e23cc91826afcadcdc4c9eb781a63334d686e72e6838735122d7e50",
+        "9c1ba9fd8854740a9e2e822c15cc94f90218cc4c7a1fe638aae8f5e452bc6021",
+        "106e63fa4c711b5246960d0d2f93d8c0dbb6aaa3a63fa46d9eeb0ce3dcbe1bf2",
+        "cd134eaccda903874bb7f6d5f23b54ecac1b4635b89967f7cc4155ffa5729891",
+        "4a605f376cf947c8941c650ea5f62a58bda004e1f32560b6fad4fbeb569c2ff8",
+        "9af1b127dfc824a35cb8adab7f372c95d0c35d6aab0f61f69fc4ea2e33f3dd3c",
+    ),
+    "--D=-19": (
+        "d7a1ae7dccc1e79aab6a0244efbd905d43e66f3980d12e1bd689b7c7d8b71331",
+        "abc9ceb13a1678abb5424c2692edc398434cd01948ee5e61dc214fd5a0e3dcef",
+        "b079c60fb6a0fb314c319ad80566c560901694286567982051fe37deec4eeefa",
+        "dcab5fc8263d1fcb31b25c102b0ca80aa9ea3acf2e45b502a0bb537866fb7085",
+        "536cb5b8fd18b7824acb9a40738c3bb848d393a8f32cad80f74f5957ec3aaf3d",
+        "b0fea4585a8eb6e25b96733973e74d01b73c6e4eecb210d7cd21dfda0f843c9d",
+        "608b35deafdbd62f0a9e34f307b40e27213c96764f641308977b7ef7be94bab4",
+    ),
+    "[0,0,0,1/7,-3/11]": (
+        "dd71efba61b7e76e160907333ba66c6a96b46ec2bbccf3707f9d31337c9a66d2",
+        "7cc4d8e36fd877021f9b15dc243419751f1f0ee882f63840eed641eaff0bc0cd",
+        "311aae638c0868f2685c2da016d16bc426a9253ae830d4e3eb9de20a3e3eeef3",
+        "c56cfff35f0e7cacb9694a6c544d52797e28267b08ad0c0c51d74aa7bbdf43e5",
+        "84479d622af1746c2fa659e10dfb7afe0a9afb748bf5bc0e5fa4d36cd9a47245",
+        "7504551976a8dcfdf0f7b95d3b25e681d25ea9980757512683c4e6026e38563c",
+        "aaca73e823b1ecd9b6a62929ebfe097f18716c306fc21145ab3ebd60a73f6b74",
+    ),
+}
+
+
+@pytest.mark.parametrize("curve", MAP_SHA256)
+def test_cli_map_output_is_unchanged(curve, capsys):
+    digests = []
+    for k in MAP_KS:
+        assert run_cli("map", curve, "--k", str(k)) == 0
+        digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(digests) == MAP_SHA256[curve]
+
+
 def test_cli_map_prints_coefficients_past_the_str_limit(capsys):
     # L_2 of a 2201-digit a4 has the 4401-digit constant term a4^2, past the
     # 4300 digits that str converts; the map prints in full, exit 0
