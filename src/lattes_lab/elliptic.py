@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .intmath import (
+    INT64_MODULUS_LIMIT,
     _non_primes,
     binary_power,
     check_int64_modulus,
@@ -144,7 +145,7 @@ class Curve:
         """The primes 5 <= p <= pmax of good and of bad reduction, from one
         sieve pass; the sieve's primes are not tested again.  pmax >= 2**31
         is a ValueError before the sieve."""
-        if pmax >= 1 << 31:
+        if pmax >= INT64_MODULUS_LIMIT:
             raise ValueError(f"pmax = {pmax} is too large for int64 arithmetic mod p (need pmax < 2**31)")
         bad_modulus = self._bad_modulus
         good, bad = [], []
@@ -334,15 +335,9 @@ def count_points(curve: Curve, p: int) -> tuple[int, int]:
 # single multiple in the Hasse interval (Mestre's theorem, as given in
 # Schoof, "Counting points on elliptic curves over finite fields", 1995),
 # so the Shanks-Mestre search ends; below it only the character sum is
-# used.  The batch over a chunk of primes starts here.
+# used.  Both frobenius_trace and the batch over a chunk of primes switch
+# here.
 _MESTRE_FROM = 230
-# frobenius_trace takes the character sum below this p and Shanks-Mestre
-# above it, one prime at a time.  Measured over the catalog curves on a
-# 2-CPU Xeon VM (numpy 2.4), the two cost within 10% of each other per
-# prime from p = 1400 to 2400 (80-130 us), and this is the middle of that
-# band; at 10^4 the sum takes 3x as long, at 10^6 over 100x.  It must not
-# fall below _MESTRE_FROM.
-_BSGS_FROM = 2000
 # points drawn per prime, by the arrays and then on Python ints, before
 # Shanks-Mestre gives up; each point settles the order with high
 # probability, so the cap is never reached at a prime above 229 unless the
@@ -353,17 +348,18 @@ _BSGS_DRAWS = 64
 def frobenius_trace(curve: Curve, p: int) -> int:
     """a_p = p + 1 - |E(F_p)| at a good prime 5 <= p < 2**31.
 
-    Below p = 2000 this is the character sum of `count_points`, which
-    checks p; above it, `_shanks_mestre` on Python ints, about 4 p^(1/4)
-    group operations per point.  Raises ValueError like `count_points`,
-    and ArithmeticError if no a_p is settled after 64 points.
+    Below _MESTRE_FROM this is the character sum of `count_points`, which
+    checks p; from there on, `_shanks_mestre` on Python ints, about
+    4 p^(1/4) group operations per point.  Raises ValueError like
+    `count_points`, and ArithmeticError if no a_p is settled after 64
+    points.
 
     This route takes one prime at a time.  Scans and verdicts take a whole
     chunk of primes through `_frobenius_traces`, which runs the same search
-    on int64 arrays from p = 230 on; near 10^6 it costs 14-23 us a prime
-    (on 4096 and on 300 primes) against about 310 us for this route.
+    on int64 arrays; near 10^6 it costs 14-23 us a prime (on 4096 and on
+    300 primes) against about 310 us for this route.
     """
-    if p < _BSGS_FROM:
+    if p < _MESTRE_FROM:
         return count_points(curve, p)[1]
     check_int64_modulus(p)
     curve._require_good(p)
@@ -378,13 +374,8 @@ def _frobenius_traces(curve: Curve, primes: Sequence[int]) -> list[int]:
     """frobenius_trace at each of a list of checked primes, in order: the
     character sum below _MESTRE_FROM, and `_batch_traces` on the distinct
     primes from there on, ascending, in equal sub-batches of at most
-    _BATCH_ROWS.  One prime at a time the sum is the cheaper route up to
-    _BSGS_FROM, but the batch spreads its fixed cost over the chunk: the
-    253 good primes of [0,0,0,1,1] in [230, 2000) take 13 ms by the sum,
-    6 ms as a batch of their own, and 4 ms added to the batch of its good
-    primes in [2000, 2 10^4) (2-CPU Xeon VM, numpy 2.4).  The sum is
-    called by its module name, so that a wrapper bound to that name sees
-    every call."""
+    _BATCH_ROWS.  The sum is called by its module name, so that a wrapper
+    bound to that name sees every call."""
     order = sorted({p for p in primes if p >= _MESTRE_FROM})
     nsub = -(-len(order) // _BATCH_ROWS)
     traces: dict[int, int] = {}

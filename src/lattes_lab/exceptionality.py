@@ -11,18 +11,16 @@ flat-file cache ("curvehash,p,ap" lines) makes repeated scans cheap.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .eisenstein import lemma_ab_witness
 from .elliptic import (
-    CATALOG,
-    CATALOG_BY_NAME,
     CM_J_INVARIANTS,
     Curve,
     _frobenius_traces,
@@ -37,6 +35,7 @@ from .elliptic import (
     torsion_x_rational,
 )
 from .intmath import (
+    INT64_MODULUS_LIMIT,
     CongruenceCondition,
     _merge_congruences,
     _non_primes,
@@ -130,7 +129,7 @@ def frobenius_scan(
         else:
             todo.append(p)
     if todo:
-        out.update(map_primes(partial(_frobenius_traces, curve), todo, workers))
+        out.update(map_primes(functools.partial(_frobenius_traces, curve), todo, workers))
         if cache is not None:
             for p in todo:
                 cache.put(curve, p, out[p])
@@ -173,7 +172,7 @@ class TraceCache:
                     raise ValueError(
                         f"{path}:{lineno}: expected 'curvehash,p,ap', got {line!r}"
                     ) from None
-                if not 5 <= p < 1 << 31:
+                if not 5 <= p < INT64_MODULUS_LIMIT:
                     raise ValueError(f"{path}:{lineno}: p = {p} is outside 5..2**31")
                 if ap * ap > 4 * p:
                     raise ValueError(
@@ -451,17 +450,15 @@ def _non_unit_residue(D: int, lam):
     raise ArithmeticError(f"no non-unit residue found mod {lam}")
 
 
-# check curve per strategy discriminant: the catalog curve of the same CM
-# field (the strategies constrain splitting data, which only sees the field),
-# of discriminant D if the catalog has one, else of D/4, for each
-# class-number-one D (the keys of CM_J_INVARIANTS); -43, -67, -163 have no
-# catalog curve, and strategy_primes checks their rows on cm_model(D)
-_CATALOG_NAME_BY_DISC = {cm_disc_for(e.curve): e.name for e in CATALOG}
-_CHECK_CURVE_NAME = {
-    D: name
-    for D in CM_J_INVARIANTS
-    if (name := _CATALOG_NAME_BY_DISC.get(D) or (D % 4 == 0 and _CATALOG_NAME_BY_DISC.get(D // 4)))
-}
+@functools.cache
+def _check_curve(D: int) -> Curve:
+    """The curve strategy_primes checks the rows of D on: cm_model(D), but
+    y^2 = x^3 + 2 for D = -3.  The strategies constrain splitting data, and
+    A_p sees only a_p^2, which a quadratic twist or an isogeny keeps; but
+    y^2 = x^3 + 1 has a rational point of order 2, so its A_p is always
+    even and every row with gcd(k, 6) = 2 would fail on it.  Built on first
+    use, not at import, since a model costs about 0.1 ms."""
+    return cm_model(D, 2 if D == -3 else 1)
 
 
 # both routes walk the primes up to this bound, 2000 * 4**8 (the norm of a
@@ -472,13 +469,11 @@ _STRATEGY_NORM_CAP = 131_072_000
 def strategy_primes(D: int, k: int, count: int) -> list[int]:
     """The first `count` primes from the strategy row for (D, k); each one
     is checked to satisfy gcd(A_p, k) = 1 for the check curve of the
-    discriminant (the catalog curve of _CHECK_CURVE_NAME, else cm_model(D)),
-    so an unsound recipe fails loudly."""
+    discriminant (`_check_curve`), so an unsound recipe fails loudly."""
     if count < 1:
         raise ValueError("count must be >= 1")
     conds = _congruence_recipe(D, k)
-    name = _CHECK_CURVE_NAME.get(D)
-    curve = CATALOG_BY_NAME[name].curve if name else cm_model(D)
+    curve = _check_curve(D)
     if conds is not None:
         # every recipe merges: its moduli are coprime, but for 7 | k on
         # D = -7 and -28, where both classes read -2 = 5 (mod 7)

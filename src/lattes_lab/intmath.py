@@ -260,28 +260,18 @@ def _sieve_segment(lo: int, hi: int) -> bytearray:
 
 def primes_between(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p < hi, ascending, by a segmented sieve of
-    Eratosthenes: memory is O(hi - lo + sqrt(hi)) whatever lo is.
-
-    A segment of at least _READOUT_MIN integers is read by numpy, the
-    indices of its nonzero bytes plus lo, so no int is made for a
-    composite; a shorter one by compress, which is cheaper there."""
+    Eratosthenes: memory is O(hi - lo + sqrt(hi)) whatever lo is.  The
+    segment is read by numpy, the indices of its nonzero bytes plus lo, so
+    no int is made for a composite."""
     lo = max(lo, 2)
     if hi <= lo:
         return []
-    seg = _sieve_segment(lo, hi)
-    if hi - lo < _READOUT_MIN:
-        return list(compress(range(lo, hi), seg))
-    return (np.flatnonzero(np.frombuffer(seg, np.uint8)) + lo).tolist()
+    return (np.flatnonzero(np.frombuffer(_sieve_segment(lo, hi), np.uint8)) + lo).tolist()
 
 
 # _non_primes and _prime_windows sieve in windows of at most this width, so
 # a far member or a high limit costs more windows and no more memory
 _SIEVE_WINDOW = 1 << 20
-# from this many integers on, primes_between reads a segment with numpy:
-# measured on a 2-CPU Xeon VM (numpy 2.4), compress took 5.8 us and numpy
-# 6.0 us at 256 integers from 2, 3.3 against 5.4 us at 128 and 15.0
-# against 8.4 us at 512
-_READOUT_MIN = 256
 
 
 def _prime_windows(limit: int) -> Iterator[tuple[int, bytearray]]:
@@ -324,20 +314,31 @@ def squarefree_part_known(n: int) -> bool:
     return n != 0 and all(e == 1 for e in factorize(n).values())
 
 
+# factorize trial-divides by d up to this bound, so its cost is bounded
+_TRIAL_DIVISION_MAX = 10**6
+
+
 def factorize(n: int) -> dict[int, int]:
     """The factorization {prime: exponent} of |n|, ascending, by trial
-    division (intended for desk-scale n); factorize(1) == {}."""
-    n = abs(n)
+    division up to 10**6; factorize(1) == {}.  The cofactor left is a prime
+    factor when it is below 10**12 (it has no factor up to its square root)
+    or passes is_prime; any other is a ValueError, since splitting it would
+    need a factoring algorithm this desk-scale package does not have."""
+    n0 = n = abs(n)
     if n == 0:
         raise ValueError("0 has no prime factorization")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= _TRIAL_DIVISION_MAX:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
+        if d * d <= n and not is_prime(n):
+            raise ValueError(
+                f"cannot factorize {n0}: its cofactor {n} is composite with no prime factor up to {_TRIAL_DIVISION_MAX}"
+            )
         out[n] = out.get(n, 0) + 1
     return out
 
@@ -347,12 +348,13 @@ def prime_divisors(n: int) -> list[int]:
     return list(factorize(n))
 
 
-def check_int64_modulus(p: int) -> None:
-    """Raise ValueError unless p < 2**31.
+# the numpy routes mod p hold residues in int64; for p below this limit a
+# product of two residues plus one more residue stays below 2**63
+INT64_MODULUS_LIMIT = 1 << 31
 
-    The numpy routes mod p hold residues in int64; below this limit a
-    product of two residues plus one more residue stays below 2**63.
-    Callers run the check before allocating anything.
-    """
-    if p >= 1 << 31:
+
+def check_int64_modulus(p: int) -> None:
+    """Raise ValueError unless p < INT64_MODULUS_LIMIT = 2**31.  Callers
+    run the check before allocating anything."""
+    if p >= INT64_MODULUS_LIMIT:
         raise ValueError(f"p = {p} is too large for int64 arithmetic mod p (need p < 2**31)")

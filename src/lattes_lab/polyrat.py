@@ -52,7 +52,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .intmath import binary_power, check_int64_modulus, is_prime
+from .intmath import INT64_MODULUS_LIMIT, binary_power, check_int64_modulus, is_prime
 
 
 class _Infinity:
@@ -489,7 +489,7 @@ _ROW_EUCLID_MIN = 24
 
 def _fp_gcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
     # Euclid over GF(p) on coefficient lists: (last nonzero remainder, [])
-    if len(b) >= _ROW_EUCLID_MIN and p < 1 << 31:
+    if len(b) >= _ROW_EUCLID_MIN and p < INT64_MODULUS_LIMIT:
         a, b = _fp_gcd_rows(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
     while b:
         a, b = b, _fp_divmod(a, b, p)[1]

@@ -308,6 +308,8 @@ def test_quadratic_twist_forms():
         quadratic_twist(CATALOG_BY_NAME["d19"].curve, 2)  # not short form
     with pytest.raises(ValueError):
         quadratic_twist(c, 12)  # not squarefree
+    # a large prime d is factored with a bounded cost
+    assert quadratic_twist(Curve(0, 0, 0, 1, 1), 2**61 - 1) == Curve(0, 0, 0, (2**61 - 1) ** 2, (2**61 - 1) ** 3)
 
 
 def test_group_law_basics():
@@ -547,7 +549,7 @@ def test_shanks_mestre_matches_the_character_sum_on_the_catalog(monkeypatch):
         for p in sums:
             if p <= 5000:
                 assert _bsgs(c, p) == sums[p], (entry.name, p)
-        big = [p for p in sums if p >= elliptic._BSGS_FROM]
+        big = [p for p in sums if p >= 2000]
         drawn.clear()
         assert elliptic._frobenius_traces(c, big) == [sums[p] for p in big], entry.name
         # the arrays settle nearly every prime (3% or less draw on Python
@@ -556,11 +558,11 @@ def test_shanks_mestre_matches_the_character_sum_on_the_catalog(monkeypatch):
 
 
 def test_batch_takes_every_prime_from_mestres_bound(monkeypatch):
-    # from p = 230 to the scalar crossover the batch, not the character sum,
-    # gives a_p, and the rows it leaves open continue on Python ints.  The
-    # catalog, a long model with a1, a2, a3 != 0 and the -11 twist, at every
-    # good prime in [230, 2000)
-    assert elliptic._MESTRE_FROM == 230 <= elliptic._BSGS_FROM
+    # from p = 230 on the batch, not the character sum, gives a_p, and the
+    # rows it leaves open continue on Python ints.  The catalog, a long
+    # model with a1, a2, a3 != 0 and the -11 twist, at every good prime in
+    # [230, 2000)
+    assert elliptic._MESTRE_FROM == 230
     curves = [entry.curve for entry in CATALOG]
     curves += [Curve(1, -1, 1, -122, 1721), Curve(0, 0, 0, -1056, 13552)]
     summed = []
@@ -569,7 +571,7 @@ def test_batch_takes_every_prime_from_mestres_bound(monkeypatch):
     drawn = _spy_scalar(monkeypatch)
     total = fell_total = 0
     for c in curves:
-        ps = [p for p in c.good_primes(elliptic._BSGS_FROM - 1) if p >= elliptic._MESTRE_FROM]
+        ps = [p for p in c.good_primes(1999) if p >= elliptic._MESTRE_FROM]
         expected = [real_sum(c, p)[1] for p in ps]
         drawn.clear()
         summed.clear()
@@ -663,7 +665,7 @@ def test_a_row_bad_at_draw_1_takes_its_first_scalar_draw_at_1(monkeypatch):
     # draw 1.  The scalar engine folds draw 0 from the arrays and takes its
     # first draw at index 1, which it skips (f = 0), and goes on from 2
     c = Curve(0, 0, 0, -1, 0)
-    ps = [p for p in c.good_primes(4000) if p >= elliptic._BSGS_FROM]
+    ps = [p for p in c.good_primes(4000) if p >= 2000]
     P = np.array(ps, dtype=np.int64)
     a, b = elliptic._residues(-27 * c.c4, P), elliptic._residues(-54 * c.c6, P)
     T = np.array([math.isqrt(4 * p) for p in ps])
@@ -685,7 +687,7 @@ def test_batch_sends_rows_with_f_zero_to_the_scalar_route(monkeypatch):
     # with x = 0 at draw 0, no row is served by the arrays, and each takes
     # the scalar engine from draw 0 on, which it skips
     c = Curve(0, 0, 0, -1, 0)
-    ps = [p for p in c.good_primes(3000) if p >= elliptic._BSGS_FROM]
+    ps = [p for p in c.good_primes(3000) if p >= 2000]
     _x_at_draw(monkeypatch, 0, 0)
     drawn = _spy_scalar(monkeypatch)
     assert elliptic._frobenius_traces(c, ps) == [count_points(c, p)[1] for p in ps]
@@ -703,7 +705,7 @@ def test_batch_sends_small_orders_to_the_scalar_route(monkeypatch):
     # order 12, whose [6]P has y = 0 (s = 10 or 11 baby steps here)
     drawn = _spy_scalar(monkeypatch)
     for c, x in ((Curve(0, 0, 0, 0, 1), 0), (Curve(1, -1, 1, -122, 1721), 2907)):
-        ps = [p for p in c.good_primes(3000) if p >= elliptic._BSGS_FROM]
+        ps = [p for p in c.good_primes(3000) if p >= 2000]
         _x_at_draw(monkeypatch, 0, x)
         drawn.clear()
         assert elliptic._frobenius_traces(c, ps) == [count_points(c, p)[1] for p in ps], x
@@ -745,7 +747,7 @@ def test_batch_additions_that_meet_h_zero_stay_on_the_arrays(monkeypatch):
     # R = O at t = 0 and then R = -W + (-W), a doubling; such rows stay on
     # the arrays
     d4 = CATALOG_BY_NAME["d4"].curve
-    inert = [p for p in d4.good_primes(4000) if p >= elliptic._BSGS_FROM and p % 4 == 3]
+    inert = [p for p in d4.good_primes(4000) if p >= 2000 and p % 4 == 3]
     drawn = _spy_scalar(monkeypatch)
     assert elliptic._frobenius_traces(d4, inert) == [0] * len(inert)
     assert len(_first_scalar_draws(drawn)) < len(inert) / 10
@@ -754,7 +756,7 @@ def test_batch_additions_that_meet_h_zero_stay_on_the_arrays(monkeypatch):
 def test_batch_sends_rows_still_open_after_its_draws_to_the_scalar_route(monkeypatch):
     # E(F_p) contains Z/2 x Z/2, so one point often leaves several a
     c = Curve(0, 0, 0, -1, 0)
-    ps = [p for p in c.good_primes(4000) if p >= elliptic._BSGS_FROM]
+    ps = [p for p in c.good_primes(4000) if p >= 2000]
     expected = [count_points(c, p)[1] for p in ps]
     drawn = _spy_scalar(monkeypatch)
     assert elliptic._frobenius_traces(c, ps) == expected
@@ -772,7 +774,7 @@ def test_batch_sends_rows_still_open_after_its_draws_to_the_scalar_route(monkeyp
 
 def test_batch_splits_a_long_list_and_keeps_its_order(monkeypatch):
     c = Curve(0, 0, 0, -1, 0)
-    ps = [p for p in c.good_primes(3000) if p >= elliptic._BSGS_FROM][:50]
+    ps = [p for p in c.good_primes(3000) if p >= 2000][:50]
     order = ps[::-1] + ps[:3]  # descending, with repeats
     sizes = []  # rows of each sub-batch's first draw
     real_draw = elliptic._batch_draw
@@ -962,8 +964,8 @@ def test_shanks_mestre_gives_up_after_its_draws(monkeypatch):
 
 def test_frobenius_trace_routes_and_checks(monkeypatch):
     c = CATALOG_BY_NAME["noncm-e"].curve
-    assert elliptic._BSGS_FROM >= 230
-    below, above = 1999, 2003  # either side of the crossover
+    assert elliptic._MESTRE_FROM == 230
+    below, above = 229, 233  # either side of the crossover
     for p in (5, below, above, 20011):
         assert elliptic.frobenius_trace(c, p) == count_points(c, p)[1]
     summed = []
@@ -971,7 +973,7 @@ def test_frobenius_trace_routes_and_checks(monkeypatch):
     monkeypatch.setattr(elliptic, "count_points", lambda c, p: summed.append(p) or real(c, p))
     elliptic.frobenius_trace(c, below)
     elliptic.frobenius_trace(c, above)
-    assert summed == [below] and below < elliptic._BSGS_FROM <= above
+    assert summed == [below] and below < elliptic._MESTRE_FROM <= above
     for bad in (2, 3, 2001, 2147483659):  # p < 5, composite, beyond int64
         with pytest.raises(ValueError):
             elliptic.frobenius_trace(c, bad)

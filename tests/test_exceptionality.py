@@ -246,20 +246,31 @@ def test_strategy_soundness_suite_50():
 
 
 def test_check_curves_come_from_the_catalog():
-    # strategy_primes' check curve and exceptionality_report's obstruction
-    # tags are derived from the catalog and the CM tables; pinned here to
-    # the values they were written out as
-    assert {D: exceptionality._CHECK_CURVE_NAME.get(D) for D in quadorder.CLASS_NUMBER_ONE_DISCS} == {
-        -3: "d3", -4: "d4", -7: "d7", -8: "d8", -11: "d11", -12: "d12", -16: "d4",
-        -19: "d19", -27: "d27", -28: "d7", -43: None, -67: None, -163: None,
+    # strategy_primes' check curve is cm_model(D), which is the catalog
+    # curve of D wherever the catalog has one, d3 = cm_model(-3, 2) for
+    # D = -3 included; exceptionality_report's obstruction tags are derived
+    # from the CM tables.  Pinned here to the values they were written out as
+    check = {D: exceptionality._check_curve(D) for D in quadorder.CLASS_NUMBER_ONE_DISCS}
+    assert {D: next((e.name for e in CATALOG if e.curve == c), None) for D, c in check.items()} == {
+        -3: "d3", -4: "d4", -7: "d7", -8: "d8", -11: "d11", -12: "d12", -16: None,
+        -19: "d19", -27: "d27", -28: None, -43: None, -67: None, -163: None,
     }
+    assert all(check[D] == cm_model(D) for D in (-16, -28, -43, -67, -163))
+    # -16 and -28 share their CM field with d4 and d7, and their models have
+    # the same bad primes from 5 on and the same a_p^2, so a row emits the
+    # same primes on either
+    for D, name in ((-16, "d4"), (-28, "d7")):
+        old = CATALOG_BY_NAME[name].curve
+        assert check[D].primes_by_reduction(3000) == old.primes_by_reduction(3000), D
+        assert all(count_points(check[D], p)[1] ** 2 == count_points(old, p)[1] ** 2 for p in old.good_primes(3000)), D
     assert exceptionality._OBSTRUCTED_J == {
         -32768: "cm-disc-11", -5184: "noncm-family-e", -138240: "noncm-family-f",
     }
 
 
 def test_strategy_rows_without_a_catalog_curve_are_checked_on_the_cm_model(monkeypatch):
-    # D = -43 has no catalog curve, so its row is checked on cm_model(-43)
+    # D = -43 has no catalog curve; its row, like every row but D = -3's,
+    # is checked on cm_model(D)
     seen = []
 
     def spy(curve, p):
@@ -601,14 +612,14 @@ def test_each_prime_is_checked_once(monkeypatch):
     small = [p for p in primes if p < elliptic._MESTRE_FROM]
     scan(D4, 6, primes)
     assert sieved == [primes] and sorted(checked) == small
-    assert any(p < elliptic._BSGS_FROM for p in drawn) and len(checked) < len(primes) / 2
+    assert any(p < 2000 for p in drawn) and len(checked) < len(primes) / 2
     sieved.clear()
     checked.clear()
     coprime_verdicts(D4, 0, primes)
     assert sieved == [primes] and sorted(checked) == small
     # one prime is checked once on either side of the crossover: by
     # count_points below it, and by frobenius_trace itself above it
-    for p in (1999, 2003):
+    for p in (229, 233):
         sieved.clear()
         checked.clear()
         frobenius_trace(D4, p)

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from bisect import bisect_right
 from math import isqrt
 
@@ -122,8 +123,8 @@ def test_primes_between_against_the_sieve():
 
 
 # segments that start or end near 0, 1, 2 and the 2**20 window edge, of
-# lengths on both sides of the numpy read-out's crossover
-READOUT = intmath._READOUT_MIN
+# lengths from 0 to 3 * 256
+SPAN = 256
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -131,8 +132,8 @@ READOUT = intmath._READOUT_MIN
     anchor=st.sampled_from((0, 1, 2, intmath._SIEVE_WINDOW)),
     shift=st.integers(-3, 3),
     length=st.one_of(
-        st.sampled_from((0, 1, 2, 3, READOUT - 1, READOUT, READOUT + 1)),
-        st.integers(-2, 3 * READOUT),
+        st.sampled_from((0, 1, 2, 3, SPAN - 1, SPAN, SPAN + 1)),
+        st.integers(-2, 3 * SPAN),
     ),
     ends_at_anchor=st.booleans(),
 )
@@ -147,15 +148,18 @@ def test_primes_between_matches_an_is_prime_filter(anchor, shift, length, ends_a
 
 
 def test_primes_between_reads_long_segments_with_numpy(monkeypatch):
-    # compress reads a segment shorter than the crossover, numpy the rest
-    read = []
-    real = intmath.compress
-    monkeypatch.setattr(intmath, "compress", lambda r, seg: read.append(len(seg)) or real(r, seg))
+    # numpy reads every segment, the short ones too, and compress none; the
+    # segment asked for is read last, after the sieve's own primes
+    read, compressed = [], []
+    real_read, real_compress = intmath.np.flatnonzero, intmath.compress
+    monkeypatch.setattr(intmath.np, "flatnonzero", lambda seg: read.append(len(seg)) or real_read(seg))
+    monkeypatch.setattr(intmath, "compress", lambda r, seg: compressed.append(len(seg)) or real_compress(r, seg))
     for lo in (2, 10**5):
-        for n in (READOUT - 1, READOUT):
+        for n in (1, 2, 30, SPAN - 1, SPAN, 1000):
             read.clear()
             assert primes_between(lo, lo + n) == [m for m in range(lo, lo + n) if is_prime(m)]
-            assert (n in read) == (n < READOUT), (lo, n, read)
+            assert read[-1] == n, (lo, n, read)
+    assert compressed == []
 
 
 def test_prime_flags_against_trial_division():
@@ -339,6 +343,18 @@ def test_factorize_against_products():
         assert prime_divisors(n) == list(f)
         assert squarefree_part_known(n) == all(n % (q * q) for q in range(2, isqrt(n) + 1))
     assert not squarefree_part_known(0)
+
+
+def test_factorize_has_a_bounded_cost():
+    # trial division stops at 10**6; the cofactor left is prime below 10**12
+    # or by is_prime, and any other is refused at once, not searched
+    assert factorize(999983 * 1000003) == {999983: 1, 1000003: 1}
+    assert factorize(2 * 3 * (10**12 + 39)) == {2: 1, 3: 1, 10**12 + 39: 1}
+    start = time.perf_counter()
+    assert factorize(2**61 - 1) == {2**61 - 1: 1}
+    with pytest.raises(ValueError, match="1000000016000000063"):
+        factorize(1000000007 * 1000000009)
+    assert time.perf_counter() - start < 2
 
 
 def test_check_int64_modulus():

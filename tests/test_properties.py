@@ -40,10 +40,10 @@ KS = (0, 1, -1, 2, -3, 5, 7, 11, -6, 10, 14, 15, 22, 25, -35, 77, 2310)
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(
     curve=curves(),
-    # primes on both sides of p = 2000, where frobenius_trace turns from the
+    # primes on both sides of p = 230, where the a_p route turns from the
     # character sum to Shanks-Mestre; p = 5 is where psi_5 loses its leading term
-    low=st.lists(st.sampled_from([p for p in PRIMES if p < 2000]), min_size=1, max_size=6),
-    high=st.lists(st.sampled_from([p for p in PRIMES if p > 2000]), min_size=1, max_size=3),
+    low=st.lists(st.sampled_from([p for p in PRIMES if p < elliptic._MESTRE_FROM]), min_size=1, max_size=6),
+    high=st.lists(st.sampled_from([p for p in PRIMES if p >= elliptic._MESTRE_FROM]), min_size=1, max_size=3),
     with_5=st.booleans(),
 )
 def test_coprime_verdicts_match_count_points(curve, low, high, with_5):
@@ -57,10 +57,10 @@ def test_coprime_verdicts_match_count_points(curve, low, high, with_5):
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(
     curve=curves(),
-    primes=st.lists(st.sampled_from([p for p in primes_upto(10**4) if p > elliptic._BSGS_FROM]), min_size=1, max_size=4),
+    primes=st.lists(st.sampled_from([p for p in primes_upto(10**4) if p >= elliptic._MESTRE_FROM]), min_size=1, max_size=4),
 )
 def test_shanks_mestre_matches_the_character_sum(curve, primes):
-    # above the crossover frobenius_trace takes baby-step giant-step
+    # from the crossover on frobenius_trace takes baby-step giant-step
     for p in primes:
         if curve.has_good_reduction(p):
             assert frobenius_trace(curve, p) == count_points(curve, p)[1], p

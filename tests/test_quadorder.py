@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattes_lab import exceptionality, intmath, quadorder
-from lattes_lab.elliptic import CATALOG_BY_NAME, cm_disc_for, count_points
+from lattes_lab.elliptic import CATALOG_BY_NAME, cm_disc_for, cm_model, count_points
 from lattes_lab.intmath import is_prime, kronecker, primes_upto
 from lattes_lab.quadorder import (
     CLASS_NUMBER_ONE_DISCS,
@@ -463,6 +463,19 @@ def test_cm_trace_consistent_examples():
     assert cm_trace_consistent(-4, 5, 2) and cm_trace_consistent(-4, 5, -4)  # 16 = 4*2^2, 4 = 4*1^2
     assert not cm_trace_consistent(-4, 5, 1) and not cm_trace_consistent(-4, 5, 0)  # 19, 20 = 4*5
     assert cm_trace_consistent(-11, 23, -9) and not cm_trace_consistent(-11, 23, 3)  # 11 = 11*1^2, 83
+
+
+def test_every_cm_model_meets_deurings_constraint():
+    # suite_deuring sees only the CM curves of the catalog; here every
+    # class-number-one model, through the a_p route of scan, at every good
+    # p not dividing D up to 10^4, and at 415 949, a factor of a draw stride
+    # that would give every draw x = 0 there on j = 0 and j = 1728
+    for D in CLASS_NUMBER_ONE_DISCS:
+        curve = cm_model(D)
+        good = [p for p in curve.good_primes(10**4) if D % p] + [415949] * curve.has_good_reduction(415949)
+        traces = exceptionality.frobenius_scan(curve, good)
+        bad = [(p, traces[p]) for p in good if not cm_trace_consistent(D, p, traces[p])]
+        assert len(good) > 1200 and 415949 in traces and bad == [], (D, bad[:5])
 
 
 def test_text_round_trip():

@@ -1,8 +1,10 @@
 import argparse
 import ast
 import hashlib
+import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 import types
@@ -534,6 +536,21 @@ def test_package_has_no_assert_statement():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_readme_code_references_resolve():
+    # every backticked `module.name` of a package module in README.md, a
+    # call's arguments and a line break inside the backticks allowed, names
+    # an attribute of that module, so a name deleted from the code cannot
+    # stay in the docs
+    src = Path(lattes_lab.__file__).parent
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    modules = "|".join(sorted(path.stem for path in src.glob("*.py") if path.stem != "__init__"))
+    refs = re.findall(rf"`(?:lattes_lab\.)?({modules})\.([A-Za-z_]\w*)[^`]*`", readme)
+    missing = [
+        f"{mod}.{name}" for mod, name in refs if not hasattr(importlib.import_module(f"lattes_lab.{mod}"), name)
+    ]
+    assert len(refs) >= 20 and missing == []
 
 
 def test_cli_bounds_admit_their_ends():
