@@ -14,9 +14,10 @@ import os
 
 # numpy's OpenBLAS starts a worker thread per extra core when numpy is
 # imported, and each spins for about 0.1 s before it sleeps.  The package's
-# numpy work is all on integers, which never calls BLAS, so those threads
-# only burn CPU on every CLI call.  One BLAS thread starts none; a value the
-# user set wins, and once numpy is loaded this changes nothing.
+# one BLAS call, polyrat's float32 product of at most 2 x 251 by 251 x 251,
+# is too small to share out, so those threads only burn CPU on every CLI
+# call.  One BLAS thread starts none; a value the user set wins, and once
+# numpy is loaded this changes nothing.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .eisenstein import (

@@ -16,6 +16,7 @@ Z[w] (D = -3) and takes no --D.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
@@ -250,9 +251,16 @@ _HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(bounds: tuple[int, int, int, int]) -> argparse.ArgumentParser:
+    # _build_parser() once per process for the current (K_MAX, PMAX_MAX,
+    # WORKERS_MAX, COUNT_MAX): argparse makes a help formatter per argument,
+    # and a bound changed at run time gets a parser that enforces it
+    return _build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser((K_MAX, PMAX_MAX, WORKERS_MAX, COUNT_MAX)).parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, ZeroDivisionError, KeyError) as exc:

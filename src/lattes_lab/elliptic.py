@@ -65,10 +65,10 @@ class Curve:
         for name in ("a1", "a2", "a3", "a4", "a6"):
             object.__setattr__(self, name, _frac(getattr(self, name)))
         if self.discriminant == 0:
-            raise ValueError(f"singular curve {self.ainvs()}")
+            raise ValueError(f"singular curve {format_curve(self)}")
         # standard identity between the b-invariants
         if 4 * self.b8 != self.b2 * self.b6 - self.b4**2:
-            raise ArithmeticError(f"4*b8 != b2*b6 - b4^2 for {self.ainvs()}")
+            raise ArithmeticError(f"4*b8 != b2*b6 - b4^2 for {format_curve(self)}")
 
     def ainvs(self) -> tuple[Fraction, ...]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)

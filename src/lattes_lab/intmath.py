@@ -322,7 +322,8 @@ def factorize(n: int) -> dict[int, int]:
     """The factorization {prime: exponent} of |n|, ascending, by trial
     division up to 10**6; factorize(1) == {}.  The cofactor left is a prime
     factor when it is below 10**12 (it has no factor up to its square root)
-    or passes is_prime; any other is a ValueError, since splitting it would
+    or passes is_prime, and a prime power r^e when exact integer roots
+    reach a prime r; any other is a ValueError, since splitting it would
     need a factoring algorithm this desk-scale package does not have."""
     n0 = n = abs(n)
     if n == 0:
@@ -335,12 +336,40 @@ def factorize(n: int) -> dict[int, int]:
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
-        if d * d <= n and not is_prime(n):
-            raise ValueError(
-                f"cannot factorize {n0}: its cofactor {n} is composite with no prime factor up to {_TRIAL_DIVISION_MAX}"
-            )
-        out[n] = out.get(n, 0) + 1
+        cofactor, e = n, 1
+        while d * d <= n and not is_prime(n):
+            root = _prime_power_root(n)
+            if root is None:
+                raise ValueError(
+                    f"cannot factorize {n0}: its cofactor {cofactor} is composite with no prime factor up to {_TRIAL_DIVISION_MAX}"
+                )
+            n, e = root[0], e * root[1]
+        out[n] = out.get(n, 0) + e
     return out
+
+
+def _prime_power_root(n: int) -> Optional[tuple[int, int]]:
+    """(r, e) with r^e = n for the least prime e that has one, or None, for
+    an n with no prime factor up to _TRIAL_DIVISION_MAX: then r > 2^19, so
+    e < log2(n) / 19 bounds the exponents tried."""
+    for e in primes_between(2, n.bit_length() // 19 + 1):
+        r = _integer_root(n, e)
+        if r**e == n:
+            return r, e
+    return None
+
+
+def _integer_root(n: int, e: int) -> int:
+    """The floor of n^(1/e) for n >= 0 and e >= 1, exactly, by Newton's
+    method on the integers from an upper bound, with no float."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // e)  # 2^ceil(bits/e) > n^(1/e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
 
 
 def prime_divisors(n: int) -> list[int]:

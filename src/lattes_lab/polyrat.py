@@ -36,8 +36,12 @@ the integer coefficients by Kronecker substitution, over the product of
 the denominators, as two half-size big-int products at +-2^s or, for the
 largest, one product in libmpdec at 10^w; division is pseudo-division over Z
 or elimination over GF(p), a long Euclid over GF(p) eliminates by slices
-of int64 rows, and value tables are one Horner pass over all of F_p with
-exponents folded below p.
+of int64 rows, and value tables take all of F_p at once with exponents
+folded below p.  Below p = 256 that is one float32 product with a table
+of x^j mod p, built once per prime by row doubling and cached with the
+inverses 1/x mod p (at most 3.8 MiB for all 54 such primes), exact since
+every sum is below p (p-1)^2 < 2^24; from 256 on it is blocked Horner in
+int64, with no cache.
 """
 
 from __future__ import annotations
@@ -761,7 +765,7 @@ class RatMap:
             self._cancel()
             nv, dv = _horner_pair(self._num, self._den, p)
         poles = dv == 0
-        vals = nv * _modinv_many(np.where(poles, 1, dv), p) % p
+        vals = nv * _inverses(dv, p) % p
         out = [INFINITY if pole else v for v, pole in zip(vals.tolist(), poles.tolist())]
         out.append(self.eval_proj(INFINITY))
         return out
@@ -796,35 +800,90 @@ def _horner_pair(num: Poly, den: Poly, p: int) -> np.ndarray:
     return _horner_rows(cs, p)
 
 
-# int64 elements in the power table of _horner_rows, at most B x p
-_HORNER_TABLE_ELEMS = 1 << 20
-
-
-def _horner_block(n: int, p: int) -> int:
-    """The block length B of _horner_rows for n coefficients mod p: about
-    sqrt(n), with (B + 1) (p-1)^2 < 2^63 so that a block's matmul sums plus
-    the product acc * y fit in int64 unreduced, and B p within the power
-    table's element budget.  B = 1 fits for every p < 2^31."""
-    return max(1, min(isqrt(n - 1) + 1, (2**63 - 1) // (p - 1) ** 2 - 1, _HORNER_TABLE_ELEMS // p))
+# below this prime, values mod p come from one float32 product with a
+# cached table of powers (_power_table_rows), exact only while p (p-1)^2 <
+# 2^24; from it on, from blocked Horner
+_POWER_TABLE_BELOW = 256
 
 
 def _horner_rows(cs: np.ndarray, p: int) -> np.ndarray:
     # row i: sum_j cs[j, i] x^j at x = 0..p-1, for int64 cs in [0, p) and
-    # p < 2^31.  On F_p, x^j = x^((j-1) mod (p-1) + 1) for j >= 1, so
-    # exponents from p on are folded below p first: at most p coefficients.
-    # The fold changes degrees: a value at infinity must not come from it.
-    if len(cs) > p:
-        folded = cs[:p].copy()
-        for j in range(p, len(cs), p - 1):  # x^j..x^(j+p-2) are x^1..x^(p-1)
-            block = cs[j : j + p - 1]
-            folded[1 : 1 + len(block)] += block
-        cs = folded % p
-    # blocked Horner (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973):
-    # with pw[j] = x^j for j < B and y = x^B, f = sum_t f_t(x) y^t over
-    # blocks f_t of B coefficients; each f_t at every x is one int64
-    # matrix product, and Horner runs in y over the blocks, top block
-    # first.  B = 1 is plain Horner in x.  np.dot, not @: the matmul
-    # gufunc adds 128 KiB to the peak RSS of a process the first time.
+    # p < 2^31, by the kernel that p selects
+    cs = _fold_exponents(cs, p)
+    if p < _POWER_TABLE_BELOW:
+        return _power_table_rows(cs, p)
+    return _blocked_horner_rows(cs, p)
+
+
+def _fold_exponents(cs: np.ndarray, p: int) -> np.ndarray:
+    # on F_p, x^j = x^((j-1) mod (p-1) + 1) for j >= 1, so exponents from p
+    # on are folded below p: at most p coefficients are left.  The fold
+    # changes degrees: a value at infinity must not come from it.
+    if len(cs) <= p:
+        return cs
+    folded = cs[:p].copy()
+    for j in range(p, len(cs), p - 1):  # x^j..x^(j+p-2) are x^1..x^(p-1)
+        block = cs[j : j + p - 1]
+        folded[1 : 1 + len(block)] += block
+    return folded % p
+
+
+@functools.lru_cache(maxsize=None)
+def _power_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(T, inv) for a prime p < _POWER_TABLE_BELOW: T[j, x] = x^j mod p as
+    float32 for all j, x in 0..p-1 (0^0 = 1), and inv[x] = x^(p-2) = 1/x
+    mod p as int64, row p-2 of T (inv[0] stands for no inverse).  Both are
+    read-only and cached once per prime for the life of the process.  Only
+    the 54 primes below 256 reach the cache, so it holds at most
+    sum p^2 = 995 781 table entries: 3.8 MiB as float32, 7.6 MiB as float64
+    or int64, 0.95 MiB as uint8."""
+    # rows m..2m-1 are rows 0..m-1 times x^m, so about log2(p) doublings
+    # of int32 rows (each product is below 2^16), then one conversion
+    powers = np.empty((p, p), dtype=np.int32)
+    powers[0] = 1
+    xs = np.arange(p, dtype=np.int32)
+    m = 1
+    while m < p:
+        xm = powers[m - 1] * xs % p
+        h = min(m, p - m)
+        np.multiply(powers[:h], xm, out=powers[m : m + h])
+        powers[m : m + h] %= p
+        m += h
+    table, inv = powers.astype(np.float32), powers[p - 2].astype(np.int64)
+    table.flags.writeable = inv.flags.writeable = False
+    return table, inv
+
+
+def _power_table_rows(cs: np.ndarray, p: int) -> np.ndarray:
+    # _horner_rows for p < _POWER_TABLE_BELOW and n <= p coefficients: the
+    # rows of cs times the first n rows of the cached power table, one
+    # float32 product reduced once.  Each product is at most (p-1)^2 and
+    # each sum at most p (p-1)^2 < 2^24, so float32 holds every partial
+    # sum exactly, in whatever order BLAS adds.
+    table = _power_table(p)[0]
+    return np.dot(cs.T.astype(np.float32), table[: len(cs)]).astype(np.int64) % p
+
+
+# int64 elements in the power table of _blocked_horner_rows, at most B x p
+_HORNER_TABLE_ELEMS = 1 << 20
+
+
+def _horner_block(n: int, p: int) -> int:
+    """The block length B of _blocked_horner_rows for n coefficients mod p:
+    about sqrt(n), with (B + 1) (p-1)^2 < 2^63 so that a block's matmul sums
+    plus the product acc * y fit in int64 unreduced, and B p within the
+    power table's element budget.  B = 1 fits for every p < 2^31."""
+    return max(1, min(isqrt(n - 1) + 1, (2**63 - 1) // (p - 1) ** 2 - 1, _HORNER_TABLE_ELEMS // p))
+
+
+def _blocked_horner_rows(cs: np.ndarray, p: int) -> np.ndarray:
+    # _horner_rows for n coefficients, any n, with no cache: blocked Horner
+    # (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).  With pw[j] = x^j
+    # for j < B and y = x^B, f = sum_t f_t(x) y^t over blocks f_t of B
+    # coefficients; each f_t at every x is one int64 matrix product, and
+    # Horner runs in y over the blocks, top block first.  B = 1 is plain
+    # Horner in x.  np.dot, not @: the matmul gufunc adds 128 KiB to the
+    # peak RSS of a process the first time.
     n = len(cs)
     b = _horner_block(n, p)
     xs = np.arange(p, dtype=np.int64)
@@ -844,9 +903,14 @@ def _horner_rows(cs: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
-def _modinv_many(vals: np.ndarray, p: int) -> np.ndarray:
-    # elementwise vals**(p-2) mod p by square-and-multiply (p prime)
-    return binary_power(vals % p, p - 2, lambda a, b: a * b % p, np.ones_like(vals))
+def _inverses(vals: np.ndarray, p: int) -> np.ndarray:
+    # elementwise 1/v mod p where v != 0 (any value where v = 0): gathered
+    # from the cached table below _POWER_TABLE_BELOW, else v**(p-2) by
+    # square-and-multiply
+    if p < _POWER_TABLE_BELOW:
+        return _power_table(p)[1][vals]
+    vals = np.where(vals == 0, 1, vals)
+    return binary_power(vals, p - 2, lambda a, b: a * b % p, np.ones_like(vals))
 
 
 def format_ratmap(f: RatMap) -> str:

@@ -47,8 +47,10 @@ def test_invariants():
     assert Curve(0, 0, 0, -15, 22).j == 54000
     assert Curve(0, 0, 0, -120, 506).j == -12288000
     assert Curve(0, 0, 0, 0, 2).j == 0
-    with pytest.raises(ValueError):
-        Curve(0, 0, 0, 0, 0)  # singular
+    with pytest.raises(ValueError, match=r"^singular curve \[0,0,0,0,0\]$"):
+        Curve(0, 0, 0, 0, 0)
+    with pytest.raises(ValueError, match=r"^singular curve \[0,0,0,-3/4,1/4\]$"):
+        Curve(0, 0, 0, Fraction(-3, 4), Fraction(1, 4))
 
 
 def test_b_invariant_identity():
@@ -169,6 +171,23 @@ def test_reduce_mod_p_matches_the_monic_reference():
                 assert red == want, where
                 seen_p_divides_k += k % p == 0
     assert seen_p_divides_k > 0
+
+
+# sha256 of "name k p table" lines, one per value table of L_k on each
+# catalog curve for k = 2..10 at every good p <= 200 (4707 tables, the
+# brute-force side of the perm-equivalence suite); pinned from the blocked
+# Horner kernel, before the power table served these primes
+VALUE_TABLE_SHA256 = "f5ea6419c66fa0d85c98eb6ceb7eb6b611ed98e14cd6902b29683ab2e8e6ec2f"
+
+
+def test_value_table_digest_is_pinned():
+    h = hashlib.sha256()
+    for entry in CATALOG:
+        for k in range(2, 11):
+            L = lattes_map(entry.curve, k)
+            for p in entry.curve.good_primes(200):
+                h.update(f"{entry.name} {k} {p} {L.reduce_mod_p(p).value_table()}\n".encode())
+    assert h.hexdigest() == VALUE_TABLE_SHA256
 
 
 def test_brute_force_at_good_primes_runs_no_gcd(monkeypatch):
@@ -310,6 +329,10 @@ def test_quadratic_twist_forms():
         quadratic_twist(c, 12)  # not squarefree
     # a large prime d is factored with a bounded cost
     assert quadratic_twist(Curve(0, 0, 0, 1, 1), 2**61 - 1) == Curve(0, 0, 0, (2**61 - 1) ** 2, (2**61 - 1) ** 3)
+    # a d with a prime-square cofactor above the trial bound is not squarefree
+    d = 2 * 3 * 5 * 7 * (10**6 + 3) ** 2
+    with pytest.raises(ValueError, match=f"twist parameter {d} must be a nonzero squarefree integer"):
+        quadratic_twist(Curve(0, 0, 0, 1, 1), d)
 
 
 def test_group_law_basics():

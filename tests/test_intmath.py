@@ -357,6 +357,31 @@ def test_factorize_has_a_bounded_cost():
     assert time.perf_counter() - start < 2
 
 
+def test_factorize_splits_a_prime_power_cofactor():
+    # a cofactor r^e with r prime and above the trial bound splits by exact
+    # integer roots; a product of two such primes, or its square, is refused
+    q = 10**6 + 3
+    assert factorize(q**2) == {q: 2}
+    assert factorize(q**3) == {q: 3}
+    assert factorize(q**4) == {q: 4}
+    assert factorize(2 * 3 * 5 * 7 * q**2) == {2: 1, 3: 1, 5: 1, 7: 1, q: 2}
+    assert factorize((2**61 - 1) ** 5) == {2**61 - 1: 5}
+    assert not squarefree_part_known(2 * 3 * 5 * 7 * q**2)
+    for n in (q * (10**6 + 33), (q * (10**6 + 33)) ** 2):
+        with pytest.raises(ValueError, match=f"cannot factorize {n}: its cofactor {n} is composite"):
+            factorize(n)
+
+
+def test_integer_root_is_the_exact_floor():
+    rng = random.Random(29)
+    for _ in range(500):
+        n, e = rng.randrange(10 ** rng.randrange(1, 80)), rng.randrange(1, 12)
+        r = intmath._integer_root(n, e)
+        assert r**e <= n < (r + 1) ** e, (n, e)
+    q = 10**6 + 3
+    assert intmath._integer_root(q**9, 9) == q and intmath._integer_root(q**9 - 1, 9) == q - 1
+
+
 def test_check_int64_modulus():
     check_int64_modulus(2**31 - 1)
     for p in (2**31, 2147483659):

@@ -257,8 +257,8 @@ def test_folded_horner_matches_plain_horner(p, num, den):
 
 
 def per_coefficient_horner(cs, p):
-    # the kernel that blocked Horner replaced: the same fold, then one
-    # multiply, add and reduction over all x per coefficient
+    # the kernel that blocked Horner and the power table replaced: the same
+    # fold, then one multiply, add and reduction over all x per coefficient
     if len(cs) > p:
         folded = cs[:p].copy()
         for j in range(p, len(cs), p - 1):
@@ -281,7 +281,8 @@ def test_blocked_horner_matches_the_per_coefficient_loop(p):
     # so do most other lengths.  p and 3p fold once and several times.  At
     # p = 65537 the power table's budget caps B at 15, and the lengths p
     # and 3p are left out: each costs p^2 multiply-adds a row (over 10 s a
-    # call on a 2-CPU VM).
+    # call on a 2-CPU VM).  The kernel is called directly, so p = 2 and 3,
+    # which _horner_rows sends to the power table, run it too.
     rng = np.random.default_rng(p)
     b = polyrat._horner_block(p, p)
     lengths = {1, 2, 9, 10, 25, 26, b * b, b * b + 1}
@@ -292,7 +293,60 @@ def test_blocked_horner_matches_the_per_coefficient_loop(p):
     for n in sorted(lengths):
         for rows in (1, 2):
             cs = rng.integers(0, p, size=(n, rows), dtype=np.int64)
-            assert np.array_equal(polyrat._horner_rows(cs, p), per_coefficient_horner(cs, p)), (n, rows)
+            got = polyrat._blocked_horner_rows(polyrat._fold_exponents(cs, p), p)
+            assert np.array_equal(got, per_coefficient_horner(cs, p)), (n, rows)
+
+
+# every prime below the power table's limit and the first two above it
+TABLE_PRIMES = primes_upto(polyrat._POWER_TABLE_BELOW)
+ABOVE_TABLE = [257, 263]
+
+
+@pytest.mark.parametrize("kernel", ["_power_table_rows", "_blocked_horner_rows"])
+def test_value_kernels_match_the_per_coefficient_loop(kernel):
+    # each kernel called directly, not through _horner_rows: the power table
+    # on every prime it serves, blocked Horner on those and on the first
+    # two primes above the limit, where _horner_rows sends every row to it.
+    # All coefficients p-1 at the largest prime below the limit give the
+    # largest sums the float32 product ever adds.
+    rng = np.random.default_rng(29)
+    run = getattr(polyrat, kernel)
+    primes = TABLE_PRIMES + (ABOVE_TABLE if kernel == "_blocked_horner_rows" else [])
+    for p in primes:
+        for n in sorted({1, 2, p - 1, p, 3 * p}):
+            for rows in (1, 2):
+                cs = rng.integers(0, p, size=(n, rows), dtype=np.int64)
+                got = run(polyrat._fold_exponents(cs, p), p)
+                assert np.array_equal(got, per_coefficient_horner(cs, p)), (p, n, rows)
+    p = TABLE_PRIMES[-1]
+    assert p == 251 and p * (p - 1) ** 2 < 2**24
+    cs = np.full((p, 2), p - 1, dtype=np.int64)
+    assert np.array_equal(run(cs, p), per_coefficient_horner(cs, p))
+
+
+def test_power_table_holds_powers_and_inverses():
+    for p in TABLE_PRIMES:
+        table, inv = polyrat._power_table(p)
+        assert table.shape == (p, p) and not table.flags.writeable and not inv.flags.writeable
+        assert all(x * int(inv[x]) % p == 1 for x in range(1, p)), p
+        assert table.tolist() == [[pow(x, j, p) for x in range(p)] for j in range(p)], p
+
+
+def test_the_prime_alone_selects_the_power_table():
+    # the table cache fills only below the limit: a value table at 251 adds
+    # its prime, one at 257 and the root search of rational_roots (p >=
+    # 1009) add none, and each gives the per-coefficient values
+    polyrat._power_table.cache_clear()
+    cs = np.arange(1, 40, dtype=np.int64).reshape(-1, 1)
+    for p in ABOVE_TABLE + [1009]:
+        assert np.array_equal(polyrat._horner_rows(cs % p, p), per_coefficient_horner(cs % p, p))
+    assert polyrat._roots_mod_p([-6, 11, -6, 1], 1009) == [1, 2, 3]
+    assert polyrat.rational_roots(Poly(QQ, [-6, 11, -6, 1])) == {1, 2, 3}
+    assert polyrat._power_table.cache_info().currsize == 0
+    assert np.array_equal(polyrat._horner_rows(cs, 251), per_coefficient_horner(cs, 251))
+    f = RatMap(Poly(GF(251), [1, 0, 1]), Poly(GF(251), [0, 1]))
+    f.value_table()
+    assert polyrat._power_table.cache_info().currsize == 1
 
 
 def test_horner_block_size_rule(monkeypatch):

@@ -364,6 +364,27 @@ def test_cli_density(capsys):
     assert capsys.readouterr().out.strip().startswith("0 ")
 
 
+def test_cli_builds_its_parser_once_per_bounds(monkeypatch, capsys):
+    # two calls build one parser; a bound patched at run time gets a parser
+    # that enforces it
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    assert run_cli("map", "[0,0,0,1,0]", "--k", "2") == 0
+    assert run_cli("map", "[0,0,0,1,0]", "--k", "3") == 0
+    assert len(built) == 1
+    monkeypatch.setattr(cli, "K_MAX", 2)
+    assert run_cli("map", "[0,0,0,1,0]", "--k", "3") == 2
+    assert "must be in 1..2, got 3" in capsys.readouterr().err
+    assert len(built) == 2
+
+
+def test_cli_names_a_singular_curve(capsys):
+    assert run_cli("map", "[0,0,0,0,0]", "--k", "2") == 2
+    assert capsys.readouterr().err == "error: singular curve [0,0,0,0,0]\n"
+
+
 def test_cli_density_rejects_a_prime_beyond_int64(monkeypatch, capsys):
     # the --pmax bound is lifted so that 2^31 reaches the int64 guard, which
     # must refuse it before any sieve
@@ -590,7 +611,8 @@ def test_cli_entry_point_subprocess():
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc/self/task")
 def test_import_starts_no_blas_worker_thread():
     # OpenBLAS workers started by numpy's import would spin on the CPU at
-    # every CLI call; the package calls no BLAS, so it keeps to one thread
+    # every CLI call; the package's one BLAS product is small, so it keeps
+    # to one thread
     env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     code = "import os, lattes_lab; print(len(os.listdir('/proc/self/task')))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
