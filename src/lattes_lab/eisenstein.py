@@ -7,8 +7,9 @@ y^2 = x^3 + d via the sextic symbol.
 The symbol (alpha/pi)_n is the unique n-th root of unity congruent to
 alpha^((N(pi)-1)/n) modulo pi.  It is computed by exponentiation in the
 residue field - F_p for split pi with N(pi) = p, the quadratic extension
-F_q[w]/(w^2+w+1) for inert pi = q - followed by a table lookup of the six
-roots of unity, so the result is an exact group element, never a residue.
+F_q[w]/(w^2+w+1) for inert pi = q - and the power is compared with the
+residues of the n-th roots of unity +-w^e, read from one table of w^e, so
+the result is an exact group element, never a residue.
 """
 
 from __future__ import annotations
@@ -69,23 +70,20 @@ class SymbolValue:
     def to_quadint(self) -> QuadInt:
         if self.zero:
             return eis(0)
-        w_pow = (ONE, OMEGA, OMEGA * OMEGA)[self.e]
-        return w_pow if self.s == 0 else -w_pow
+        _, a, b = _W_POWERS[self.e]
+        return eis(a, b) if self.s == 0 else eis(-a, -b)
 
     def __str__(self):
         if self.zero:
             return "0"
-        sign = "-" if self.s else ""
-        body = ("1", "w", "w^2")[self.e]
-        if self.e and self.s:
-            return f"-{body}"
-        if self.e:
-            return body
-        return f"{sign}1"
+        return ("-" if self.s else "") + _W_POWERS[self.e][0]
 
     def __repr__(self):
         return f"SymbolValue({self})"
 
+
+# w^e for e = 0, 1, 2: its name and its coordinates a, b in a + b*w
+_W_POWERS = (("1", 1, 0), ("w", 0, 1), ("w^2", -1, -1))
 
 SYMBOL_ONE = SymbolValue(0, 0)
 SYMBOL_MINUS_ONE = SymbolValue(1, 0)
@@ -111,50 +109,12 @@ def _classify_prime(pi: QuadInt) -> tuple[str, int]:
     raise ValueError(f"{pi} is not a prime element of Z[w]")
 
 
-# the n-th roots of unity for each supported n, built once (SymbolValue is
-# frozen, so every table shares them)
-_ROOT_CANDIDATES = {
-    2: (SYMBOL_ONE, SYMBOL_MINUS_ONE),
-    3: tuple(SymbolValue(0, e) for e in range(3)),
-    6: tuple(SymbolValue(s, e) for s in (0, 1) for e in range(3)),
-}
-
-
-def _split_tables(pi: QuadInt, n: int) -> tuple[int, int, dict[int, SymbolValue]]:
-    """(p, r, lookup) with w = r (mod pi) and lookup from residues to the
-    n-th roots of unity."""
-    p = pi.norm()
-    b = pi.b % p
-    if b == 0:
-        raise ValueError(f"{pi} has norm {p} but integral residue image")
-    r = (-pi.a * pow(b, -1, p)) % p
-    lookup = {}
-    for sym in _ROOT_CANDIDATES[n]:
-        v = pow(r, sym.e, p) * (1 if sym.s == 0 else -1) % p
-        lookup[v] = sym
-    if len(lookup) != n:
-        raise ArithmeticError(f"{n}-th roots of unity not distinct mod {pi}")
-    return p, r, lookup
-
-
 def _inert_mul(x, y, q):
     # multiplication in F_q[w]/(w^2 + w + 1)
     a, b = x
     c, d = y
     bd = b * d
     return ((a * c - bd) % q, (a * d + b * c - bd) % q)
-
-
-def _inert_tables(q: int, n: int) -> dict[tuple[int, int], SymbolValue]:
-    lookup = {}
-    for sym in _ROOT_CANDIDATES[n]:
-        v = binary_power((0, 1), sym.e, lambda x, y: _inert_mul(x, y, q), (1, 0))  # w^e
-        if sym.s:
-            v = ((-v[0]) % q, (-v[1]) % q)
-        lookup[v] = sym
-    if len(lookup) != n:
-        raise ArithmeticError(f"{n}-th roots of unity not distinct mod {q}")
-    return lookup
 
 
 def power_residue_symbol(alpha: QuadInt, pi: QuadInt, n: int) -> SymbolValue:
@@ -170,26 +130,30 @@ def power_residue_symbol(alpha: QuadInt, pi: QuadInt, n: int) -> SymbolValue:
     size = p if kind == "split" else p * p
     if (size - 1) % n:
         raise ValueError(f"{n} does not divide N(pi)-1 = {size - 1}")
-    if n in (3, 6) and pi.norm() % 3 == 0:
-        raise ValueError("modulus must be coprime to 3")
-    if n in (2, 6) and size % 2 == 0:
-        raise ValueError("modulus must be odd")
     if congruent(alpha, eis(0), pi):
         return SYMBOL_ZERO
     exp = (size - 1) // n
+    # a + b*w mod pi: in F_p through w = r (mod pi) for a split pi, in
+    # F_q[w] for an inert q
     if kind == "split":
-        _, r, lookup = _split_tables(pi, n)
-        av = (alpha.a + alpha.b * r) % p
-        z = pow(av, exp, p)
+        r = -pi.a * pow(pi.b, -1, p) % p
+
+        def residue(a, b):
+            return (a + b * r) % p
+
+        z = pow(residue(alpha.a, alpha.b), exp, p)
     else:
-        lookup = _inert_tables(p, n)
-        z = binary_power((alpha.a % p, alpha.b % p), exp, lambda x, y: _inert_mul(x, y, p), (1, 0))
-    val = lookup.get(z)
-    if val is None:
-        raise ArithmeticError(f"{alpha}^{exp} is not a root of unity mod {pi}")
-    if (val**n) != SYMBOL_ONE:
-        raise ArithmeticError("symbol value is not an n-th root of unity")
-    return val
+
+        def residue(a, b):
+            return a % p, b % p
+
+        z = binary_power(residue(alpha.a, alpha.b), exp, lambda x, y: _inert_mul(x, y, p), (1, 0))
+    # (-1)^s * w^e is an n-th root of unity when n*s is even and 3 | n*e
+    for s, sign in ((0, 1), (1, -1)):
+        for e, (_, a, b) in enumerate(_W_POWERS):
+            if s * n % 2 == 0 and e * n % 3 == 0 and z == residue(sign * a, sign * b):
+                return SymbolValue(s, e)
+    raise ArithmeticError(f"{alpha}^{exp} is not an {n}-th root of unity mod {pi}")
 
 
 # -- primary and E-primary normalization --------------------------------------

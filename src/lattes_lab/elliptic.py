@@ -517,11 +517,11 @@ def _ec_mul(k: int, P: Point, a: int, p: int) -> Point:
 # arrays stay bounded whatever the length of the list.  The largest are the
 # baby table's x and y and the factors of its Z, (s + 1) x rows each in
 # int64, with s = 45 near 10^6 and s <= 305 below 2**31.  Once the table is
-# affine, its x and y move to int32 in the front halves of their buffers,
-# the giant steps' x and y (2g + 1 <= s + 1 rows each, int32) take the back
-# halves and their Z factors take the baby factors' buffer, so the giant
-# steps add no array.  The pass that takes the second and third draws has
-# at most 2 x 4096 rows.
+# affine, its factors are freed and its x and y are copied to int32 tables,
+# each int64 table freed before the next array is made; the giant steps'
+# x and y (2g + 1 rows each, int32) and their Z factors (2g rows, int64)
+# are arrays of their own, with 2g about s.  The pass that takes the
+# second and third draws has at most 2 x 4096 rows.
 _BATCH_ROWS = 4096
 # points drawn per prime on the arrays before a row still open continues on
 # Python ints
@@ -637,6 +637,7 @@ def _batch_draw(a, b, p, T, draw):
         X[j] = X[j] * inv2 % p
         Y[j] = Y[j] * (inv2 * inv % p) % p
         inv = both * zw % p if j == s else inv * fac[j] % p
+    del fac
     # the orders n <= 2s + 1 that would spoil the search show as
     # [j]P = O or [w]P = O (Z = 0 above) and as y = 0 (n = 2j, where a match
     # would give only one of t = i w +- j); the other small orders give
@@ -648,17 +649,21 @@ def _batch_draw(a, b, p, T, draw):
     # covers every |t| <= T
     g = (int(T.max()) + s) // w
     gx, gy, gz = _jac_mul(p + 1 + g * w, X[:s], Y[:s], A, p)
-    # every residue fits int32: the table moves to the front half of its
-    # own buffers, and the giant steps' x and y take the back halves
+    # every residue fits int32: the table is kept in int32, and each int64
+    # table is freed before the next array is made
     minus_wx, minus_wy = X[s].copy(), (p - Y[s]) % p
-    table_x, gsx = _narrow(X, s, 2 * g + 1)
-    table_y, gsy = _narrow(Y, s, 2 * g + 1)
-    # the giant steps' Z factors, H as for a baby step, take fac's buffer
-    # (2g <= s), so the giant steps add no array.  A row that meets O leaves
-    # the chain: the step to O (H = 0) takes factor 1, and the two after it,
-    # -W and 2(-W), come from -W alone with Z = 1 and Z = 2y, so they are
-    # scaled by the Z the chain had before O (kept in `last`) and take that
-    # Z as their factor.  The chain's last Z then inverts every step.
+    table_x = X[:s].astype(np.int32)
+    del X
+    table_y = Y[:s].astype(np.int32)
+    del Y
+    # the giant steps' x and y in int32, and their Z factors, H as for a
+    # baby step, in int64.  A row that meets O leaves the chain: the step
+    # to O (H = 0) takes factor 1, and the two after it, -W and 2(-W), come
+    # from -W alone with Z = 1 and Z = 2y, so they are scaled by the Z the
+    # chain had before O (kept in `last`) and take that Z as their factor.
+    # The chain's last Z then inverts every step.
+    gsx, gsy = (np.empty((2 * g + 1, len(p)), dtype=np.int32) for _ in range(2))
+    gfac = np.empty((2 * g, len(p)), dtype=np.int64)
     last = np.ones_like(p)
     found_r, found_t = [], []
     for k in range(2 * g + 1):
@@ -673,7 +678,7 @@ def _batch_draw(a, b, p, T, draw):
                 h[off] = np.where(zo == 0, 1, zo)
                 cc = c * c % po
                 nx[off], ny[off], nz[off] = nx[off] * cc % po, ny[off] * (cc * c % po) % po, zo * c % po
-            fac[k - 1] = h
+            gfac[k - 1] = h
             gx, gy, gz = nx, ny, nz
         gsx[k], gsy[k] = gx, gy
         if not gz.all():
@@ -696,7 +701,7 @@ def _batch_draw(a, b, p, T, draw):
         found_r.append(rs)
         found_t.append((k - g) * w + np.where(up, js + 1, -js - 1))
         if k:
-            inv = inv * fac[k - 1] % p
+            inv = inv * gfac[k - 1] % p
     rs, ts = np.concatenate(found_r), np.concatenate(found_t)
     inside = np.abs(ts) <= T[rs]
     rs, ts = rs[inside], ts[inside]
@@ -709,19 +714,6 @@ def _batch_draw(a, b, p, T, draw):
     if (~bad & (hits == 0)).any():
         raise ArithmeticError("a point has no multiple of its order in the Hasse interval")
     return sides, np.where(hits == 1, p + 1 - ts[end], ts[end] - ts[end - 1]), bad
-
-
-def _narrow(M, rows, more):
-    """M[:rows] in int32, written row by row over the front of M's own
-    buffer, and the `more` int32 rows after them; M's int64 values are
-    gone.  Int32 row j lies before int64 row j for j >= 1, and inside it
-    for j = 0 (numpy copies an overlapping row through a buffer), so each
-    int64 row is read before anything is written over it."""
-    n = M.shape[1]
-    flat = M.reshape(-1).view(np.int32)
-    for j in range(rows):
-        flat[j * n : (j + 1) * n] = M[j]
-    return flat[: rows * n].reshape(rows, n), flat[rows * n : (rows + more) * n].reshape(more, n)
 
 
 def _jac_double(X, Y, Z, A, p):

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .elliptic import Curve, _frobenius_traces, _residues, count_points, division_poly, rational_roots
+from .elliptic import Curve, _frobenius_traces, _residues, count_points, division_poly, format_curve, rational_roots
 from .exceptionality import map_primes
 from .intmath import is_prime, prime_divisors
 from .polyrat import _fp_gcd, _int_clear
@@ -431,11 +431,14 @@ def empirical_density(
 ) -> Fraction:
     """Fraction of good primes p <= pmax at which the gcd criterion says
     L_k permutes P^1(F_p); bad primes are excluded from both sides.
-    k < 1, pmax < 100 or pmax >= 2**31 is a ValueError before any sieve."""
+    k < 1, pmax < 100 or pmax >= 2**31 is a ValueError before any sieve,
+    and so is a curve with no good prime up to pmax right after it."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if pmax < 100:
         raise ValueError("pmax must be >= 100")
     # primes of good reduction from the sieve: none is checked again
     good = curve.good_primes(pmax)
+    if not good:
+        raise ValueError(f"{format_curve(curve)} has no prime of good reduction up to pmax = {pmax}")
     return Fraction(sum(_coprime_verdicts(curve, k, good, workers)), len(good))

@@ -11,6 +11,7 @@ from lattes_lab.eisenstein import (
     EISENSTEIN,
     LEMMA_AB_BOUND_MAX,
     OMEGA,
+    ONE,
     SYMBOL_ONE,
     SYMBOL_ZERO,
     SymbolValue,
@@ -140,17 +141,54 @@ def test_symbol_inert_modulus():
 
 
 def test_root_candidates_are_the_roots_of_unity():
-    for n, roots in eisenstein._ROOT_CANDIDATES.items():
-        assert len(set(roots)) == n
-        assert all(v**n == SYMBOL_ONE for v in roots)
+    # the table holds w^e as a + b*w, and (-1)^s * w^e with s*n even and
+    # 3 | e*n are the n distinct n-th roots of unity
+    assert [eis(a, b) for _, a, b in eisenstein._W_POWERS] == [ONE, OMEGA, OMEGA * OMEGA]
+    for n in (2, 3, 6):
+        roots = [SymbolValue(s, e) for s in (0, 1) for e in range(3) if s * n % 2 == 0 and e * n % 3 == 0]
+        assert len(set(v.to_quadint() for v in roots)) == n
+        assert all(v**n == SYMBOL_ONE and v.to_quadint() ** n == ONE for v in roots)
 
 
-def test_sixth_roots_distinct():
-    for pi in primary_split_primes(500):
-        vals = {power_residue_symbol(eis(1), pi, 6)}
-        # distinctness is checked inside the table build; smoke a few symbols
-        for a in range(2, 8):
-            power_residue_symbol(eis(a), pi, 6)
+def test_printed_symbols_are_pinned():
+    # each value as the `symbol` command prints it
+    assert [str(SymbolValue(s, e)) for s in (0, 1) for e in range(3)] == ["1", "w", "w^2", "-1", "-w", "-w^2"]
+    assert str(SYMBOL_ZERO) == "0"
+    assert repr(SymbolValue(1, 1)) == "SymbolValue(-w)"
+
+
+def test_symbol_is_the_root_its_definition_names():
+    # (alpha/pi)_n is the unique zeta = (-1)^s w^e, zeta^n = 1, with
+    # alpha^((N - 1)/n) = zeta (mod pi), here on exact powers in Z[w], with
+    # zeta built from OMEGA and not from the symbol's own table; the n
+    # candidates are pairwise incongruent mod pi
+    split = primary_split_primes(500)
+    moduli = split + [pi.conj() for pi in split] + [eis(q) for q in primes_upto(29) if q % 3 == 2]
+    box = [eis(a, b) for a in range(-3, 4) for b in range(-2, 3)]
+    checked = nonreal = 0
+    for pi in moduli:
+        N = pi.norm()
+        for n in (2, 3, 6):
+            if (N - 1) % n:
+                continue
+            roots = {
+                SymbolValue(s, e): (-ONE if s else ONE) * OMEGA**e
+                for s in (0, 1)
+                for e in range(3)
+                if s * n % 2 == 0 and e * n % 3 == 0
+            }
+            zetas = list(roots.values())
+            assert not any(congruent(x, y, pi) for i, x in enumerate(zetas) for y in zetas[:i]), (pi, n)
+            for alpha in box:
+                got = power_residue_symbol(alpha, pi, n)
+                if congruent(alpha, eis(0), pi):
+                    assert got == SYMBOL_ZERO
+                    continue
+                power = alpha ** ((N - 1) // n)
+                assert [v for v, zeta in roots.items() if congruent(power, zeta, pi)] == [got], (alpha, pi, n)
+                checked += 1
+                nonreal += got.e != 0
+    assert checked > 9000 and nonreal > 4000, (checked, nonreal)
 
 
 def test_reciprocity_laws_random():

@@ -916,11 +916,12 @@ def test_batch_residues_match_python_ints():
 
 
 def test_shanks_mestre_batch_memory_stays_at_the_baby_tables_peak():
-    # once affine, the baby table is narrowed to int32 in its own buffers
-    # and the giant steps' x and y take the halves that frees, so the batch
-    # peaks no higher than when each giant step was matched projectively,
-    # 6.00 and 1.81 MiB under tracemalloc (numpy 2.4); the bounds are those
-    # peaks plus 10%.
+    # once affine, the baby table's factors are freed and its x and y are
+    # copied to int32 tables, each int64 table freed before the next array
+    # is made; the giant steps' x, y and Z factors are arrays of their own.
+    # So the batch peaks no higher than when each giant step was matched
+    # projectively, 6.00 and 1.81 MiB under tracemalloc (numpy 2.4); the
+    # bounds are those peaks plus 10%.
     # 4096 good primes just below 10^6, and every good prime of a curve in
     # [230, 2 10^4)
     cases = [

@@ -171,6 +171,24 @@ def test_empirical_density_small():
         empirical_density(CATALOG_BY_NAME["d3"].curve, 2, 50)
 
 
+# a6 is the product of the primes 5..97, so every prime 5 <= p <= 100 has
+# bad reduction on y^2 = x^3 + a6
+NO_GOOD_PRIME_TO_100 = Curve(0, 0, 0, 0, 384261327324253070792183691221959345)
+
+
+def test_empirical_density_rejects_a_curve_with_no_good_prime(monkeypatch):
+    def reached(*args, **kwargs):
+        raise AssertionError("verdicts taken")
+
+    monkeypatch.setattr(galois, "_coprime_verdicts", reached)
+    assert NO_GOOD_PRIME_TO_100.good_primes(100) == []
+    with pytest.raises(ValueError, match=r"^\[0,0,0,0,384261327324253070792183691221959345\] has no prime of good reduction up to pmax = 100$"):
+        empirical_density(NO_GOOD_PRIME_TO_100, 2, 100)
+    # one good prime, 101, is enough
+    with pytest.raises(AssertionError, match="verdicts taken"):
+        empirical_density(NO_GOOD_PRIME_TO_100, 2, 101)
+
+
 def test_root_test_matches_the_character_sum():
     # ell | A_p from count_points against the psi_ell root test at every
     # good p <= 2000, p != ell; coprime_verdicts covers p = ell as well

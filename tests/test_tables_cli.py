@@ -264,6 +264,38 @@ def test_cli_symbol(capsys):
     assert run_cli("symbol", "--D=-4", "--alpha", "5", "--modulus", "3", "--n", "2") == 2
 
 
+# `symbol` stdout for n = 2, 3, 6 on the split prime -1 + 3w and the inert
+# prime 5; the alphas give all six roots of unity and zero at n = 6
+SYMBOL_STDOUT = {
+    "-1+3*w": {
+        "-3": ("1", "w^2", "w"),
+        "-3+w": ("-1", "w", "-w^2"),
+        "-3+2*w": ("-1", "w^2", "-w"),
+        "-1": ("1", "1", "1"),
+        "-1+w": ("-1", "1", "-1"),
+        "-1+2*w": ("1", "w", "w^2"),
+        "0": ("0", "0", "0"),
+    },
+    "5": {
+        "-3": ("1", "1", "1"),
+        "-3+w": ("-1", "w^2", "-w"),
+        "-3+2*w": ("1", "w", "w^2"),
+        "-2+w": ("-1", "1", "-1"),
+        "-2+2*w": ("-1", "w", "-w^2"),
+        "w": ("1", "w^2", "w"),
+        "0": ("0", "0", "0"),
+    },
+}
+
+
+def test_cli_symbol_stdout_is_pinned(capsys):
+    for modulus, rows in SYMBOL_STDOUT.items():
+        for alpha, outs in rows.items():
+            for n, out in zip(("2", "3", "6"), outs):
+                assert run_cli("symbol", f"--alpha={alpha}", f"--modulus={modulus}", "--n", n) == 0
+                assert capsys.readouterr().out == out + "\n", (modulus, alpha, n)
+
+
 def test_cli_torsion(capsys):
     assert run_cli("torsion", "[0,0,0,0,2]", "--k", "3") == 0
     assert capsys.readouterr().out.strip() == "-2, 0"
@@ -362,6 +394,15 @@ def test_cli_scan_finds_the_D_of_a_twist_by_j(capsys):
 def test_cli_density(capsys):
     assert run_cli("density", "[0,0,0,-264,1694]", "--k", "6", "--pmax", "500") == 0
     assert capsys.readouterr().out.strip().startswith("0 ")
+
+
+def test_cli_density_rejects_a_curve_with_no_good_prime(capsys):
+    # a6 is the product of the primes 5..97
+    curve = "[0,0,0,0,384261327324253070792183691221959345]"
+    assert run_cli("density", curve, "--k", "2", "--pmax", "100") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {curve} has no prime of good reduction up to pmax = 100\n"
 
 
 def test_cli_builds_its_parser_once_per_bounds(monkeypatch, capsys):
@@ -598,11 +639,22 @@ def test_cli_scan_sieves_once(monkeypatch, capsys):
     assert "excluded primes (bad reduction): [11]" in capsys.readouterr().err
 
 
+def child_env(drop=()):
+    # this environment less `drop`, with the directory of the package this
+    # process imported first on PYTHONPATH, so that a child finds it also
+    # where pytest's `pythonpath` setting, not an install, put it on sys.path
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    src = str(Path(lattes_lab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def test_cli_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "lattes_lab.cli", "map", "[0,0,0,1,0]", "--k", "3"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip().startswith("(x^9 - 12x^7")
@@ -613,7 +665,7 @@ def test_import_starts_no_blas_worker_thread():
     # OpenBLAS workers started by numpy's import would spin on the CPU at
     # every CLI call; the package's one BLAS product is small, so it keeps
     # to one thread
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env = child_env(drop=("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     code = "import os, lattes_lab; print(len(os.listdir('/proc/self/task')))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "1"
