@@ -83,13 +83,7 @@ from .galois import (
     k2_verdict,
     torsion_roots,
 )
-from .intmath import (
-    CongruenceCondition,
-    is_prime,
-    kronecker,
-    primes_upto,
-    sqrt_mod,
-)
+from .intmath import is_prime, kronecker, primes_upto, sqrt_mod
 from .polyrat import GF, INFINITY, Poly, QQ, RatMap, format_ratmap, rational_roots
 from .quadorder import (
     QuadInt,

@@ -50,8 +50,10 @@ WORKERS_HELP = (
     f"or part of it, so a range of at most {_CHUNK_PRIMES} primes runs in one process (default 1)"
 )
 # map and torsion build psi_k, of degree about k^2/2, over QQ: on a 2-CPU
-# host `map --k 50` takes 0.6-2.6 s (catalog d4, d19, [0,0,0,1/7,-3/11]) and
-# L_64 on d19 5 s, so K_MAX keeps one call well under half a minute
+# host `map --k 50` takes 0.6-2.6 s on catalog d4, d19 and [0,0,0,1/7,-3/11]
+# and L_64 on d19 5 s.  The cost also grows with the model's height, which
+# K_MAX does not bound: `map --D=-163 --k 50` takes 11 s, and a 40-digit
+# a4 at k = 50 runs past 150 s
 K_MAX = 50
 # strategy factors k by trial division and searches prime elements for
 # congruence constraints that grow with k, so K_MAX bounds its k as well;

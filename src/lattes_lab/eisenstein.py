@@ -245,14 +245,13 @@ _HARDCODED_AB = {
 }
 
 # the largest norm bound the witness search and its check accept: the walk's
-# sieve takes one byte per integer up to the bound, 10 MB here, and its
-# chunks at most about 1 MiB more for ell < 60; norms below 2^24 keep every
-# product in the walk's int64 powers below 2^48
+# sieve takes one byte per integer up to the bound, 10 MB here; norms below
+# 2^24 keep every product in the walk's int64 powers below 2^48
 LEMMA_AB_BOUND_MAX = 10**7
 # lemma_ab_tallies walks as many rows b at a time as hold at most this many
 # elements, or one row where a row holds more (row 0 holds 2109 elements at
-# LEMMA_AB_BOUND_MAX); a chunk and its grouped hits take about 0.5 MiB for
-# ell = 5
+# LEMMA_AB_BOUND_MAX); a chunk and the two ell^2 tables take about 0.4 MiB
+# for ell = 5 and 1.6 MiB for ell = 251
 _WALK_ELEMENTS = 8192
 
 
@@ -305,6 +304,13 @@ def _check_bound(bound: int) -> None:
         raise ValueError(f"bound must be in [0, {LEMMA_AB_BOUND_MAX}], got {bound}")
 
 
+def _check_walk(ell: int, bound: int) -> None:
+    # the walk's tables hold ell^2 classes, so ell is bounded before the sieve
+    if not 2 <= ell < 256:
+        raise ValueError(f"ell must be in [2, 256) for the walk's ell^2 tallies, got {ell}")
+    _check_bound(bound)
+
+
 def verify_lemma_ab(
     ell: int, alpha: QuadInt, beta: QuadInt, bound: int
 ) -> tuple[bool, int, int]:
@@ -331,7 +337,8 @@ def verify_lemma_ab(
 
 def lemma_ab_tallies(ell: int, bound: int) -> dict[tuple[int, int], tuple[int, int]]:
     """{(a mod ell, b mod ell): (#primes, #primes with (ell/pi)_6 real)} over
-    the primes pi = a + b*w that qualifying_primes yields for (ell, bound).
+    the primes pi = a + b*w that qualifying_primes yields for (ell, bound),
+    for 2 <= ell < 256.
 
     Those are exactly the elements with a = 1, b = 0 (mod 3) and norm
     N = a^2 - ab + b^2 <= bound that is a prime p or the square of an inert
@@ -346,11 +353,11 @@ def lemma_ab_tallies(ell: int, bound: int) -> dict[tuple[int, int], tuple[int, i
     The walk runs on int64 arrays, whole rows b at a time, at most
     _WALK_ELEMENTS elements (or one row) per chunk, so its memory beyond
     the sieve stays bounded at every bound.  Norms stay below 2^24, so
-    every product in the power fits int64.  The hits are grouped by their
-    two residues, never by a key mod ell^2, so no array has ell^2 entries
-    and any prime ell is served.
+    every product in the power fits int64.  np.bincount adds each chunk's
+    hits into two int64 tables of ell^2 entries, keyed (a mod ell)*ell +
+    (b mod ell): below ell = 256 the two take at most 1 MiB.
     """
-    _check_bound(bound)
+    _check_walk(ell, bound)
     # kind[N]: 1 for a split prime norm p, 2 for an inert norm q^2, else 0
     kind = prime_flags(bound)
     for q in compress(range(isqrt(bound) + 1), kind):
@@ -368,8 +375,8 @@ def lemma_ab_tallies(ell: int, bound: int) -> dict[tuple[int, int], tuple[int, i
     first = lo + (1 - lo) % 3
     width = ((rows + t) // 2 - first + 3) // 3  # the last a is at least first - 3
     step = max(_WALK_ELEMENTS // max(int(width[0]), 1), 1)  # row 0 is the widest
-    # (x, y, count, real) of the classes so far, and the hits not yet in them
-    classes, pending, held = (np.empty(0, np.int64),) * 4, [], 0
+    count = np.zeros(ell * ell, np.int64)
+    real = np.zeros(ell * ell, np.int64)
     for r in range(0, len(rows), step):
         n = width[r : r + step]
         # the chunk's elements row by row: a = first + 3j in row b, with j
@@ -384,44 +391,14 @@ def lemma_ab_tallies(ell: int, bound: int) -> dict[tuple[int, int], tuple[int, i
         a, b, norm = a[hit], b[hit], norm[hit]
         # the one element of norm q^2 with a = 1, b = 0 (mod 3) is -q
         modulus = np.where(k[hit] == 1, norm, -a)
-        real = _pow_mod(_ell_mod(ell, modulus), (norm - 1) // 3, modulus) == 1
+        is_real = _pow_mod(ell % modulus, (norm - 1) // 3, modulus) == 1
         # each hit in its own class and, for b > 0, in its conjugate's
         conj = b > 0
-        x = np.concatenate((a, a[conj] - b[conj]))
-        y = np.concatenate((b, -b[conj]))
-        if ell < 1 << 62:
-            x, y = x % ell, y % ell
-        pending.append((x, y, np.ones_like(x), np.concatenate((real, real[conj])).astype(np.int64)))
-        held += len(x)
-        # the pending hits join the classes once they outnumber them, so a
-        # fold sorts at most twice as many rows as it adds
-        if held > len(classes[0]):
-            classes, pending, held = _grouped(*map(np.concatenate, zip(classes, *pending))), [], 0
-    x, y, count, real = _grouped(*map(np.concatenate, zip(classes, *pending)))
-    # residues mod an ell past 2^62 do not fit int64; such an ell is more
-    # than twice every coordinate, so the coordinates were grouped instead,
-    # each its own class, and are reduced here
-    return {(u % ell, v % ell): (c, r) for u, v, c, r in zip(x.tolist(), y.tolist(), count.tolist(), real.tolist())}
-
-
-def _ell_mod(ell: int, m: np.ndarray) -> np.ndarray:
-    """ell mod m row by row, for any ell, by 31-bit limbs from the top:
-    with m < 2^32 no intermediate value passes 2^63."""
-    out = np.zeros_like(m)
-    for shift in range(ell.bit_length() // 31 * 31, -1, -31):
-        out = ((out << 31) + (ell >> shift & 0x7FFFFFFF)) % m
-    return out
-
-
-def _grouped(x, y, count, real):
-    """The distinct pairs (x, y), ascending, with the sums of count and real
-    over each."""
-    order = np.lexsort((y, x))
-    x, y, count, real = x[order], y[order], count[order], real[order]
-    new = np.ones(len(x), dtype=bool)
-    new[1:] = (x[1:] != x[:-1]) | (y[1:] != y[:-1])
-    start = np.flatnonzero(new)
-    return x[start], y[start], np.add.reduceat(count, start), np.add.reduceat(real, start)
+        key = np.concatenate((a % ell * ell + b % ell, (a[conj] - b[conj]) % ell * ell + -b[conj] % ell))
+        count += np.bincount(key, minlength=ell * ell)
+        real += np.bincount(key[np.concatenate((is_real, is_real[conj]))], minlength=ell * ell)
+    found = np.flatnonzero(count)
+    return {divmod(c, ell): (n, r) for c, n, r in zip(found.tolist(), count[found].tolist(), real[found].tolist())}
 
 
 def lemma_ab_witness(ell: int, bound: int = 100000) -> tuple[QuadInt, QuadInt]:
@@ -439,7 +416,7 @@ def lemma_ab_witness(ell: int, bound: int = 100000) -> tuple[QuadInt, QuadInt]:
     """
     if ell in (2, 3, 7) or not is_prime(ell):
         raise ValueError(f"ell must be a prime > 3, != 7, got {ell}")
-    _check_bound(bound)
+    _check_walk(ell, bound)
     if ell in _HARDCODED_AB:
         return _HARDCODED_AB[ell]
     tallies = lemma_ab_tallies(ell, bound)

@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .eisenstein import lemma_ab_witness
@@ -36,8 +36,7 @@ from .elliptic import (
 )
 from .intmath import (
     INT64_MODULUS_LIMIT,
-    CongruenceCondition,
-    _merge_congruences,
+    _merge_classes,
     _non_primes,
     is_prime,
     kronecker,
@@ -112,8 +111,9 @@ def frobenius_scan(
     workers: int = 1,
     cache: Optional["TraceCache"] = None,
 ) -> dict[int, int]:
-    """a_p for every prime in `primes` by `frobenius_trace`, computed with
-    up to `workers` processes.  Every p is checked here, cached or not,
+    """a_p for every prime in `primes` by the batch `_frobenius_traces`
+    (the character sum below 230, Shanks-Mestre from there on), computed
+    with up to `workers` processes.  Every p is checked here, cached or not,
     before any work, by `Curve._require_all_good`: one sieve pass behind
     the int64 guard (ValueError for p >= 2**31, p < 5, a composite p or
     bad reduction).
@@ -371,21 +371,23 @@ _ODD_K_RECIPES = {
 }
 
 
-def _congruence_recipe(D: int, k: int) -> Optional[list[CongruenceCondition]]:
-    """The rational-prime congruence recipe for (D, k), or None when the
+def _congruence_recipe(D: int, k: int) -> Optional[tuple[int, int]]:
+    """The one class (r, m), p = r (mod m), of the rational primes the row
+    for (D, k) takes, merged from the row's two congruences; None when the
     row calls for element (Chebotarev) search; raises for inadmissible k."""
     if D in _ODD_K_RECIPES:
         if k % 2 == 0:
             raise ValueError(f"D={D} requires odd k")
         residue, modulus, mod_k = _ODD_K_RECIPES[D]
-        return [CongruenceCondition(residue, modulus), CongruenceCondition(mod_k, k)]
+        # the classes agree mod 7 for 7 | k on D = -7 and -28: -2 = 5 (mod 7)
+        return _merge_classes(residue, modulus, mod_k, k)
     if D == -12:
         if gcd(k, 6) != 1:
             raise ValueError("D=-12 requires gcd(k, 6) = 1")
-        return [CongruenceCondition(2, 3), CongruenceCondition(1, k)]
+        return _merge_classes(2, 3, 1, k)
     if D in (-3, -27):
         if gcd(k, 6) == 1:
-            return [CongruenceCondition(2, 3), CongruenceCondition(1, k)]
+            return _merge_classes(2, 3, 1, k)
         if gcd(k, 6) == 2:
             return None
         raise ValueError(f"D={D} requires gcd(k, 6) in {{1, 2}}")
@@ -397,11 +399,8 @@ def _congruence_recipe(D: int, k: int) -> Optional[list[CongruenceCondition]]:
         if k % 6 == 0:
             raise ValueError("D=-11 admits no strategy when 6 | k")
         if k % 3 == 0:  # k odd with 3 | k
-            conds = [CongruenceCondition(1, 3), CongruenceCondition(2, 11)]
-            for ell in prime_divisors(k):
-                if ell not in (3, 11):
-                    conds.append(CongruenceCondition(1, ell))
-            return conds
+            # p = 1 mod 3 and mod every other prime l | k but 11; p = 2 mod 11
+            return _merge_classes(1, 3 * prod(set(prime_divisors(k)) - {3, 11}), 2, 11)
         return None
     raise ValueError(f"no strategy row for discriminant {D}")
 
@@ -472,12 +471,10 @@ def strategy_primes(D: int, k: int, count: int) -> list[int]:
     discriminant (`_check_curve`), so an unsound recipe fails loudly."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    conds = _congruence_recipe(D, k)
+    recipe = _congruence_recipe(D, k)
     curve = _check_curve(D)
-    if conds is not None:
-        # every recipe merges: its moduli are coprime, but for 7 | k on
-        # D = -7 and -28, where both classes read -2 = 5 (mod 7)
-        r, m = _merge_congruences(conds)
+    if recipe is not None:
+        r, m = recipe
         stream = primes_in_classes(m, [r], _STRATEGY_NORM_CAP)
     else:
         search_D = -3 if D in (-3, -27) else D

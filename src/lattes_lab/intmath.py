@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import chain, compress
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional
@@ -189,33 +188,17 @@ def _sqrt_mod_prime(a: int, p: int) -> Optional[int]:
     return min(r, p - r)
 
 
-@dataclass(frozen=True)
-class CongruenceCondition:
-    """A residue-class constraint n = residue (mod modulus)."""
-
-    residue: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-
-
-def _merge_congruences(conds: Iterable[CongruenceCondition]) -> Optional[tuple[int, int]]:
-    """CRT-merge conditions to a single class (r, M), or None if incompatible."""
-    r, m = 0, 1
-    for cond in conds:
-        r2, m2 = cond.residue, cond.modulus
-        g = gcd(m, m2)
-        if (r2 - r) % g != 0:
-            return None
-        lcm = m // g * m2
-        # r + m*t = r2 (mod m2)  =>  t = (r2-r)/g * inv(m/g) (mod m2/g)
-        t = ((r2 - r) // g * pow(m // g, -1, m2 // g)) % (m2 // g) if m2 != g else 0
-        r = (r + m * t) % lcm
-        m = lcm
-    return r, m
+def _merge_classes(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
+    """The one class (r, lcm(m1, m2)) of the n with n = r1 (mod m1) and
+    n = r2 (mod m2), by the Chinese remainder theorem; ArithmeticError when
+    the two classes disagree mod gcd(m1, m2)."""
+    g = gcd(m1, m2)
+    if (r2 - r1) % g:
+        raise ArithmeticError(f"{r1} mod {m1} and {r2} mod {m2} disagree mod {g}")
+    # r1 + m1*t = r2 (mod m2)  =>  t = (r2-r1)/g * inv(m1/g) (mod m2/g)
+    t = (r2 - r1) // g * pow(m1 // g, -1, m2 // g)
+    m = m1 // g * m2
+    return (r1 + m1 * t) % m, m
 
 
 def primes_in_classes(period: int, residues: Iterable[int], limit: int) -> Iterator[int]:

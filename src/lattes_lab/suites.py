@@ -44,7 +44,14 @@ from .exceptionality import (
     verify_d11_obstruction,
     verify_noncm_counterexample,
 )
-from .galois import Mat2Zm, SubgroupSpec, cm_density_full, cm_density_subgroup, empirical_density
+from .galois import (
+    Mat2Zm,
+    SubgroupSpec,
+    cm_density_full,
+    cm_density_subgroup,
+    empirical_density,
+    k2_verdict,
+)
 from .intmath import primes_upto
 from .quadorder import cm_trace_consistent, norm_solutions
 
@@ -284,12 +291,14 @@ def suite_strategies() -> SuiteResult:
 
 
 def suite_density() -> SuiteResult:
-    """Empirical k = 2 densities to 10^5 against the Galois predictions,
-    within 1/50 exactly, plus the exact enumerated densities of C_m and
-    the k = 6 density 0 of the -11 curve to 10^4."""
+    """Empirical k = 2 densities to 10^5 against the Galois predictions of
+    k2_verdict, within 1/50 exactly, plus the exact enumerated densities of
+    C_m and the k = 6 density 0 of the -11 curve to 10^4."""
     res = SuiteResult("density")
-    for name, target in (("k2-s3", Fraction(1, 3)), ("k2-c3", Fraction(2, 3))):
-        d = empirical_density(CATALOG_BY_NAME[name].curve, 2, 10**5)
+    for name in ("k2-s3", "k2-c3"):
+        curve = CATALOG_BY_NAME[name].curve
+        target = k2_verdict(curve)[2]
+        d = empirical_density(curve, 2, 10**5)
         delta = abs(float(d) - float(target))
         res.check(
             abs(d - target) <= Fraction(1, 50),

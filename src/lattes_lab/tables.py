@@ -43,7 +43,8 @@ class StrategyTableSpec:
     golden: tuple[tuple[str, str, str, str], ...]
 
 
-PERM_TABLES: dict[str, PermTableSpec] = {
+# every table by id, in the order the CLI lists them
+TABLES: dict[str, PermTableSpec | ValueTableSpec | StrategyTableSpec] = {
     "d4-perm-k3": PermTableSpec(
         caption="Permutation behavior of L_3 on P^1(F_p) for y^2 = x^3 + x",
         curve="d4",
@@ -58,6 +59,20 @@ PERM_TABLES: dict[str, PermTableSpec] = {
             (29, 1, 10, 1, True),
             (31, -1, 0, 1, True),
         ),
+    ),
+    "d4-values-f7": ValueTableSpec(
+        caption="Values of L_3 on P^1(F_7) for y^2 = x^3 + x",
+        curve="d4",
+        k=3,
+        p=7,
+        golden=(0, 1, 4, 5, 2, 3, 6, INF),
+    ),
+    "d8-values-f13": ValueTableSpec(
+        caption="Values of L_3 on P^1(F_13) for y^2 = x^3 + x^2 - 3x + 1",
+        curve="d8",
+        k=3,
+        p=13,
+        golden=(4, 1, 10, 7, 11, 2, 9, 8, 3, 12, 5, 0, 6, INF),
     ),
     "d7-perm-k3": PermTableSpec(
         caption="Permutation behavior of L_3 on P^1(F_p) for y^2 = x^3 - 35x + 98",
@@ -89,6 +104,20 @@ PERM_TABLES: dict[str, PermTableSpec] = {
             (41, -1, 0, 3, False),
         ),
     ),
+    "d19-values-f5": ValueTableSpec(
+        caption="Values of L_3 on P^1(F_5) for y^2 + y = x^3 - 38x + 90",
+        curve="d19",
+        k=3,
+        p=5,
+        golden=(2, 3, 4, 1, 0, INF),
+    ),
+    "d12-values-f11": ValueTableSpec(
+        caption="Values of L_5 on P^1(F_11) for y^2 = x^3 - 15x + 22",
+        curve="d12",
+        k=5,
+        p=11,
+        golden=(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, INF),
+    ),
     "d27-perm-k2": PermTableSpec(
         caption="Permutation behavior of L_2 on P^1(F_p) for y^2 = x^3 - 120x + 506",
         curve="d27",
@@ -118,6 +147,13 @@ PERM_TABLES: dict[str, PermTableSpec] = {
             (43, 1, -8, 2, False),
         ),
     ),
+    "d3-values-f7": ValueTableSpec(
+        caption="Values of L_2 on P^1(F_7) for y^2 = x^3 + 2",
+        curve="d3",
+        k=2,
+        p=7,
+        golden=(0, 4, 1, 3, 2, 5, 6, INF),
+    ),
     "d11-perm-k6": PermTableSpec(
         caption="Permutation behavior of L_6 on P^1(F_p) for y^2 = x^3 - 264x + 1694",
         curve="d11",
@@ -133,57 +169,6 @@ PERM_TABLES: dict[str, PermTableSpec] = {
             (47, 1, -12, 6, False),
         ),
     ),
-    "d11-perm-k7": PermTableSpec(
-        caption="Permutation behavior of L_7 on P^1(F_p) for y^2 = x^3 - 264x + 1694",
-        curve="d11",
-        k=7,
-        golden=(
-            (5, 1, -3, 1, True),
-            (7, -1, 0, 1, True),
-            (13, -1, 0, 7, False),
-            (17, -1, 0, 1, True),
-            (23, 1, -9, 1, True),
-            (31, 1, 5, 1, True),
-        ),
-    ),
-}
-
-VALUE_TABLES: dict[str, ValueTableSpec] = {
-    "d4-values-f7": ValueTableSpec(
-        caption="Values of L_3 on P^1(F_7) for y^2 = x^3 + x",
-        curve="d4",
-        k=3,
-        p=7,
-        golden=(0, 1, 4, 5, 2, 3, 6, INF),
-    ),
-    "d8-values-f13": ValueTableSpec(
-        caption="Values of L_3 on P^1(F_13) for y^2 = x^3 + x^2 - 3x + 1",
-        curve="d8",
-        k=3,
-        p=13,
-        golden=(4, 1, 10, 7, 11, 2, 9, 8, 3, 12, 5, 0, 6, INF),
-    ),
-    "d19-values-f5": ValueTableSpec(
-        caption="Values of L_3 on P^1(F_5) for y^2 + y = x^3 - 38x + 90",
-        curve="d19",
-        k=3,
-        p=5,
-        golden=(2, 3, 4, 1, 0, INF),
-    ),
-    "d12-values-f11": ValueTableSpec(
-        caption="Values of L_5 on P^1(F_11) for y^2 = x^3 - 15x + 22",
-        curve="d12",
-        k=5,
-        p=11,
-        golden=(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, INF),
-    ),
-    "d3-values-f7": ValueTableSpec(
-        caption="Values of L_2 on P^1(F_7) for y^2 = x^3 + 2",
-        curve="d3",
-        k=2,
-        p=7,
-        golden=(0, 4, 1, 3, 2, 5, 6, INF),
-    ),
     "d11-values-f5-k6": ValueTableSpec(
         caption="Values of L_6 on P^1(F_5) for y^2 = x^3 - 264x + 1694",
         curve="d11",
@@ -198,6 +183,19 @@ VALUE_TABLES: dict[str, ValueTableSpec] = {
         p=7,
         golden=(INF, 3, 3, 0, 0, 4, 4, INF),
     ),
+    "d11-perm-k7": PermTableSpec(
+        caption="Permutation behavior of L_7 on P^1(F_p) for y^2 = x^3 - 264x + 1694",
+        curve="d11",
+        k=7,
+        golden=(
+            (5, 1, -3, 1, True),
+            (7, -1, 0, 1, True),
+            (13, -1, 0, 7, False),
+            (17, -1, 0, 1, True),
+            (23, 1, -9, 1, True),
+            (31, 1, 5, 1, True),
+        ),
+    ),
     "d11-values-f5-k7": ValueTableSpec(
         caption="Values of L_7 on P^1(F_5) for y^2 = x^3 - 264x + 1694",
         curve="d11",
@@ -205,55 +203,37 @@ VALUE_TABLES: dict[str, ValueTableSpec] = {
         p=5,
         golden=(1, 2, 0, 3, 4, INF),
     ),
-}
-
-STRATEGY_SPEC = StrategyTableSpec(
-    caption="Prime selection strategies by CM discriminant",
-    golden=(
-        ("-4, -16", "C2, C2xC2, C4", "k odd", "p = 3 (mod 4), p = 1 (mod k)"),
-        ("-8", "C2", "k odd", "p = 5 (mod 8), p = 1 (mod k)"),
-        ("-7, -28", "C2", "k odd", "p = 5 (mod 7), p = -2 (mod k)"),
-        ("-19, -43, -67, -163", "C1", "any k >= 2", "Chebotarev (splitting primes)"),
-        ("-12", "C2, C6", "gcd(k,6) = 1", "p = 2 (mod 3), p = 1 (mod k)"),
-        (
-            "-27",
-            "C1, C3",
-            "(i) gcd(k,6) = 1; (ii) gcd(k,6) = 2",
-            "(i) p = 2 (mod 3), p = 1 (mod k); (ii) Chebotarev (splitting primes)",
-        ),
-        (
-            "-3",
-            "C1, C2, C3, C6",
-            "(i) gcd(k,6) = 1; (ii) gcd(k,6) = 2",
-            "(i) p = 2 (mod 3), p = 1 (mod k); (ii) Chebotarev (splitting primes)",
-        ),
-        (
-            "-11",
-            "C1",
-            "(i) k odd, 3 | k; (ii) 3 does not divide k",
-            "(i) p = 1 (mod 3), p = 1 (mod l_i), p = 2 (mod 11); (ii) Chebotarev (splitting primes)",
+    "strategies": StrategyTableSpec(
+        caption="Prime selection strategies by CM discriminant",
+        golden=(
+            ("-4, -16", "C2, C2xC2, C4", "k odd", "p = 3 (mod 4), p = 1 (mod k)"),
+            ("-8", "C2", "k odd", "p = 5 (mod 8), p = 1 (mod k)"),
+            ("-7, -28", "C2", "k odd", "p = 5 (mod 7), p = -2 (mod k)"),
+            ("-19, -43, -67, -163", "C1", "any k >= 2", "Chebotarev (splitting primes)"),
+            ("-12", "C2, C6", "gcd(k,6) = 1", "p = 2 (mod 3), p = 1 (mod k)"),
+            (
+                "-27",
+                "C1, C3",
+                "(i) gcd(k,6) = 1; (ii) gcd(k,6) = 2",
+                "(i) p = 2 (mod 3), p = 1 (mod k); (ii) Chebotarev (splitting primes)",
+            ),
+            (
+                "-3",
+                "C1, C2, C3, C6",
+                "(i) gcd(k,6) = 1; (ii) gcd(k,6) = 2",
+                "(i) p = 2 (mod 3), p = 1 (mod k); (ii) Chebotarev (splitting primes)",
+            ),
+            (
+                "-11",
+                "C1",
+                "(i) k odd, 3 | k; (ii) 3 does not divide k",
+                "(i) p = 1 (mod 3), p = 1 (mod l_i), p = 2 (mod 11); (ii) Chebotarev (splitting primes)",
+            ),
         ),
     ),
-)
+}
 
-TABLE_IDS: tuple[str, ...] = (
-    "d4-perm-k3",
-    "d4-values-f7",
-    "d8-values-f13",
-    "d7-perm-k3",
-    "d19-perm-k3",
-    "d19-values-f5",
-    "d12-values-f11",
-    "d27-perm-k2",
-    "d3-perm-k2",
-    "d3-values-f7",
-    "d11-perm-k6",
-    "d11-values-f5-k6",
-    "d11-values-f7-k6",
-    "d11-perm-k7",
-    "d11-values-f5-k7",
-    "strategies",
-)
+TABLE_IDS: tuple[str, ...] = tuple(TABLES)
 
 
 @dataclass(frozen=True)
@@ -305,9 +285,9 @@ def _render_values(spec: ValueTableSpec, values: Sequence[Optional[int]]) -> str
     return "\n".join(lines) + "\n"
 
 
-def _render_strategy(rows: Sequence[tuple[str, str, str, str]]) -> str:
+def _render_strategy(spec: StrategyTableSpec, rows: Sequence[tuple[str, str, str, str]]) -> str:
     lines = [
-        STRATEGY_SPEC.caption,
+        spec.caption,
         "| D | torsion | condition on k | prime selection |",
         "|---|---|---|---|",
     ]
@@ -319,17 +299,18 @@ def _render_strategy(rows: Sequence[tuple[str, str, str, str]]) -> str:
 def check_table(table_id: str) -> TableCheck:
     """Regenerate a table and diff it against the golden copy.  A table
     scans at most 8 primes, too few to fork, so it takes no worker count."""
-    if table_id in PERM_TABLES:
-        spec = PERM_TABLES[table_id]
+    if table_id not in TABLES:
+        raise KeyError(f"unknown table id {table_id!r}")
+    spec = TABLES[table_id]
+    if isinstance(spec, PermTableSpec):
         rows = regenerate_perm_rows(spec)
         diffs = tuple(
             f"p={g[0]}: expected {g}, regenerated {r}"
             for g, r in zip(spec.golden, rows)
             if tuple(r) != tuple(g)
         )
-        return TableCheck(table_id, spec.caption, not diffs, _render_perm(spec, rows), diffs)
-    if table_id in VALUE_TABLES:
-        spec = VALUE_TABLES[table_id]
+        rendered = _render_perm(spec, rows)
+    elif isinstance(spec, ValueTableSpec):
         values = regenerate_value_row(spec)
         diffs = tuple(
             f"x={'inf' if i == spec.p else i}: expected "
@@ -339,16 +320,16 @@ def check_table(table_id: str) -> TableCheck:
         )
         if len(values) != len(spec.golden):
             diffs += (f"row length {len(values)} != {len(spec.golden)}",)
-        return TableCheck(table_id, spec.caption, not diffs, _render_values(spec, values), diffs)
-    if table_id == "strategies":
+        rendered = _render_values(spec, values)
+    else:
         rows = regenerate_strategy_rows()
         diffs = tuple(
             f"row {i}: expected {g}, regenerated {r}"
-            for i, (g, r) in enumerate(zip(STRATEGY_SPEC.golden, rows))
+            for i, (g, r) in enumerate(zip(spec.golden, rows))
             if g != r
         )
-        return TableCheck(table_id, STRATEGY_SPEC.caption, not diffs, _render_strategy(rows), diffs)
-    raise KeyError(f"unknown table id {table_id!r}")
+        rendered = _render_strategy(spec, rows)
+    return TableCheck(table_id, spec.caption, not diffs, rendered, diffs)
 
 
 def check_all_tables() -> list[TableCheck]:

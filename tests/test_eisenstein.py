@@ -349,7 +349,7 @@ def test_lemma_ab_tallies_digest_is_pinned():
 @pytest.mark.parametrize("elements", [1, 150, 700])
 def test_walk_chunks_meet_at_their_seams(monkeypatch, elements):
     # at 10^4 row 0 holds 67 elements: one row a chunk, two rows, ten rows;
-    # small chunks also fold the pending hits into the classes many times
+    # small chunks also add into the tables many times
     whole = {ell: lemma_ab_tallies(ell, 10**4) for ell in (5, 11, 13)}
     monkeypatch.setattr(eisenstein, "_WALK_ELEMENTS", elements)
     for ell, want in whole.items():
@@ -357,21 +357,28 @@ def test_walk_chunks_meet_at_their_seams(monkeypatch, elements):
 
 
 @pytest.mark.parametrize("ell", [2003, 10**9 + 7, 2**31 - 1, 2**61 - 1, 2**89 - 1])
-def test_walk_serves_an_ell_past_the_bound(ell):
-    # a hit and its conjugate fall in distinct classes, one element each;
-    # residues mod 2^61 - 1 still fit int64, those mod 2^89 - 1 do not
+def test_walk_refuses_an_ell_past_the_bound(monkeypatch, ell):
+    # the walk's two tables hold ell^2 classes, so a prime ell >= 256 is
+    # refused before the sieve; verify_lemma_ab still takes it
+    def reached(*args, **kwargs):
+        raise AssertionError("a sieve ran before the ell check")
+
     assert is_prime(ell)
-    want = _reference_tallies(ell, 2000)
-    assert lemma_ab_tallies(ell, 2000) == want == _full_walk_tallies(ell, 2000)
+    monkeypatch.setattr(eisenstein, "prime_flags", reached)
+    with pytest.raises(ValueError, match="ell"):
+        lemma_ab_tallies(ell, 2000)
+    with pytest.raises(ValueError, match="ell"):
+        lemma_ab_witness(ell, 2000)
 
 
 @pytest.mark.parametrize(
     "ell, bound",
-    [(5, 0), (5, 1), (5, 3), (5, 4), (5, 7), (5, 121), (11, 121), (5, 289), (17, 289), (13, 13), (31, 31), (11, 11)],
+    [(5, 0), (5, 1), (5, 3), (5, 4), (5, 7), (5, 121), (11, 121), (5, 289), (17, 289), (13, 13), (31, 31), (11, 11), (251, 2000)],
 )
 def test_walk_at_edge_bounds(ell, bound):
     # no element below norm 7, the first split norm; the inert norms 11^2
-    # and 17^2 exactly at the bound, also when q = ell; ell at the bound
+    # and 17^2 exactly at the bound, also when q = ell; ell at the bound;
+    # 251, the largest prime ell the walk's two ell^2 tables accept
     want = _reference_tallies(ell, bound)
     assert lemma_ab_tallies(ell, bound) == want == _full_walk_tallies(ell, bound)
     if bound < 7:
@@ -384,10 +391,10 @@ def test_walk_at_edge_bounds(ell, bound):
 
 def test_walk_memory_stays_within_the_sieve_and_one_chunk(monkeypatch):
     # past the sieve's bound + 1 bytes the walk holds one chunk of at most
-    # _WALK_ELEMENTS = 8192 elements, at about 48 bytes each, and its hits,
-    # four int64 columns each, grouped into the 25 classes mod 5 after each
-    # chunk: about 0.45 MiB, within the 1 MiB budget.  The whole lattice at
-    # 10^6 at once, about 190 000 elements, would take 7.5 MB
+    # _WALK_ELEMENTS = 8192 elements, at about 48 bytes each, its hits'
+    # keys, and two tables of the 25 classes mod 5: about 0.4 MiB, within
+    # the 1 MiB budget.  The whole lattice at 10^6 at once, about 190 000
+    # elements, would take 7.5 MB
     real = eisenstein.prime_flags
 
     def sieve_then_reset(limit):
@@ -418,6 +425,29 @@ def test_lemma_ab_witness_default_bound():
     assert lemma_ab_witness(5) == (eis(1, 2), eis(0, 2))
     ok, na, nb = verify_lemma_ab(5, eis(1, 2), eis(0, 2), 20000)
     assert ok and na > 0 and nb > 0
+
+
+# the witness pairs at the default bound 10^5 for every prime l | k <= 50
+# that a gcd(k, 6) = 2 row of D = -3 or -27 searches (13 and 19 are fixed),
+# pinned from the walk that grouped its hits by sorting
+PINNED_WITNESSES = {
+    5: ((1, 2), (0, 2)),
+    11: ((1, 2), (0, 2)),
+    17: ((0, 2), (1, 3)),
+    23: ((1, 2), (0, 2)),
+    29: ((1, 2), (0, 2)),
+    31: ((1, 2), (0, 2)),
+    37: ((0, 2), (1, 3)),
+    41: ((1, 2), (0, 2)),
+    43: ((1, 2), (0, 2)),
+    47: ((1, 2), (0, 2)),
+}
+
+
+@pytest.mark.parametrize("ell", sorted(PINNED_WITNESSES))
+def test_lemma_ab_witness_is_pinned_at_the_default_bound(ell):
+    alpha, beta = PINNED_WITNESSES[ell]
+    assert lemma_ab_witness(ell) == (eis(*alpha), eis(*beta))
 
 
 @pytest.mark.parametrize("bound", [LEMMA_AB_BOUND_MAX + 1, 10**12, -1])

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattes_lab import intmath
+from lattes_lab.exceptionality import _congruence_recipe
 from lattes_lab.intmath import (
-    CongruenceCondition,
-    _merge_congruences,
+    _merge_classes,
     binary_power,
     check_int64_modulus,
     factorize,
@@ -288,43 +288,61 @@ def test_primes_in_classes_against_sieve_filter():
             assert got == want[: bisect_right(want, limit)], (period, residues, limit)
 
 
-def _merged_walk(system, limit):
-    # a system of congruence conditions, CRT-merged to one class r mod m
-    # first (the strategy recipes' route), then walked; an incompatible
-    # system merges to None and holds no prime
-    merged = _merge_congruences(system)
-    return [] if merged is None else list(primes_in_classes(merged[1], [merged[0]], limit))
-
-
 def test_primes_in_congruence_examples():
-    conds = [CongruenceCondition(3, 4), CongruenceCondition(1, 3)]
-    assert _merged_walk(conds, 50) == [7, 19, 31, 43]
-    assert _merged_walk([], 10) == [2, 3, 5, 7]
-    incompatible = [CongruenceCondition(0, 2), CongruenceCondition(1, 2)]
-    assert _merge_congruences(incompatible) is None
-    assert _merged_walk(incompatible, 100) == []
+    # two classes merge to one by the Chinese remainder theorem, also where
+    # their moduli share a factor; two that disagree mod the gcd raise
+    assert _merge_classes(3, 4, 1, 3) == (7, 12)
+    assert list(primes_in_classes(12, [7], 50)) == [7, 19, 31, 43]
+    assert _merge_classes(5, 7, -2, 35) == (33, 35)
+    assert _merge_classes(-1, 6, 3, 4) == (11, 12)
+    assert _merge_classes(5, 8, 0, 1) == (5, 8)
+    with pytest.raises(ArithmeticError):
+        _merge_classes(0, 2, 1, 2)
+    with pytest.raises(ArithmeticError):
+        _merge_classes(1, 6, 0, 4)
+
+
+def _stated_congruences(D, k):
+    # the congruence rows of the strategy table as the paper states them, as
+    # (residue, modulus) pairs; None where the row searches prime elements
+    # or admits no such k
+    odd = k % 2 == 1
+    if D in (-4, -16) and odd:
+        return [(3, 4), (1, k)]
+    if D == -8 and odd:
+        return [(5, 8), (1, k)]
+    if D in (-7, -28) and odd:
+        return [(5, 7), (-2, k)]
+    if D in (-12, -3, -27) and math.gcd(k, 6) == 1:
+        return [(2, 3), (1, k)]
+    if D == -11 and odd and k % 3 == 0:
+        others = [ell for ell in range(5, k + 1) if k % ell == 0 and is_prime(ell) and ell != 11]
+        return [(1, 3), (2, 11)] + [(1, ell) for ell in others]
+    return None
 
 
 def test_primes_in_congruence_against_sieve_filter():
-    rng = random.Random(3)
-    for _ in range(40):
-        conds = [
-            CongruenceCondition(rng.randrange(12), rng.randrange(1, 12)) for _ in range(rng.randrange(3))
-        ]
-        limit = rng.randrange(2, 3000)
-        expected = [p for p in primes_upto(limit) if all(p % c.modulus == c.residue for c in conds)]
-        assert _merged_walk(conds, limit) == expected, (conds, limit)
-    # one large-limit case against the sieve
-    conds = [CongruenceCondition(3, 4), CongruenceCondition(1, 3)]
-    expected = [p for p in primes_upto(100000) if p % 4 == 3 and p % 3 == 1]
-    assert _merged_walk(conds, 100000) == expected
-
-
-def test_congruence_condition_normalizes():
-    c = CongruenceCondition(-2, 7)
-    assert c.residue == 5
-    with pytest.raises(ValueError):
-        CongruenceCondition(1, 0)
+    # each congruence row of the strategy table walks the one class its
+    # recipe merges: for every admissible k <= 50, its primes below 10^4
+    # are the sieve's primes that meet the row's stated congruences
+    sieved = primes_upto(10**4)
+    rows = 0
+    for D in (-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163):
+        for k in range(2, 51):
+            stated = _stated_congruences(D, k)
+            try:
+                recipe = _congruence_recipe(D, k)
+            except ValueError:
+                assert stated is None, (D, k)
+                continue
+            assert (recipe is None) == (stated is None), (D, k)
+            if recipe is not None:
+                want = [p for p in sieved if all((p - r) % m == 0 for r, m in stated)]
+                assert list(primes_in_classes(recipe[1], [recipe[0]], 10**4)) == want, (D, k)
+                rows += 1
+    # 24 odd k for each of -4, -16, -8, -7, -28; 16 k prime to 6 for each
+    # of -12, -3, -27; the 8 odd multiples of 3 for -11
+    assert rows == 5 * 24 + 3 * 16 + 8
 
 
 def test_factorize_against_products():

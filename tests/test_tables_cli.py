@@ -17,7 +17,7 @@ import lattes_lab
 from lattes_lab import cli, elliptic, exceptionality, polyrat
 from lattes_lab.cli import COUNT_MAX, K_MAX, PMAX_MAX, WORKERS_MAX, main
 from lattes_lab.elliptic import Curve
-from lattes_lab.tables import PERM_TABLES, TABLE_IDS, check_all_tables, check_table
+from lattes_lab.tables import TABLE_IDS, TABLES, PermTableSpec, check_all_tables, check_table
 
 
 def test_all_tables_regenerate():
@@ -30,7 +30,9 @@ def test_all_tables_regenerate():
 def test_tables_never_reach_the_pool():
     # no worker count could change how a table is built: every table scans
     # fewer primes than map_primes needs before it forks
-    assert max(len(spec.golden) for spec in PERM_TABLES.values()) <= exceptionality._CHUNK_PRIMES
+    perm = [spec for spec in TABLES.values() if isinstance(spec, PermTableSpec)]
+    assert len(perm) == 7
+    assert max(len(spec.golden) for spec in perm) <= exceptionality._CHUNK_PRIMES
 
 
 def test_table_ids_cover_registry():
@@ -543,7 +545,7 @@ def test_cli_flag_set_is_pinned():
 # that take no settings beyond what their callers pass: a change to either
 # must edit this pin on purpose
 PUBLIC_NAMES = (
-    "CATALOG", "CATALOG_BY_NAME", "CatalogEntry", "CongruenceCondition", "Curve",
+    "CATALOG", "CATALOG_BY_NAME", "CatalogEntry", "Curve",
     "ExceptionalityReport", "GF", "INFINITY", "Mat2Zm", "PermutationVerdict", "Poly", "QQ",
     "QuadInt", "QuadOrder", "RatMap", "ScanRow", "SubgroupSpec", "SymbolValue", "TABLE_IDS",
     "TraceCache", "TraceRecord", "add_points", "check_all_tables", "check_table",
@@ -669,6 +671,23 @@ def test_import_starts_no_blas_worker_thread():
     code = "import os, lattes_lab; print(len(os.listdir('/proc/self/task')))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "1"
+
+
+def test_cli_import_loads_only_the_standard_library_numpy_and_the_package():
+    # sympy, scipy and pytest-benchmark may be installed beside the package,
+    # which does not depend on them; importing one by mistake would slow
+    # every CLI call.  An alias of a module loaded before the import (the
+    # __mp_main__ that multiprocessing adds for __main__) is not new
+    code = (
+        "import sys\n"
+        "before = {id(m) for m in sys.modules.values()}\n"
+        "import lattes_lab.cli\n"
+        "print(*sorted({n.split('.')[0] for n, m in sys.modules.items() if id(m) not in before}))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True)
+    added = set(proc.stdout.split())
+    assert {"lattes_lab", "numpy"} <= added
+    assert added - set(sys.stdlib_module_names) == {"lattes_lab", "numpy"}
 
 
 def test_cli_verify_tiny(capsys):
