@@ -8,7 +8,9 @@ curve spec, a --u other than 1 for a --D whose CM model is one curve, the
 --k of scan and density below 1, a scan --cache path that cannot be read
 or whose directory cannot be written, and the --workers of scan and
 density, --pmax, the --k of map, torsion and strategy, or the strategy
---count beyond WORKERS_MAX, PMAX_MAX, K_MAX or COUNT_MAX).  verify runs
+--count beyond WORKERS_MAX, PMAX_MAX, K_MAX or COUNT_MAX, and a strategy
+--count beyond the distinct good primes the row holds up to its norm
+cap).  verify runs
 each suite at its documented bounds and takes no flag.  symbol works in
 Z[w] (D = -3) and takes no --D.
 """
@@ -17,6 +19,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+# argparse puts its help strings through gettext, which imports locale on
+# the first parser build; locale is imported with the module instead, so
+# that start-up, not the first command, pays for it (as it did when the
+# process pool's modules brought it in)
+import locale  # noqa: F401
 import os
 import sys
 from typing import Optional
@@ -60,7 +67,7 @@ K_MAX = 50
 # COUNT_MAX is the count the strategy suite asks for.  Over every D and k,
 # the slowest rows at --count 50 are D = -11 with k = 35 and 37, 0.8-1.4 s
 # each on a 2-CPU Xeon VM at under 40 MiB RSS; a row that walks to the norm
-# cap without 50 primes (D = -11, k = 41) fails in 0.9-1.3 s
+# cap without 50 primes (D = -11, k = 41) is a usage error after 0.9-1.3 s
 COUNT_MAX = 50
 
 

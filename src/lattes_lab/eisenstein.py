@@ -338,7 +338,16 @@ def verify_lemma_ab(
 def lemma_ab_tallies(ell: int, bound: int) -> dict[tuple[int, int], tuple[int, int]]:
     """{(a mod ell, b mod ell): (#primes, #primes with (ell/pi)_6 real)} over
     the primes pi = a + b*w that qualifying_primes yields for (ell, bound),
-    for 2 <= ell < 256.
+    for 2 <= ell < 256: the nonzero classes of _lemma_ab_tables."""
+    count, real = _lemma_ab_tables(ell, bound)
+    found = np.flatnonzero(count)
+    return {divmod(c, ell): (n, r) for c, n, r in zip(found.tolist(), count[found].tolist(), real[found].tolist())}
+
+
+def _lemma_ab_tables(ell: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two int64 tables of ell^2 entries, keyed (a mod ell)*ell + (b mod ell):
+    the number of primes pi = a + b*w that qualifying_primes yields for
+    (ell, bound) in each class, and the number of them with (ell/pi)_6 real.
 
     Those are exactly the elements with a = 1, b = 0 (mod 3) and norm
     N = a^2 - ab + b^2 <= bound that is a prime p or the square of an inert
@@ -397,8 +406,7 @@ def lemma_ab_tallies(ell: int, bound: int) -> dict[tuple[int, int], tuple[int, i
         key = np.concatenate((a % ell * ell + b % ell, (a[conj] - b[conj]) % ell * ell + -b[conj] % ell))
         count += np.bincount(key, minlength=ell * ell)
         real += np.bincount(key[np.concatenate((is_real, is_real[conj]))], minlength=ell * ell)
-    found = np.flatnonzero(count)
-    return {divmod(c, ell): (n, r) for c, n, r in zip(found.tolist(), count[found].tolist(), real[found].tolist())}
+    return count, real
 
 
 def lemma_ab_witness(ell: int, bound: int = 100000) -> tuple[QuadInt, QuadInt]:
@@ -409,26 +417,27 @@ def lemma_ab_witness(ell: int, bound: int = 100000) -> tuple[QuadInt, QuadInt]:
     primes pi also keep ell away from N((pi-1)(pi+1)).
 
     ell = 13 and 19 use fixed witnesses; other ell are searched over all
-    qualifying primes of norm <= bound (lemma_ab_tallies), and that search
-    is itself the empirical check up to bound: a class is picked only if
-    every one of its primes behaves.  verify_lemma_ab checks a pair at
-    another bound.
+    qualifying primes of norm <= bound (the tables of lemma_ab_tallies,
+    read in ascending class order up to the first admissible pair), and
+    that search is itself the empirical check up to bound: a class is
+    picked only if every one of its primes behaves.  verify_lemma_ab
+    checks a pair at another bound.
     """
     if ell in (2, 3, 7) or not is_prime(ell):
         raise ValueError(f"ell must be a prime > 3, != 7, got {ell}")
     _check_walk(ell, bound)
     if ell in _HARDCODED_AB:
         return _HARDCODED_AB[ell]
-    tallies = lemma_ab_tallies(ell, bound)
+    count, real = _lemma_ab_tables(ell, bound)
     alpha = beta = None
-    for c in sorted(tallies):
-        count, real = tallies[c]
-        z = eis(c[0], c[1])
+    # ascending keys (a mod ell)*ell + (b mod ell) are ascending classes
+    for c in map(int, np.flatnonzero(count)):
+        z = eis(*divmod(c, ell))
         if z.norm() % ell == 0 or not _non_unit_mod(z, ell):
             continue
-        if alpha is None and real == count:
+        if alpha is None and real[c] == count[c]:
             alpha = z
-        if beta is None and real == 0:
+        if beta is None and real[c] == 0:
             beta = z
         if alpha is not None and beta is not None:
             break

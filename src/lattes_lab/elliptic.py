@@ -14,12 +14,11 @@ q(x) = 4x^3 + b2*x^2 + 2*b4*x + b6.
 from __future__ import annotations
 
 import functools
-import hashlib
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm as int_lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -123,6 +122,10 @@ class Curve:
 
     @functools.cached_property
     def _cache_key(self) -> str:
+        # only a run with an a_p cache hashes a curve, so hashlib (about 3 ms
+        # of OpenSSL loading) is imported here, not with the module
+        import hashlib
+
         return hashlib.sha256(format_curve(self).encode()).hexdigest()[:12]
 
     def __repr__(self):
@@ -959,8 +962,7 @@ def cm_model(D: int, u=1) -> Curve:
     raise ValueError(f"unsupported CM discriminant {D}")
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     curve: Curve
     note: str

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from math import gcd, prod
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
@@ -48,8 +47,7 @@ from .quadorder import congruent, prime_above, prime_elements, quad_order, split
 # -- trace records -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """Per-prime Frobenius data: A_p = (p+1)^2 - a_p^2."""
 
     p: int
@@ -78,6 +76,17 @@ def trace_record(curve: Curve, p: int) -> TraceRecord:
 _CHUNK_PRIMES = 4096
 
 
+def __getattr__(name: str):
+    # ProcessPoolExecutor is a module attribute, loaded on first read: the
+    # pool brings in about 30 modules (multiprocessing, socket, subprocess,
+    # logging, ...) that only a run over more than _CHUNK_PRIMES primes uses
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def map_primes(fn: Callable[[list[int]], list], primes: Sequence[int], workers: int = 1) -> dict:
     """{p: value} for every p in `primes`, where fn(chunk) returns the
     values of a list of primes in order.
@@ -94,7 +103,10 @@ def map_primes(fn: Callable[[list[int]], list], primes: Sequence[int], workers: 
     nchunks = min(workers, -(-len(primes) // _CHUNK_PRIMES))
     if nchunks > 1:
         chunks = [primes[i::nchunks] for i in range(nchunks)]
-        with ProcessPoolExecutor(max_workers=nchunks - 1) as pool:
+        # read through the module: the first read loads the pool (see
+        # __getattr__), and a pool class set on the module is used
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=nchunks - 1) as pool:
             rest = pool.map(fn, chunks[1:])
             parts = [fn(chunks[0]), *rest]
     else:
@@ -221,8 +233,7 @@ class TraceCache:
 # -- permutation verdicts -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PermutationVerdict:
+class PermutationVerdict(NamedTuple):
     p: int
     k: int
     gcd_value: Optional[int]
@@ -323,8 +334,7 @@ def render_scan_markdown(rows: Sequence[ScanRow], k: int, disc: Optional[int] = 
 # -- prime-selection strategies --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrategyRow:
+class StrategyRow(NamedTuple):
     """One row of the per-discriminant prime-selection strategy table."""
 
     discs: tuple[int, ...]
@@ -468,7 +478,9 @@ _STRATEGY_NORM_CAP = 131_072_000
 def strategy_primes(D: int, k: int, count: int) -> list[int]:
     """The first `count` primes from the strategy row for (D, k); each one
     is checked to satisfy gcd(A_p, k) = 1 for the check curve of the
-    discriminant (`_check_curve`), so an unsound recipe fails loudly."""
+    discriminant (`_check_curve`), so an unsound recipe fails loudly
+    (ArithmeticError).  A row with fewer than `count` distinct good primes
+    up to _STRATEGY_NORM_CAP is a ValueError naming both numbers."""
     if count < 1:
         raise ValueError("count must be >= 1")
     recipe = _congruence_recipe(D, k)
@@ -489,7 +501,10 @@ def strategy_primes(D: int, k: int, count: int) -> list[int]:
         if len(primes) == count:
             break
     else:
-        raise ArithmeticError(f"strategy search exhausted for D={D}, k={k}")
+        raise ValueError(
+            f"the strategy row for D={D}, k={k} has {len(primes)} distinct good primes "
+            f"up to the norm cap {_STRATEGY_NORM_CAP}, fewer than the {count} asked for"
+        )
     for p in primes:
         ap = frobenius_trace(curve, p)
         g = gcd((p + 1) ** 2 - ap * ap, k)
@@ -521,8 +536,7 @@ def is_cubic_residue(a: int, p: int) -> bool:
     return pow(a, (p - 1) // 3, p) == 1
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     curve: Curve
     pmax: int
     checked: int
@@ -591,8 +605,7 @@ _OBSTRUCTED_J = {
 WITNESS_THRESHOLD = 5
 
 
-@dataclass(frozen=True)
-class ExceptionalityReport:
+class ExceptionalityReport(NamedTuple):
     curve: Curve
     k: int
     pmax: int

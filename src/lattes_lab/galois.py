@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import gcd, isqrt
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -97,8 +97,7 @@ def cm_density_full(m: int) -> Fraction:
 _CLOSURE_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
+class SubgroupSpec(NamedTuple):
     """A subgroup of GL_2(Z/m) given by generators; the closure is
     computed and must stay within _CLOSURE_BOUND elements."""
 

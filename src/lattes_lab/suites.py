@@ -285,7 +285,7 @@ def suite_strategies() -> SuiteResult:
         try:
             ps = strategy_primes(D, k, 50)
             res.log(f"D={D}, k={k}: first {len(ps)} primes sound, up to {ps[-1]}")
-        except ArithmeticError as exc:
+        except (ArithmeticError, ValueError) as exc:
             res.check(False, f"D={D}, k={k}: {exc}")
     return res
 

@@ -9,8 +9,7 @@ tables an executable acceptance oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .elliptic import CATALOG_BY_NAME, lattes_map
 from .exceptionality import STRATEGY_TABLE, scan
@@ -19,8 +18,7 @@ from .polyrat import INFINITY
 INF = None  # infinity marker inside golden value rows
 
 
-@dataclass(frozen=True)
-class PermTableSpec:
+class PermTableSpec(NamedTuple):
     caption: str
     curve: str  # catalog name
     k: int
@@ -28,8 +26,7 @@ class PermTableSpec:
     golden: tuple[tuple[int, int, int, int, bool], ...]
 
 
-@dataclass(frozen=True)
-class ValueTableSpec:
+class ValueTableSpec(NamedTuple):
     caption: str
     curve: str
     k: int
@@ -37,8 +34,7 @@ class ValueTableSpec:
     golden: tuple[Optional[int], ...]  # images of 0..p-1, inf; None is infinity
 
 
-@dataclass(frozen=True)
-class StrategyTableSpec:
+class StrategyTableSpec(NamedTuple):
     caption: str
     golden: tuple[tuple[str, str, str, str], ...]
 
@@ -236,8 +232,7 @@ TABLES: dict[str, PermTableSpec | ValueTableSpec | StrategyTableSpec] = {
 TABLE_IDS: tuple[str, ...] = tuple(TABLES)
 
 
-@dataclass(frozen=True)
-class TableCheck:
+class TableCheck(NamedTuple):
     table_id: str
     caption: str
     ok: bool

@@ -413,6 +413,20 @@ def test_walk_memory_stays_within_the_sieve_and_one_chunk(monkeypatch):
     assert peak <= bound + 1 + 2**20
 
 
+def test_witness_reads_the_tables_without_a_dict_of_classes():
+    # at ell = 251 the walk holds the 10^6-byte sieve and two tables of
+    # 63 001 int64 classes (1 MB); a dict of every nonzero class, about 200
+    # bytes a class, took the peak to 13.2 MiB
+    tracemalloc.start()
+    try:
+        pair = lemma_ab_witness(251, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair == (eis(0, 4), eis(1, 6))
+    assert peak <= 4 * 2**20
+
+
 def test_lemma_ab_tallies_count_every_qualifying_prime():
     # two primes pi = 1 (mod 3) above each split p, and -q for the inert
     # q = 11, 17, 23, 29, 41 (q^2 <= 2000, q != 2, 5)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -1032,7 +1031,7 @@ CATALOG_CM_DISCS = {
 
 
 def test_cm_disc_for_gives_each_catalog_row_its_old_disc():
-    assert [f.name for f in dataclasses.fields(elliptic.CatalogEntry)] == ["name", "curve", "note"]
+    assert list(elliptic.CatalogEntry._fields) == ["name", "curve", "note"]
     assert [entry.name for entry in CATALOG] == list(CATALOG_CM_DISCS)
     for entry in CATALOG:
         D = CATALOG_CM_DISCS[entry.name]

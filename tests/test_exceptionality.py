@@ -213,10 +213,11 @@ def test_strategy_element_search_walks_the_split_primes_once(monkeypatch):
 
 def test_strategy_congruence_route_stops_at_the_norm_cap(monkeypatch):
     # p = 7 (mod 12) holds 311 primes below 10^4, so with the cap at
-    # 10^4 the row cannot reach 2000 primes and must fail, not walk on
+    # 10^4 the row cannot reach 2000 primes and must refuse the count, not
+    # walk on
     monkeypatch.setattr(exceptionality, "_STRATEGY_NORM_CAP", 10**4)
     assert strategy_primes(-4, 3, 5) == [7, 19, 31, 43, 67]
-    with pytest.raises(ArithmeticError, match="exhausted"):
+    with pytest.raises(ValueError, match="has 311 distinct good primes up to the norm cap 10000, fewer than the 2000"):
         strategy_primes(-4, 3, 2000)
 
 

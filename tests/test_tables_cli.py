@@ -310,6 +310,19 @@ def test_cli_strategy(capsys):
     assert capsys.readouterr().out.strip() == "7, 19, 31"
 
 
+def test_cli_strategy_count_past_the_norm_cap_is_a_usage_error(monkeypatch, capsys):
+    # a row that holds fewer good primes up to the cap than --count asks for
+    # is the user's bound, like --pmax past PMAX_MAX, not a failed check
+    monkeypatch.setattr(exceptionality, "_STRATEGY_NORM_CAP", 500)
+    assert run_cli("strategy", "--D=-4", "--k", "3", "--count", "50") == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: the strategy row for D=-4, k=3 has 24 distinct good primes "
+        "up to the norm cap 500, fewer than the 50 asked for\n"
+    )
+
+
 def test_cli_model_selection_by_D_and_u(capsys):
     assert run_cli("map", "--D=-11", "--k", "2") == 0
     assert capsys.readouterr().out.strip() == "(x^4 + 528x^2 - 13552x + 69696)/(4x^3 - 1056x + 6776)"
@@ -688,6 +701,38 @@ def test_cli_import_loads_only_the_standard_library_numpy_and_the_package():
     added = set(proc.stdout.split())
     assert {"lattes_lab", "numpy"} <= added
     assert added - set(sys.stdlib_module_names) == {"lattes_lab", "numpy"}
+
+
+def test_cli_import_leaves_the_pool_and_hashlib_to_first_use():
+    # the process pool brings in about 30 modules and hashlib loads OpenSSL;
+    # a run forks only past _CHUNK_PRIMES primes and hashes a curve only
+    # with --cache, so neither belongs in every CLI call's start-up
+    code = (
+        "import sys\n"
+        "import lattes_lab.cli\n"
+        "print(*sorted(set(sys.argv[1:]) & set(sys.modules)))"
+    )
+    heavy = ["concurrent.futures.process", "multiprocessing", "subprocess", "socket", "logging", "hashlib"]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *heavy], capture_output=True, text=True, env=child_env(), check=True
+    )
+    assert proc.stdout.split() == []
+
+
+def test_cli_first_command_imports_no_module():
+    # what the import used to bring in, such as locale (which argparse's
+    # gettext reads on the first parser build), must still come with it:
+    # otherwise the first command pays for it
+    code = (
+        "import contextlib, io, sys\n"
+        "from lattes_lab import cli\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    status = cli.main(['density', '[0,0,0,1,1]', '--k', '2', '--pmax', '1000'])\n"
+        "print(status, out.getvalue().strip(), *sorted(set(sys.modules) - before), sep='\\n')"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), check=True)
+    assert proc.stdout.splitlines() == ["0", "52/165 (0.315152)"]
 
 
 def test_cli_verify_tiny(capsys):
