@@ -278,8 +278,6 @@ def lattes_map(curve: Curve, k: int) -> RatMap:
     if k < 1:
         raise ValueError("k must be >= 1")
     x = Poly.x(QQ)
-    if k == 1:
-        return RatMap(x, Poly.one(QQ))
     ps = curve.division_polys
     q = curve.psi2_squared
     pk, lo, hi = ps[k], ps[k - 1], ps[k + 1]

@@ -244,11 +244,13 @@ class PermutationVerdict(NamedTuple):
 def permutes(curve: Curve, k: int, p: int, method: str = "criterion") -> PermutationVerdict:
     """Whether L_k permutes P^1(F_p), by the gcd criterion
     (gcd((p+1)^2 - a_p^2, k) = 1), by brute force over all p+1 points, or
-    by both with mandatory agreement."""
+    by both with mandatory agreement.  Every method needs a prime p >= 5 of
+    good reduction and raises ValueError otherwise."""
     if method not in ("criterion", "bruteforce", "both"):
         raise ValueError(f"unknown method {method!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
+    curve._require_good(p)
     g = verdict_c = verdict_b = None
     if method in ("criterion", "both"):
         rec = trace_record(curve, p)

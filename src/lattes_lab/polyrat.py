@@ -17,19 +17,23 @@ coprime, so equal maps have equal representations and projective
 evaluation is total: over QQ the pair is the content-1 integer pair
 (integer coefficients with joint content 1 and a positive leading
 denominator coefficient, each over denominator 1), which is also the
-printed form and the model that reduction mod p reduces; over GF(p) the
-denominator is monic.
+printed form; over GF(p) the denominator is monic.
 
-Cancellation is eager everywhere except after reduction mod p.  There the
-coefficient-wise reduced pair is kept and its gcd is taken only when the
-result can depend on it: when num or den is read (degree, equality, hash,
-composition, printing), or when an evaluation meets 0/0.  Evaluating the
-uncancelled pair is exact otherwise: a common factor with no F_p-root
-changes no affine value, and it raises both degrees equally, so the value
-at infinity stays too.  At good p the reduced Lattes pair is already
-coprime (phi_k and psi_k^2 share no root on a nonsingular curve;
-Washington, Elliptic Curves, Lemma 3.5), so the brute-force check there
-never runs the gcd.
+Cancellation is lazy for every map.  The constructor keeps the pair it
+is given (over QQ cleared to its content-1 integer form) and takes the
+gcd only when the result can depend on it: when num or den is read
+(degree, equality, hash, composition, printing), or when an evaluation
+meets 0/0.  Evaluating the uncancelled pair is exact otherwise: a common
+factor changes no value away from its roots, and it raises both degrees
+equally, so the value at infinity stays too.  Reduction mod p reduces the
+stored pair.  By Gauss's lemma an uncancelled content-1 pair is +-g times
+the canonical pair with g primitive, so g stays nonzero mod p: the
+denominator vanishes identically at the same primes, and the values agree
+except at the F_p-roots of g, where the pair meets 0/0 and cancels.  At
+good p the reduced Lattes pair is already coprime (phi_k and psi_k^2
+share no root on a nonsingular curve; Washington, Elliptic Curves, Lemma
+3.5), so a Lattes map that is only reduced and brute-forced never runs a
+gcd, over QQ or over GF(p).
 
 The kernels work on whole ints or int64 rows: a long product multiplies
 the integer coefficients by Kronecker substitution, over the product of
@@ -209,6 +213,12 @@ class Poly:
     def __hash__(self):
         return hash((id(self.field), self.ints, self.den))
 
+    def _common_field(self, other: "Poly"):
+        # the field of both operands, a TypeError when they differ
+        if other.field is not self.field:
+            raise TypeError(f"polynomials over different fields: {self.field} and {other.field}")
+        return self.field
+
     def __repr__(self):
         return f"Poly({self.field}, {format_poly(self)!r})"
 
@@ -228,7 +238,7 @@ class Poly:
         m = sign * (den // other.den)
         for i, c in enumerate(other.ints):
             out[i] += m * c
-        return _poly(self.field, out, den)
+        return _poly(self._common_field(other), out, den)
 
     def __neg__(self) -> "Poly":
         return _poly(self.field, [-c for c in self.ints], self.den)
@@ -236,9 +246,10 @@ class Poly:
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
             return self.scale(other)
+        F = self._common_field(other)
         if not self.ints or not other.ints:
-            return Poly.zero(self.field)
-        return _poly(self.field, _int_mul(self.ints, other.ints), self.den * other.den)
+            return Poly.zero(F)
+        return _poly(F, _int_mul(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -254,7 +265,7 @@ class Poly:
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
         # s a = q b + r on the integer parts gives self = (q b.den / (s den)) other
         # + r / (s den), with den = self.den
-        F = self.field
+        F = self._common_field(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if F is QQ:
@@ -472,9 +483,7 @@ def format_poly(f: Poly) -> str:
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd.  Over QQ a primitive remainder sequence on the integer
     coefficients avoids the coefficient blow-up of naive Fraction Euclid."""
-    if f.field is not g.field:
-        raise TypeError("gcd of polynomials over different fields")
-    F = f.field
+    F = f._common_field(g)
     if f.is_zero:
         return g.monic()
     if g.is_zero:
@@ -611,26 +620,26 @@ def _coprime_certificate(f: Sequence[int], g: Sequence[int]) -> bool:
 
 
 class RatMap:
-    """A rational function num/den in canonical form: gcd(num, den) = 1,
-    and over QQ the content-1 integer pair (integer coefficients, joint
-    content 1, positive leading denominator coefficient), over GF(p) a
-    monic den.  The canonical form makes equality tests and value tables
+    """A rational function num/den, read in canonical form: gcd(num, den)
+    = 1, and over QQ the content-1 integer pair (integer coefficients,
+    joint content 1, positive leading denominator coefficient), over GF(p)
+    a monic den.  The canonical form makes equality tests and value tables
     reproducible and projective evaluation total.
 
-    The constructor cancels at once.  A map made by reduce_mod_p keeps the
-    reduced pair with its cancellation pending: num and den cancel on first
-    read, and evaluation (eval_proj, value_table, is_bijection) uses the
-    pair as it is, cancelling only if it meets 0/0 at a shared F_p-root."""
+    The constructor stores the pair uncancelled, over QQ cleared to its
+    content-1 integer form.  num and den cancel on first read, and
+    evaluation (eval_proj, value_table, is_bijection) uses the pair as it
+    is, cancelling only if it meets 0/0 at a shared root."""
 
     __slots__ = ("_num", "_den", "_coprime")
 
     def __init__(self, num: Poly, den: Poly):
-        if num.field is not den.field:
-            raise TypeError("numerator and denominator over different fields")
+        F = num._common_field(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        self._num, self._den = _canonicalize(num, den)
-        self._coprime = True
+        if F is QQ:
+            num, den = (_poly(QQ, cs) for cs in _int_clear(num, den))
+        self._num, self._den, self._coprime = num, den, False
 
     def _cancel(self):
         if not self._coprime:
@@ -694,8 +703,8 @@ class RatMap:
         return F.coerce(Fraction(nv, dv))
 
     def compose(self, inner: "RatMap") -> "RatMap":
-        """self(inner(x)) as a canonical rational map."""
-        F = self.field
+        """self(inner(x)) as a rational map."""
+        F = self.num._common_field(inner.num)
         n, d = inner.num, inner.den
         deg = max(self.num.degree, self.den.degree)
         powers_n = [Poly.one(F)]
@@ -714,26 +723,20 @@ class RatMap:
         return RatMap(num_out, den_out)
 
     def reduce_mod_p(self, p: int) -> "RatMap":
-        """Reduce a map over QQ modulo p coefficient by coefficient.  Any
-        common factor the reduction creates is cancelled when the image's
-        num or den is first read, or when its evaluation meets 0/0.
-
-        The canonical pair over QQ is the content-1 integer pair, so a map
-        that is perfectly p-integral reduces without any rescaling.  A
-        denominator that vanishes identically mod p (e.g. x/5 at p = 5) is
-        an error.
+        """Reduce a map over QQ modulo p coefficient by coefficient.  The
+        stored pair is a content-1 integer pair, so a map that is perfectly
+        p-integral reduces without any rescaling, and any common factor of
+        the image cancels as in every map: on a canonical read, or when an
+        evaluation meets 0/0.  A denominator that vanishes identically mod
+        p (e.g. x/5 at p = 5) is an error.
         """
         if self.field is not QQ:
             raise TypeError("reduce_mod_p applies to maps over QQ")
         F = GF(p)
-        num, den = (_poly(F, f.ints) for f in (self.num, self.den))
+        num, den = _poly(F, self._num.ints), _poly(F, self._den.ints)
         if den.is_zero:
             raise ZeroDivisionError(f"denominator vanishes identically mod {p}")
-        if num.is_zero:
-            return RatMap(num, den)
-        reduced = object.__new__(RatMap)
-        reduced._num, reduced._den, reduced._coprime = num, den, False
-        return reduced
+        return RatMap(num, den)
 
     def is_bijection(self):
         """Whether the map permutes P^1(F_p), with a certificate.
@@ -743,8 +746,6 @@ class RatMap:
         first colliding pair in that scan order.
         """
         F = self.field
-        if F is QQ:
-            raise TypeError("bijection testing is over a prime field")
         table = self.value_table()
         seen = {}
         for i, v in enumerate(table):
@@ -759,6 +760,8 @@ class RatMap:
     def value_table(self) -> list:
         """Images of 0, 1, ..., p-1, INFINITY under the map."""
         p = self.field.p
+        if p is None:
+            raise TypeError("value tables and bijection testing are over a prime field")
         check_int64_modulus(p)
         nv, dv = _horner_pair(self._num, self._den, p)
         if not self._coprime and np.any((nv == 0) & (dv == 0)):
@@ -772,20 +775,19 @@ class RatMap:
 
 
 def _canonicalize(num: Poly, den: Poly) -> tuple[Poly, Poly]:
+    # the canonical form of a stored pair.  Over QQ the constructor has
+    # cleared the pair already, so a certified coprime pair is kept as it
+    # is, and only a pair that ran the gcd is cleared again
     F = num.field
     if num.is_zero:
         return Poly.zero(F), Poly.one(F)
-    if F is QQ:
-        ni, di = _int_clear(num, den)
-        if not _coprime_certificate(ni, di):
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                ni, di = _int_clear(num // g, den // g)
-        return _poly(QQ, ni), _poly(QQ, di)
+    if F is QQ and _coprime_certificate(num.ints, den.ints):
+        return num, den
     g = poly_gcd(num, den)
     if g.degree > 0:
-        num = num // g
-        den = den // g
+        num, den = num // g, den // g
+    if F is QQ:
+        return tuple(_poly(QQ, cs) for cs in _int_clear(num, den))
     lead = den.ints[-1]
     return _poly(F, num.ints, lead), _poly(F, den.ints, lead)
 

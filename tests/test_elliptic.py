@@ -154,7 +154,8 @@ def _reference_reduction(L, p):
 
 def test_reduce_mod_p_matches_the_monic_reference():
     # the reduced map keeps its gcd pending: its table and verdict, taken
-    # before any canonical read, must match the eagerly cancelled reference
+    # before any canonical read, must match the reference reduced from the
+    # monic canonical pair
     seen_p_divides_k = 0
     for entry in CATALOG:
         for k in range(1, 9):
@@ -200,6 +201,28 @@ def test_brute_force_at_good_primes_runs_no_gcd(monkeypatch):
         for p in good:
             L.reduce_mod_p(p).is_bijection()
     assert calls == []
+
+
+def test_reduce_and_brute_force_run_no_certificate_over_qq(monkeypatch):
+    # a map is built uncancelled, and reduction reduces the stored pair, so
+    # only a canonical read over QQ (here printing) runs the coprimality
+    # certificate, once per map
+    calls = []
+    certificate = polyrat._coprime_certificate
+    monkeypatch.setattr(polyrat, "_coprime_certificate", lambda f, g: calls.append(1) or certificate(f, g))
+    curves = [CATALOG_BY_NAME[name].curve for name in ("d4", "d19", "k2-s3")]
+    # lattes_map.__wrapped__ builds each map afresh, past the shared cache
+    maps = [(lattes_map.__wrapped__(c, k), c.good_primes(200)[:30]) for c in curves for k in range(2, 13)]
+    for L, good in maps:
+        for p in good:
+            L.reduce_mod_p(p).is_bijection()
+    assert calls == []
+    for L, _ in maps:
+        text = format_ratmap(L)
+        assert calls == [1]
+        assert format_ratmap(L) == text
+        assert calls == [1]
+        calls.clear()
 
 
 def test_primes_by_reduction_matches_the_has_good_reduction_filter():

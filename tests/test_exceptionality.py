@@ -75,6 +75,16 @@ def test_permutes_methods_and_agreement():
         permutes(D4, 3, 11, "magic")
 
 
+def test_permutes_checks_p_before_either_route():
+    # every method needs a prime p >= 5 of good reduction; 23 divides the
+    # discriminant of [0,0,0,-1,1]
+    curve = Curve(0, 0, 0, -1, 1)
+    for p, message in ((2, ">= 5"), (3, ">= 5"), (9, "not prime"), (23, "bad reduction at 23")):
+        for method in ("criterion", "bruteforce", "both"):
+            with pytest.raises(ValueError, match=message):
+                permutes(curve, 3, p, method)
+
+
 def test_scan_matches_reference_rows():
     rows = scan(D4, 3, [5, 7, 11, 13, 19, 23, 29, 31])
     assert [(r.p, r.symbol, r.ap, r.gcd_value, r.permutes) for r in rows] == [

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import re
 from decimal import Decimal
@@ -189,7 +190,7 @@ def test_reduce_mod_p():
     f = RatMap(P(-1, 0, 1), P(6, 1))  # (x^2-1)/(x+6): x+6 = x-1 mod 7
     red = f.reduce_mod_p(7)
     assert red.num == Poly(GF(7), [1, 1]) and red.den == Poly(GF(7), [1])
-    # a numerator that vanishes mod p gives the eager zero map
+    # a numerator that vanishes mod p gives the zero map
     zero = RatMap(P(7, 0, 14), P(1, 1)).reduce_mod_p(7)
     assert zero == RatMap(Poly.zero(GF(7)), Poly.one(GF(7)))
     assert zero.value_table() == [0] * 8
@@ -217,12 +218,74 @@ def test_reduced_maps_evaluate_before_cancelling(monkeypatch):
     F = GF(7)
     red = RatMap(P(8, 0, 1), P(1, 0, 1)).reduce_mod_p(7)
     one = RatMap(Poly.one(F), Poly.one(F))
+    # every map cancels lazily: one is read canonically before the count
+    assert one.num == one.den == Poly.one(F)
     calls.clear()
     assert red.value_table() == one.value_table() == [1] * 8
     assert red.is_bijection()[0] is False
     assert calls == []
     assert red == one
     assert calls == [7]
+
+
+def test_a_planted_common_factor_changes_no_reduction():
+    # by Gauss's lemma the content-1 form of (n g, d g) is +-g times that of
+    # (n, d) for a primitive integer g, so g stays nonzero mod p: the two
+    # reductions agree in everything, also where g has an F_p-root (the
+    # planted pair meets 0/0) or a leading coefficient divisible by p
+    rng = random.Random(33)
+    primes = [p for p in range(2, 61) if all(p % q for q in range(2, p))]
+    roots = drops = failures = 0
+    for _ in range(40):
+        n, d = (P(*[Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 3, 5))) for _ in range(rng.randrange(1, 5))])
+                for _ in range(2))
+        if n.is_zero or d.is_zero:
+            continue
+        cs = [rng.randrange(-6, 7) for _ in range(rng.randrange(1, 4))] + [rng.choice((2, 3, 5, 6, 7))]
+        g = P(*[c // math.gcd(*cs) for c in cs])
+        planted, plain = RatMap(n * g, d * g), RatMap(n, d)
+        for p in primes:
+            try:
+                want = plain.reduce_mod_p(p)
+            except ZeroDivisionError:
+                failures += 1
+                with pytest.raises(ZeroDivisionError):
+                    planted.reduce_mod_p(p)
+                continue
+            got = planted.reduce_mod_p(p)
+            where = (n, d, g, p)
+            assert got.value_table() == want.value_table(), where
+            assert got.is_bijection() == want.is_bijection(), where
+            assert got.degree == want.degree, where
+            assert (got.num, got.den) == (want.num, want.den), where
+            roots += any(g(x) % p == 0 for x in range(p))
+            drops += g.ints[-1] % p == 0
+    assert roots > 0 and drops > 0 and failures > 0
+
+
+def test_operations_across_fields_raise():
+    # mixing fields is a TypeError, never an answer computed from residues
+    with pytest.raises(TypeError, match="different fields"):
+        Poly(GF(7), [1]) + Poly(QQ, [1])
+    polys = [Poly(F, [1, 2, 1]) for F in (QQ, GF(5), GF(7))]
+    for f in polys:
+        for g in polys:
+            if f.field is not g.field:
+                for op in (operator.add, operator.sub, operator.mul, divmod, poly_gcd, RatMap):
+                    with pytest.raises(TypeError, match="different fields"):
+                        op(f, g)
+    over_q = RatMap(P(1, 0, 1), P(2))
+    over_7 = RatMap(Poly(GF(7), [1, 1]), Poly.one(GF(7)))
+    for outer, inner in ((over_q, over_7), (over_7, over_q)):
+        with pytest.raises(TypeError, match="different fields"):
+            outer.compose(inner)
+
+
+def test_value_tables_need_a_prime_field():
+    f = RatMap(Poly.x(QQ), Poly.one(QQ))
+    for method in (f.value_table, f.is_bijection):
+        with pytest.raises(TypeError, match="over a prime field"):
+            method()
 
 
 def divisor_root_oracle(f: Poly) -> set:
