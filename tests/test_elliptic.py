@@ -149,13 +149,15 @@ def _reference_reduction(L, p):
     num, den = L.num.scale(1 / lead), L.den.scale(1 / lead)
     s = Fraction(p) ** -min(_valuation(c, p) for c in num.coeffs + den.coeffs if c)
     F = GF(p)
-    return RatMap(Poly(F, num.scale(s).coeffs), Poly(F, den.scale(s).coeffs))
+    ref = RatMap(Poly(F, num.scale(s).coeffs), Poly(F, den.scale(s).coeffs))
+    ref.num  # cancel now, so the reference is evaluated from the coprime pair
+    return ref
 
 
 def test_reduce_mod_p_matches_the_monic_reference():
     # the reduced map keeps its gcd pending: its table and verdict, taken
-    # before any canonical read, must match the reference reduced from the
-    # monic canonical pair
+    # before any canonical read, must match the reference, which is
+    # cancelled before it is evaluated
     seen_p_divides_k = 0
     for entry in CATALOG:
         for k in range(1, 9):
@@ -192,37 +194,22 @@ def test_value_table_digest_is_pinned():
 
 def test_brute_force_at_good_primes_runs_no_gcd(monkeypatch):
     # phi_k and psi_k^2 share no root on a nonsingular reduction, so the
-    # reduce-and-brute-force loop never needs to cancel at a good prime
-    maps = [(lattes_map(e.curve, k), e.curve.good_primes(200)[:30]) for e in CATALOG for k in range(2, 13)]
+    # reduce-and-brute-force loop never needs to cancel at a good prime; a
+    # map is built uncancelled, so building it runs no certificate either
     calls = []
-    fp_gcd = polyrat._fp_gcd
+    fp_gcd, certificate = polyrat._fp_gcd, polyrat._coprime_certificate
     monkeypatch.setattr(polyrat, "_fp_gcd", lambda a, b, p: calls.append(p) or fp_gcd(a, b, p))
-    for L, good in maps:
-        for p in good:
-            L.reduce_mod_p(p).is_bijection()
-    assert calls == []
-
-
-def test_reduce_and_brute_force_run_no_certificate_over_qq(monkeypatch):
-    # a map is built uncancelled, and reduction reduces the stored pair, so
-    # only a canonical read over QQ (here printing) runs the coprimality
-    # certificate, once per map
-    calls = []
-    certificate = polyrat._coprime_certificate
-    monkeypatch.setattr(polyrat, "_coprime_certificate", lambda f, g: calls.append(1) or certificate(f, g))
-    curves = [CATALOG_BY_NAME[name].curve for name in ("d4", "d19", "k2-s3")]
+    monkeypatch.setattr(polyrat, "_coprime_certificate", lambda f, g: calls.append("cert") or certificate(f, g))
     # lattes_map.__wrapped__ builds each map afresh, past the shared cache
-    maps = [(lattes_map.__wrapped__(c, k), c.good_primes(200)[:30]) for c in curves for k in range(2, 13)]
+    maps = [(lattes_map.__wrapped__(e.curve, k), e.curve.good_primes(200)[:30]) for e in CATALOG for k in range(2, 13)]
     for L, good in maps:
         for p in good:
             L.reduce_mod_p(p).is_bijection()
     assert calls == []
-    for L, _ in maps:
-        text = format_ratmap(L)
-        assert calls == [1]
-        assert format_ratmap(L) == text
-        assert calls == [1]
-        calls.clear()
+    # a canonical read over QQ (here printing) runs the certificate once
+    text = format_ratmap(maps[-1][0])
+    assert calls == ["cert", polyrat._PROBE_PRIMES[0]]
+    assert format_ratmap(maps[-1][0]) == text and len(calls) == 2
 
 
 def test_primes_by_reduction_matches_the_has_good_reduction_filter():
